@@ -19,6 +19,14 @@ import numpy as np
 from .rng import NS_BOOTSTRAP, NS_CV, NS_FOLDS, NS_IMPORTANCE, child_seed, substream
 
 
+def _midranks(sorted_scores: np.ndarray) -> np.ndarray:
+    """1-based ranks of sorted scores, each tie group at its mean rank."""
+    # tie groups are runs of equal scores, from position first to last
+    first = np.flatnonzero(np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1])))
+    last = np.append(first[1:], len(sorted_scores)) - 1
+    return np.repeat((first + last + 2) / 2.0, last - first + 1)
+
+
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Area under the ROC curve; both classes must be present."""
     scores = np.asarray(scores, dtype=float)
@@ -28,15 +36,7 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs at least one positive and one negative")
     order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    ranks = np.empty(len(scores))
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[i : j + 1] = (i + j + 2) / 2.0  # midrank over the tie group
-        i = j + 1
+    ranks = _midranks(scores[order])
     rank_sum_pos = float(ranks[labels[order] == 1].sum())
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

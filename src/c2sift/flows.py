@@ -175,7 +175,8 @@ def parse_flow_file(
 ) -> tuple[list[FlowRecord], IngestStats]:
     """Parse a flow file into validated records plus ingest stats.
 
-    Malformed rows are counted per reason, never silently dropped. An
+    Malformed rows are counted per reason, never silently dropped; a row
+    with more or fewer fields than the header is ``field-count``. An
     unreadable file or a header missing a mapped column is fatal.
     Parsing is order-preserving and deterministic.
     """
@@ -201,11 +202,10 @@ def parse_flow_file(
 
     records: list[FlowRecord] = []
     stats = IngestStats()
-    width = max(column_index.values()) + 1
     for row in reader:
         if not row:
             continue
-        if len(row) < width:
+        if len(row) != len(header):
             stats._reject("field-count")
             continue
         values = {name: row[idx] for name, idx in column_index.items()}

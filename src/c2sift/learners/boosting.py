@@ -23,7 +23,7 @@ import numpy as np
 
 from .artifact import ModelArtifact, log_loss, register_kind, sigmoid
 from .data import LabeledDataset
-from .tree import Tree, TreeParams, fit_tree, fit_tree_second_order, tree_predict
+from .tree import Tree, TreeParams, fit_tree, fit_tree_second_order, presort, tree_predict
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,8 @@ def _base_log_odds(y: np.ndarray) -> float:
 def _fit_boosted(data: LabeledDataset, params: GBMParams, seed: int, second_order: bool) -> ModelArtifact:
     y = data.require_training_labels().astype(float)
     X = data.X
+    # every round searches the same rows; only the targets change
+    sorted_X = presort(X)
     f0 = _base_log_odds(y)
     F = np.full(data.n_rows, f0)
     tree_params = TreeParams(max_depth=params.max_depth, min_leaf=params.min_leaf)
@@ -63,9 +65,9 @@ def _fit_boosted(data: LabeledDataset, params: GBMParams, seed: int, second_orde
     for _ in range(params.n_rounds):
         p = sigmoid(F)
         if second_order:
-            tree = fit_tree_second_order(X, p - y, p * (1.0 - p), tree_params, lam=params.lam, gamma=params.gamma)
+            tree = fit_tree_second_order(sorted_X, p - y, p * (1.0 - p), tree_params, lam=params.lam, gamma=params.gamma)
         else:
-            tree = fit_tree(X, y - p, tree_params, criterion="mse")
+            tree = fit_tree(sorted_X, y - p, tree_params, criterion="mse")
         F = F + params.learning_rate * tree_predict(tree, X)
         trees.append(tree)
         loss_path.append(log_loss(y, sigmoid(F)))

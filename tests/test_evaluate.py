@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from c2sift.evaluate import (
+    _midranks,
     auc,
     bootstrap_metrics,
     cv_tune,
@@ -31,6 +32,19 @@ def brute_force_auc(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def loop_midranks(sorted_scores):
+    """Midranks by walking each tie group: the loop ``auc`` used to run."""
+    ranks = np.empty(len(sorted_scores))
+    i = 0
+    while i < len(sorted_scores):
+        j = i
+        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[i : j + 1] = (i + j + 2) / 2.0
+        i = j + 1
+    return ranks
+
+
 class TestAuc:
     def test_perfect_separation(self):
         assert auc([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0]) == 1.0
@@ -50,6 +64,12 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             auc([0.1, 0.2], [1, 1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(scores=st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0]), min_size=1, max_size=60))
+    def test_tie_heavy_midranks_match_loop_exactly(self, scores):
+        sorted_scores = np.sort(np.asarray(scores, dtype=float))
+        assert np.array_equal(_midranks(sorted_scores), loop_midranks(sorted_scores))
 
     @settings(max_examples=60, deadline=None)
     @given(

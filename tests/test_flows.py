@@ -58,6 +58,22 @@ def test_rejection_reasons(tmp_path, row, reason):
     assert stats.reject_reasons == {reason: 1}
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        "10.0.0.5,203.0.113.7,50432,443,1500,10,1640995200000,1640995201000,6,S,extra",
+        "10.0.0.5,203.0.113.7,50432,443,1500,10,1640995200000,1640995201000,6",
+    ],
+    ids=["too-long", "too-short"],
+)
+def test_field_count_must_match_header(tmp_path, row):
+    good = "10.0.0.5,203.0.113.7,50432,443,1500,10,1640995200000,1640995201000,6,S"
+    records, stats = parse_flow_file(write_lines(tmp_path, [HEADER, row, good]))
+    assert len(records) == 1
+    assert stats.records_accepted == 1 and stats.records_rejected == 1
+    assert stats.reject_reasons == {"field-count": 1}
+
+
 def test_icmp_with_zero_ports_accepted(tmp_path):
     row = "10.0.0.5,203.0.113.7,0,0,84,1,5,9,1,"
     records, stats = parse_flow_file(write_lines(tmp_path, [HEADER, row]))

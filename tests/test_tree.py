@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import c2sift.learners.boosting as boosting
+from c2sift.learners import fit_gbm, fit_gbm2
 from c2sift.learners.tree import (
     Tree,
     TreeParams,
     fit_tree,
     fit_tree_second_order,
+    presort,
     tree_predict,
 )
+
+from conftest import make_dataset
+from tree_oracle import oracle_fit_tree, oracle_fit_tree_second_order
 
 
 def exhaustive_stump(X, y, criterion="gini"):
@@ -188,3 +196,91 @@ def test_tree_json_round_trip():
     tree = fit_tree(X, y, TreeParams())
     again = Tree.from_jsonable(tree.to_jsonable())
     assert np.array_equal(tree_predict(tree, X), tree_predict(again, X))
+
+
+def tree_bytes(tree):
+    return [getattr(tree, f).tobytes() for f in ("feature", "threshold", "left", "right", "value", "n_node")]
+
+
+tree_params = st.builds(
+    TreeParams,
+    max_depth=st.sampled_from([None, 1, 2, 4]),
+    min_leaf=st.integers(1, 4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 60),
+    d=st.integers(1, 6),
+    levels=st.integers(1, 4),
+    params=tree_params,
+    subsample=st.booleans(),
+)
+def test_gini_tie_heavy_matches_oracle(seed, n, d, levels, params, subsample):
+    """Few distinct values per column, so most sorted boundaries are ties."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, size=(n, d)).astype(float)
+    y = (rng.random(n) < 0.4).astype(int)
+    if subsample:
+        params = TreeParams(params.max_depth, params.min_leaf, mtry=int(rng.integers(1, d + 1)))
+    fast = fit_tree(X, y, params, np.random.default_rng(seed))
+    slow = oracle_fit_tree(X, y, params, np.random.default_rng(seed))
+    assert tree_bytes(fast) == tree_bytes(slow)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), d=st.integers(1, 6), params=tree_params)
+def test_mse_and_second_order_tie_free_match_oracle(seed, n, d, params):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))  # tie-free, so sort order is unique
+    t = rng.normal(size=n)
+    assert tree_bytes(fit_tree(X, t, params, criterion="mse")) == tree_bytes(
+        oracle_fit_tree(X, t, params, criterion="mse")
+    )
+    g, h = rng.normal(size=n), rng.random(n)
+    lam, gamma = float(rng.choice([0.0, 1.0])), float(rng.choice([0.0, 0.1]))
+    assert tree_bytes(fit_tree_second_order(X, g, h, params, lam=lam, gamma=gamma)) == tree_bytes(
+        oracle_fit_tree_second_order(X, g, h, params, lam=lam, gamma=gamma)
+    )
+
+
+def test_constant_column_never_chosen_and_feature_is_original_index():
+    rng = np.random.default_rng(7)
+    varying = rng.normal(size=(80, 3))
+    X = np.column_stack([np.full(80, 2.0), varying[:, 0], np.zeros(80), varying[:, 1], varying[:, 2], np.ones(80)])
+    y = (varying[:, 1] + 0.5 * varying[:, 2] > 0).astype(int)
+    assert presort(X).columns.tolist() == [1, 3, 4]
+    full = fit_tree(X, y, TreeParams(max_depth=4))
+    alone = fit_tree(varying, y, TreeParams(max_depth=4))
+    splits = full.feature[full.feature >= 0]
+    assert splits.size > 0 and not np.isin(splits, [0, 2, 5]).any()
+    assert np.array_equal(full.feature, np.where(alone.feature >= 0, np.array([1, 3, 4])[alone.feature], -1))
+    assert tree_bytes(full)[1:] == tree_bytes(alone)[1:]
+
+
+def test_all_constant_columns_give_one_leaf():
+    tree = fit_tree(np.ones((10, 3)), np.arange(10) % 2, TreeParams())
+    assert tree.n_nodes == 1 and tree.value[0] == 0.5
+
+
+@pytest.mark.parametrize("fitter,tree_fn", [(fit_gbm, "fit_tree"), (fit_gbm2, "fit_tree_second_order")])
+def test_boosting_shared_presort_equals_fresh_presort(monkeypatch, fitter, tree_fn):
+    data = make_dataset(n=120, d=6, seed=11)
+    data.X[:, 2] = np.round(data.X[:, 2])  # ties, and one constant column
+    data.X[:, 4] = 1.0
+    params = {"n_rounds": 30, "max_depth": 4, "min_leaf": 2}
+    shared = fitter(data, params)
+    one_round = getattr(boosting, tree_fn)
+    calls = []
+
+    def fresh_presort(sorted_X, *args, **kwargs):
+        calls.append(sorted_X)
+        return one_round(presort(sorted_X.X), *args, **kwargs)
+
+    monkeypatch.setattr(boosting, tree_fn, fresh_presort)
+    fresh = fitter(data, params)
+    assert len(calls) == 30 and len({id(c) for c in calls}) == 1
+    for a, b in zip(shared.parameters["trees"], fresh.parameters["trees"], strict=True):
+        assert tree_bytes(a) == tree_bytes(b)
