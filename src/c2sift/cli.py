@@ -18,12 +18,14 @@ import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
+from time import perf_counter
 
 from . import __version__
 from .aggregate import InternalSpace, group_daily
-from .ensemble import fit_stack, stack_to_artifact
+from .ensemble import fit_stack, stack_tasks, stack_to_artifact
 from .evaluate import (
     CvResult,
+    cv_tasks,
     cv_tune,
     evaluate_scores,
     permutation_importance,
@@ -44,6 +46,8 @@ from .learners import (
     predict_proba,
     save_model,
 )
+from .learners.artifact import fit_cost
+from .learners.linear import lasso_tasks
 from .rng import NS_PIPELINE, child_seed
 from .synthgen import (
     DAY_MS,
@@ -54,6 +58,7 @@ from .synthgen import (
     overlap_scenario,
     read_labels,
 )
+from .tasks import Task, TaskPool
 from .triage import TriageConfig, build_rules, load_ip_list, triage, write_decisions
 
 INTERNAL_SPACE_CIDR = "10.0.0.0/8"
@@ -75,7 +80,12 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def write_manifest(out_dir: Path, command: str, inputs: dict, params: dict, started: str) -> None:
+def write_manifest(out_dir: Path, command: str, inputs: dict, params: dict, started: str, **extra) -> None:
+    """run_manifest.json: what ran on what, and a checksum of every output.
+
+    ``extra`` adds blocks (timings, training signals) that vary from run
+    to run or are not outputs; the manifest itself is never checksummed.
+    """
     files = sorted(
         p for p in Path(out_dir).rglob("*") if p.is_file() and p.name != "run_manifest.json"
     )
@@ -88,6 +98,7 @@ def write_manifest(out_dir: Path, command: str, inputs: dict, params: dict, star
         "started": started,
         "finished": _now(),
         "output_checksums": checksums,
+        **extra,
     }
     (Path(out_dir) / "run_manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -219,41 +230,78 @@ def run_featurize(
         )
 
 
+def _refit(kind: str, data, params: dict, seed: int):
+    """Full-data fit of a kind's chosen cell: the model saved as <kind>.json."""
+    return fit_model(kind, data, params, seed)
+
+
+def _lasso_cv_result(model) -> CvResult:
+    meta = model.training_meta
+    table = []
+    if "cv" in meta:
+        cv = meta["cv"]
+        for i, lam in enumerate(cv["lambdas"]):
+            table.append({"params": {"lambda": lam}, "fold_aucs": cv["fold_aucs"][i], "mean_auc": cv["mean_auc"][i]})
+    return CvResult(kind="lasso", best_params={"lambda": meta["lambda"]}, table=table)
+
+
 def run_train(features: Path, out: Path, seed: int, folds: int = 10, jobs: int = 1) -> None:
+    """Tune and fit the six bases and the stack on one pool of ``jobs`` workers.
+
+    Every CV fit and the lasso's paths are queued up front, longest first.
+    As each kind's CV is in (waited for in a fixed order), its full-data
+    refit and its stack fits are queued; only the meta GLM waits for all
+    kinds. Every fit keeps its own seed and results reduce by key, so the
+    outputs are identical for any ``jobs``.
+    """
     started = _now()
+    clock = perf_counter()
     data = load_feature_matrix(_require_file(features, "feature matrix"))
     data.require_training_labels()
     grid = default_grid()
+    lasso_seed, cv_seed, refit_seed, stack_seed = (child_seed(seed, NS_PIPELINE, i) for i in (10, 11, 12, 13))
     cv_results: dict[str, CvResult] = {}
     chosen: dict[str, dict] = {}
     artifacts = {}
-    for kind in BASE_KINDS:
-        if kind == "lasso":
-            model = fit_lasso(data, seed=child_seed(seed, NS_PIPELINE, 10))
-            meta = model.training_meta
-            table = []
-            if "cv" in meta:
-                cv = meta["cv"]
-                for i, lam in enumerate(cv["lambdas"]):
-                    table.append(
-                        {
-                            "params": {"lambda": lam},
-                            "fold_aucs": cv["fold_aucs"][i],
-                            "mean_auc": cv["mean_auc"][i],
-                        }
-                    )
-            cv_results[kind] = CvResult(
-                kind=kind, best_params={"lambda": meta["lambda"]}, table=table
+    refits = {}
+    cv_done_s = {}
+    with TaskPool(jobs) as pool:
+        plan = {kind: cv_tasks(data, kind, grid, folds, cv_seed) for kind in BASE_KINDS if kind != "lasso"}
+        plan["lasso"] = lasso_tasks(data, seed=lasso_seed)
+        queue = sorted((task for tasks in plan.values() for task in tasks), key=lambda task: -task.cost)
+        pool.submit(queue)
+        # wait for kinds in the order their last task was queued
+        position = {task.key: i for i, task in enumerate(queue)}
+        for kind in sorted(plan, key=lambda kind: max(position[task.key] for task in plan[kind])):
+            if kind == "lasso":
+                artifacts[kind] = fit_lasso(data, seed=lasso_seed, pool=pool)
+                cv_results[kind] = _lasso_cv_result(artifacts[kind])
+                chosen[kind] = {"lambda_path": [artifacts[kind].training_meta["lambda"]]}
+            else:
+                cv_results[kind] = cv_tune(data, kind, grid, k=folds, seed=cv_seed, pool=pool)
+                chosen[kind] = cv_results[kind].best_params
+                refit = Task(("refit", kind), _refit, (kind, data, chosen[kind], refit_seed), fit_cost(kind, chosen[kind]))
+                refits[kind] = pool.submit([refit])[0]
+            pool.submit(stack_tasks(data, BASE_KINDS.index(kind), (kind, chosen[kind]), folds, stack_seed))
+            cv_done_s[kind] = perf_counter() - clock
+            print(
+                f"c2sift train: {kind} CV done at {cv_done_s[kind]:.1f} s, chose {json.dumps(chosen[kind], sort_keys=True)}",
+                file=sys.stderr,
+                flush=True,
             )
-            chosen[kind] = {"lambda_path": [meta["lambda"]]}
-            artifacts[kind] = model
-        else:
-            result = cv_tune(data, kind, grid, k=folds, seed=child_seed(seed, NS_PIPELINE, 11), jobs=jobs)
-            cv_results[kind] = result
-            chosen[kind] = result.best_params
-            artifacts[kind] = fit_model(kind, data, result.best_params, child_seed(seed, NS_PIPELINE, 12))
-    base_specs = [(kind, chosen[kind]) for kind in BASE_KINDS]
-    stack = fit_stack(data, base_specs, k=folds, seed=child_seed(seed, NS_PIPELINE, 13), jobs=jobs)
+        stack = fit_stack(data, [(kind, chosen[kind]) for kind in BASE_KINDS], k=folds, seed=stack_seed, pool=pool)
+        stack_done_s = perf_counter() - clock
+        for kind, future in refits.items():
+            artifacts[kind] = future.result()
+    lasso_meta = artifacts["lasso"].training_meta
+    signals = {
+        "lasso": {
+            "cv_folds": len(lasso_meta["cv"]["fold_aucs"][0]) if "cv" in lasso_meta else 0,
+            "path_computed": lasso_meta["path_computed"],
+            "n_lambdas": len(lasso_meta["lambda_path"]),
+        },
+        "stack_meta_glm": {key: stack.meta.training_meta[key] for key in ("converged", "separation")},
+    }
     with staged_output(out) as tmp:
         for kind, artifact in artifacts.items():
             save_model(artifact, tmp / f"{kind}.json")
@@ -263,8 +311,14 @@ def run_train(features: Path, out: Path, seed: int, folds: int = 10, jobs: int =
             tmp,
             "train",
             inputs={"features": str(features)},
-            params={"seed": seed, "folds": folds, "chosen": chosen},
+            params={"seed": seed, "folds": folds, "jobs": jobs, "chosen": chosen},
             started=started,
+            signals=signals,
+            timings={
+                "cv_done_s": cv_done_s,
+                "stack_done_s": stack_done_s,
+                "total_s": perf_counter() - clock,
+            },
         )
 
 
@@ -510,6 +564,16 @@ def run_pipeline(
     )
 
 
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="c2sift", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -536,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help="worker processes for all of train (default 1)")
 
     p = sub.add_parser("evaluate", help="bootstrap metrics and importance on held-out data")
     p.add_argument("--features", required=True, type=Path)
@@ -574,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--bootstrap", type=int, default=1000)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help="worker processes for all of train (default 1)")
     p.add_argument("--ablate-distributional", action="store_true")
     p.add_argument("--importance-repeats", type=int, default=5)
     return parser

@@ -4,11 +4,13 @@ The meta-learner never sees a base prediction produced by a model that was
 trained on that row: entry (i, m) of the OOF matrix comes from model m
 trained with row i's fold held out. After the meta GLM is fit on the OOF
 matrix, each base model is refit on the full training data for prediction
-time. Meta inputs are raw base probabilities by default; a logit-input
-switch exists but is off.
+time. Every base fit, OOF or refit, is its own task, so one pool can run
+a base's fits as soon as its spec is known. Meta inputs are raw base
+probabilities by default; a logit-input switch exists but is off.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -17,6 +19,7 @@ import numpy as np
 from .evaluate import stratified_folds
 from .learners.artifact import (
     ModelArtifact,
+    fit_cost,
     fit_model,
     predict_proba,
     register_kind,
@@ -24,6 +27,7 @@ from .learners.artifact import (
 from .learners.data import LabeledDataset
 from .learners.linear import fit_glm
 from .rng import NS_FOLDS, NS_STACK, child_seed, substream
+from .tasks import Task, run_tasks
 
 BaseSpec = tuple[str, Mapping]
 
@@ -56,17 +60,35 @@ def _check_oof_feasible(y: np.ndarray, k: int) -> None:
         raise ValueError("each class needs at least 2 rows for stratified folds")
 
 
-def _oof_column(task) -> np.ndarray:
-    data, kind, params, folds, k, seed, m = task
-    column = np.empty(data.n_rows)
-    for f in range(k):
-        val = folds == f
-        if not val.any():
-            continue
-        train = data.take(np.flatnonzero(~val))
-        model = fit_model(kind, train, params, child_seed(seed, NS_STACK, m, f))
-        column[val] = predict_proba(model, data.X[val], data.feature_names)
-    return column
+def _oof_column(data, kind: str, params, folds: np.ndarray, f: int, seed: int, m: int):
+    """Stack fit f of base m, trained on every row outside fold f.
+
+    Returns its scores on fold f's rows (one piece of OOF column m); fit
+    f = k holds no row out and returns the model itself (the refit).
+    """
+    val = folds == f
+    model = fit_model(kind, data.take(np.flatnonzero(~val)), params, child_seed(seed, NS_STACK, m, f))
+    if not val.any():
+        return model
+    return predict_proba(model, data.X[val], data.feature_names)
+
+
+def _base_tasks(data, m: int, kind: str, params, folds: np.ndarray, seed: int, fits) -> list[Task]:
+    cost = fit_cost(kind, params)
+    key = ("stack", m, kind, json.dumps(params, sort_keys=True), seed, folds.tobytes())
+    return [Task((*key, f), _oof_column, (data, kind, params, folds, f, seed, m), cost) for f in fits]
+
+
+def _stack_folds(data: LabeledDataset, k: int, seed: int) -> np.ndarray:
+    y = data.require_training_labels()
+    _check_oof_feasible(y, k)
+    return stratified_folds(y, k, substream(seed, NS_FOLDS, 1))
+
+
+def stack_tasks(data: LabeledDataset, m: int, spec: BaseSpec, k: int, seed: int) -> list[Task]:
+    """The tasks ``fit_stack`` runs for base m: its refit, then its k OOF fits."""
+    kind, params = spec
+    return _base_tasks(data, m, kind, params, _stack_folds(data, k, seed), seed, [k, *range(k)])
 
 
 def oof_matrix(
@@ -75,29 +97,30 @@ def oof_matrix(
     k: int,
     seed: int,
     folds: np.ndarray | None = None,
-    jobs: int = 1,
+    pool=None,
 ) -> np.ndarray:
     """(n, n_bases) out-of-fold probabilities, column order = spec order.
 
     ``folds`` overrides the stratified assignment (tests use this to hold
-    folds fixed while perturbing labels). ``jobs`` fans base models out to
-    worker processes; columns reduce in spec order.
+    folds fixed while perturbing labels). Each (base, fold) fit is a task
+    on ``pool`` (inline when None); pieces reduce in spec and fold order.
     """
-    y = data.require_training_labels()
-    _check_oof_feasible(y, k)
     if folds is None:
-        folds = stratified_folds(y, k, substream(seed, NS_FOLDS, 1))
-    tasks = [
-        (data, kind, params, folds, k, seed, m) for m, (kind, params) in enumerate(base_specs)
-    ]
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            columns = list(pool.map(_oof_column, tasks))
+        folds = _stack_folds(data, k, seed)
     else:
-        columns = [_oof_column(task) for task in tasks]
-    return np.column_stack(columns)
+        _check_oof_feasible(data.require_training_labels(), k)
+    fits = [f for f in range(k) if (folds == f).any()]
+    tasks = [
+        task
+        for m, (kind, params) in enumerate(base_specs)
+        for task in _base_tasks(data, m, kind, params, folds, seed, fits)
+    ]
+    pieces = iter(run_tasks(pool, tasks))
+    oof = np.empty((data.n_rows, len(base_specs)))
+    for m in range(len(base_specs)):
+        for f in fits:
+            oof[folds == f, m] = next(pieces)
+    return oof
 
 
 def _meta_features(base_probs: np.ndarray, logit_inputs: bool) -> np.ndarray:
@@ -113,11 +136,15 @@ def fit_stack(
     k: int = 10,
     seed: int = 0,
     logit_inputs: bool = False,
-    jobs: int = 1,
+    pool=None,
 ) -> StackModel:
-    """Fit the meta GLM on OOF columns, then refit bases on all rows."""
+    """Fit the meta GLM on OOF columns, then refit bases on all rows.
+
+    The OOF fits and the refits are ``stack_tasks`` on ``pool`` (inline
+    when None); only the meta GLM runs here.
+    """
     y = data.require_training_labels()
-    oof = oof_matrix(data, base_specs, k, seed, jobs=jobs)
+    oof = oof_matrix(data, base_specs, k, seed, pool=pool)
     names = _meta_names(base_specs)
     meta_data = LabeledDataset(
         X=_meta_features(oof, logit_inputs),
@@ -126,13 +153,15 @@ def fit_stack(
         row_keys=data.row_keys,
     )
     meta = fit_glm(meta_data, seed=child_seed(seed, NS_STACK, len(base_specs), 0))
-    base_models = tuple(
-        fit_model(kind, data, params, child_seed(seed, NS_STACK, m, k))
+    folds = _stack_folds(data, k, seed)
+    refits = [
+        task
         for m, (kind, params) in enumerate(base_specs)
-    )
+        for task in _base_tasks(data, m, kind, params, folds, seed, [k])
+    ]
     return StackModel(
         base_specs=tuple((kind, dict(params)) for kind, params in base_specs),
-        base_models=base_models,
+        base_models=tuple(run_tasks(pool, refits)),
         meta=meta,
         folds=k,
         seed=seed,

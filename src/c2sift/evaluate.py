@@ -11,12 +11,14 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .rng import NS_BOOTSTRAP, NS_CV, NS_FOLDS, NS_IMPORTANCE, child_seed, substream
+from .tasks import Task, run_tasks
 
 
 def _midranks(sorted_scores: np.ndarray) -> np.ndarray:
@@ -165,43 +167,63 @@ class CvResult:
     table: list[dict] = field(default_factory=list)  # cell params, fold aucs, mean
 
 
-def _cv_cell_fold_aucs(task) -> list[float]:
-    data, kind, cell, folds, k, seed, cell_idx = task
-    from .learners.artifact import fit_model, predict_proba  # lazy: avoids import cycle
+def _cv_cell_fold_aucs(data, scorer, cells, seeds, folds: np.ndarray, f: int) -> list[float]:
+    """Each cell's AUC on fold f, from ``scorer`` fitted to the other folds.
 
-    y = data.y
-    fold_aucs = []
-    for f in range(k):
-        val = folds == f
-        train = data.take(np.flatnonzero(~val))
-        model = fit_model(kind, train, cell, child_seed(seed, NS_CV, cell_idx, f))
-        scores = predict_proba(model, data.X[val], data.feature_names)
-        fold_aucs.append(auc(scores, y[val]))
-    return fold_aucs
-
-
-def cv_tune(data, kind: str, grid, k: int = 10, seed: int = 0, jobs: int = 1) -> CvResult:
-    """Mean out-of-fold AUC per grid cell; first-best cell wins ties.
-
-    Cells evaluate on stratified folds held fixed across cells. Each test
-    fold needs both classes for a fold AUC, hence the per-class count must
-    reach k. ``jobs`` fans cells out to worker processes; results reduce
-    in cell order, so the outcome is independent of scheduling.
+    ``scorer(train, cells, seeds, X, feature_names)`` fits the cells (one
+    share group, so possibly one fit) and returns each cell's scores on X.
     """
+    val = folds == f
+    train = data.take(np.flatnonzero(~val))
+    scores = scorer(train, cells, seeds, data.X[val], data.feature_names)
+    return [auc(s, data.y[val]) for s in scores]
+
+
+def cv_tasks(data, kind: str, grid, k: int = 10, seed: int = 0) -> list:
+    """One task per (share group of cells, fold), group-major.
+
+    Cells that differ only in a staged kind's stage count share one fit
+    per fold (``share_groups``). Cell i's fit on fold f is seeded
+    (NS_CV, i, f); a shared fit is its largest cell's own fit.
+    """
+    from .learners.artifact import fit_cost, score_cells, share_groups  # lazy: avoids import cycle
+
     y = data.require_training_labels()
     counts = np.bincount(y, minlength=2)
     if counts.min() < k:
         raise ValueError(f"per-class count {counts.min()} < {k} folds; fold AUC undefined")
     folds = stratified_folds(y, k, substream(seed, NS_FOLDS, 0))
     cells = grid.cells(kind)
-    tasks = [(data, kind, cell, folds, k, seed, idx) for idx, cell in enumerate(cells)]
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    scorer = partial(score_cells, kind)
+    tasks = []
+    for group in share_groups(kind, cells):
+        members = [cells[i] for i in group]
+        cost = max(fit_cost(kind, cell) for cell in members)
+        for f in range(k):
+            seeds = [child_seed(seed, NS_CV, i, f) for i in group]
+            key = ("cv", kind, k, json.dumps(members, sort_keys=True), tuple(seeds))
+            tasks.append(Task(key, _cv_cell_fold_aucs, (data, scorer, members, seeds, folds, f), cost))
+    return tasks
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            per_cell = list(pool.map(_cv_cell_fold_aucs, tasks))
-    else:
-        per_cell = [_cv_cell_fold_aucs(task) for task in tasks]
+
+def cv_tune(data, kind: str, grid, k: int = 10, seed: int = 0, pool=None) -> CvResult:
+    """Mean out-of-fold AUC per grid cell; first-best cell wins ties.
+
+    Cells evaluate on stratified folds held fixed across cells. Each test
+    fold needs both classes for a fold AUC, hence the per-class count must
+    reach k. The fold fits run as ``cv_tasks`` on ``pool`` (inline when
+    None); results reduce in cell order, so the outcome is independent
+    of scheduling.
+    """
+    from .learners.artifact import share_groups  # lazy: avoids import cycle
+
+    results = iter(run_tasks(pool, cv_tasks(data, kind, grid, k, seed)))
+    cells = grid.cells(kind)
+    per_cell = [[0.0] * k for _ in cells]
+    for group in share_groups(kind, cells):
+        for f in range(k):
+            for i, fold_auc in zip(group, next(results)):
+                per_cell[i][f] = fold_auc
 
     table: list[dict] = []
     best_mean = -np.inf

@@ -4,6 +4,9 @@ An artifact carries the fitted parameters, the seed it was trained with,
 the training-time feature names, and free-form training metadata. Kinds
 register fit/predict/revive callables so cross-validation, stacking, and
 the CLI can treat all models uniformly (tests may register extra kinds).
+A staged kind also registers the parameter that counts its stages and a
+predictor that scores every requested stage from one walk, so cells
+that differ only in that parameter share one fit of the largest.
 
 Serialization is JSON with a version tag; floats round-trip exactly via
 repr, so a reloaded model scores a probe matrix bit-for-bit identically.
@@ -13,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,24 +38,82 @@ class ModelArtifact:
 Fitter = Callable[[LabeledDataset, Mapping, int], ModelArtifact]
 Predictor = Callable[[ModelArtifact, np.ndarray], np.ndarray]
 Reviver = Callable[[dict], dict]
+StagedPredictor = Callable[[ModelArtifact, np.ndarray, Sequence[int]], list]
+Cost = Callable[[Mapping], float]
 
 FITTERS: dict[str, Fitter] = {}
 PREDICTORS: dict[str, Predictor] = {}
 REVIVERS: dict[str, Reviver] = {}
+STAGED: dict[str, tuple[str, StagedPredictor]] = {}  # kind -> (stage parameter, predictor)
+COSTS: dict[str, Cost] = {}
 
 
-def register_kind(kind: str, fitter: Fitter | None, predictor: Predictor, reviver: Reviver | None = None) -> None:
+def register_kind(
+    kind: str,
+    fitter: Fitter | None,
+    predictor: Predictor,
+    reviver: Reviver | None = None,
+    staged: tuple[str, StagedPredictor] | None = None,
+    cost: Cost | None = None,
+) -> None:
     if fitter is not None:
         FITTERS[kind] = fitter
     PREDICTORS[kind] = predictor
     if reviver is not None:
         REVIVERS[kind] = reviver
+    if staged is not None:
+        STAGED[kind] = staged
+    if cost is not None:
+        COSTS[kind] = cost
 
 
 def fit_model(kind: str, data: LabeledDataset, params: Mapping, seed: int) -> ModelArtifact:
     if kind not in FITTERS:
         raise ValueError(f"unknown model kind {kind!r}")
     return FITTERS[kind](data, params, seed)
+
+
+def fit_cost(kind: str, params: Mapping) -> float:
+    """Rough relative cost of one fit, in tree fits; only orders work."""
+    return COSTS[kind](params) if kind in COSTS else 1.0
+
+
+def share_groups(kind: str, cells: Sequence[Mapping]) -> list[list[int]]:
+    """Cell indices grouped so that one fit scores each group.
+
+    Cells of a staged kind that set its stage parameter and agree on
+    everything else form one group; every other cell is a group alone.
+    Groups come in the order of their first cell.
+    """
+    param = STAGED[kind][0] if kind in STAGED else None
+    groups: dict = {}
+    for i, cell in enumerate(cells):
+        rest = {name: value for name, value in cell.items() if name != param}
+        key = json.dumps(rest, sort_keys=True) if param in cell else i
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def score_cells(
+    kind: str,
+    data: LabeledDataset,
+    cells: Sequence[Mapping],
+    seeds: Sequence[int],
+    X: np.ndarray,
+    feature_names: tuple[str, ...] | None = None,
+) -> list[np.ndarray]:
+    """``predict_proba`` on X of each cell's model fitted to ``data``.
+
+    ``cells`` is one group of ``share_groups``: a group of several cells
+    fits only its largest stage count, with that cell's seed, and scores
+    the others from that fit's earlier stages.
+    """
+    if len(cells) == 1:
+        return [predict_proba(fit_model(kind, data, cells[0], seeds[0]), X, feature_names)]
+    param = STAGED[kind][0]
+    stages = [int(cell[param]) for cell in cells]
+    top = int(np.argmax(stages))
+    return predict_stages(fit_model(kind, data, cells[top], seeds[top]), X, stages, feature_names)
 
 
 def _align_columns(artifact: ModelArtifact, X: np.ndarray, feature_names) -> np.ndarray:
@@ -77,6 +138,23 @@ def predict_proba(artifact: ModelArtifact, X: np.ndarray, feature_names: tuple[s
     Raises with the offending column on a name mismatch and with the
     offending row/column on non-finite input.
     """
+    X = _model_inputs(artifact, X, feature_names)
+    if artifact.kind not in PREDICTORS:
+        raise ValueError(f"no predictor registered for kind {artifact.kind!r}")
+    return np.clip(PREDICTORS[artifact.kind](artifact, X), 0.0, 1.0)
+
+
+def predict_stages(
+    artifact: ModelArtifact, X: np.ndarray, stages: Sequence[int], feature_names: tuple[str, ...] | None = None
+) -> list[np.ndarray]:
+    """``predict_proba`` of the model cut after each of ``stages`` (a staged kind's stage counts)."""
+    X = _model_inputs(artifact, X, feature_names)
+    if artifact.kind not in STAGED:
+        raise ValueError(f"kind {artifact.kind!r} has no stages")
+    return [np.clip(p, 0.0, 1.0) for p in STAGED[artifact.kind][1](artifact, X, stages)]
+
+
+def _model_inputs(artifact: ModelArtifact, X: np.ndarray, feature_names) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
@@ -84,10 +162,7 @@ def predict_proba(artifact: ModelArtifact, X: np.ndarray, feature_names: tuple[s
     if not np.all(np.isfinite(X)):
         row, col = np.argwhere(~np.isfinite(X))[0]
         raise ValueError(f"non-finite input at row {row}, column {artifact.feature_names[col]!r}")
-    if artifact.kind not in PREDICTORS:
-        raise ValueError(f"no predictor registered for kind {artifact.kind!r}")
-    probs = PREDICTORS[artifact.kind](artifact, X)
-    return np.clip(probs, 0.0, 1.0)
+    return X
 
 
 def _to_jsonable(obj):

@@ -13,11 +13,16 @@ kept only when
     gain = 0.5 * [G_L^2/(H_L+lam) + G_R^2/(H_R+lam) - G^2/(H+lam)] - gamma
 
 is positive.
+
+Boosting draws no random numbers, so the first n rounds of a longer fit
+are exactly the n-round fit: one fit scores every round count up to its
+own (staged prediction), which cross-validation uses to fit cells that
+differ only in ``n_rounds`` once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -98,12 +103,27 @@ def fit_gbm2(data: LabeledDataset, params: Mapping | GBMParams, seed: int = 0) -
     return _fit_boosted(data, gp, seed, second_order=True)
 
 
-def _predict_boosted(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
+def _predict_boosted_stages(artifact: ModelArtifact, X: np.ndarray, stages: Sequence[int]) -> list[np.ndarray]:
+    """Probabilities after each of ``stages`` rounds, from one pass over the trees."""
+    trees = artifact.parameters["trees"]
+    if not all(0 <= s <= len(trees) for s in stages):
+        raise ValueError(f"stages {list(stages)} outside 0..{len(trees)} rounds")
     F = np.full(X.shape[0], float(artifact.parameters["f0"]))
     eta = float(artifact.parameters["learning_rate"])
-    for tree in artifact.parameters["trees"]:
+    snapshots = {0: sigmoid(F)} if 0 in stages else {}
+    for t, tree in enumerate(trees[: max(stages)], start=1):
         F += eta * tree_predict(tree, X)
-    return sigmoid(F)
+        if t in stages:
+            snapshots[t] = sigmoid(F)
+    return [snapshots[s] for s in stages]
+
+
+def _predict_boosted(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
+    return _predict_boosted_stages(artifact, X, [len(artifact.parameters["trees"])])[0]
+
+
+def _rounds_cost(weight: float):
+    return lambda params: weight * GBMParams.from_mapping(params).n_rounds
 
 
 def _revive_boosted(parameters: dict) -> dict:
@@ -114,5 +134,6 @@ def _revive_boosted(parameters: dict) -> dict:
     }
 
 
-register_kind("gbm", fit_gbm, _predict_boosted, _revive_boosted)
-register_kind("gbm2", fit_gbm2, _predict_boosted, _revive_boosted)
+# a second-order round costs about twice a first-order one
+register_kind("gbm", fit_gbm, _predict_boosted, _revive_boosted, ("n_rounds", _predict_boosted_stages), _rounds_cost(1.0))
+register_kind("gbm2", fit_gbm2, _predict_boosted, _revive_boosted, ("n_rounds", _predict_boosted_stages), _rounds_cost(2.0))

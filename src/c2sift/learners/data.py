@@ -57,14 +57,6 @@ class LabeledDataset:
             row_keys=tuple(self.row_keys[int(i)] for i in idx),
         )
 
-    def select_features(self, names: tuple[str, ...]) -> "LabeledDataset":
-        index = {n: i for i, n in enumerate(self.feature_names)}
-        missing = [n for n in names if n not in index]
-        if missing:
-            raise ValueError(f"feature column(s) missing: {', '.join(missing)}")
-        cols = [index[n] for n in names]
-        return LabeledDataset(self.X[:, cols], self.y, tuple(names), self.row_keys)
-
 
 def load_feature_matrix(path: str | Path) -> LabeledDataset:
     """Read a feature matrix written by the features module.

@@ -18,11 +18,13 @@ larger (sparser) penalty.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..rng import NS_FOLDS, substream
+from ..tasks import Task, run_tasks
 from .artifact import ModelArtifact, register_kind, sigmoid
 from .data import LabeledDataset
 
@@ -294,38 +296,76 @@ def lambda_max(X: np.ndarray, y: np.ndarray) -> float:
     return max(abs(float(Z[:, j] @ wresid)) / n for j in range(Z.shape[1]))
 
 
-def fit_lasso(
-    data: LabeledDataset,
-    lambda_path: Sequence[float] | None = None,
-    params: Mapping | LassoParams = LassoParams(),
-    seed: int = 0,
-) -> ModelArtifact:
+def _score_lambda_path(params: LassoParams, train: LabeledDataset, cells, seeds, X: np.ndarray, feature_names) -> list[np.ndarray]:
+    """Scores on X of every penalty in ``cells`` from one warm-started path on ``train``."""
+    lambdas = [cell["lambda"] for cell in cells]
+    betas, intercepts, means, scales, _ = _lasso_path(train.X, train.y.astype(float), lambdas, params)
+    Z = (X - means) / scales
+    return [sigmoid(intercepts[i] + Z @ betas[i]) for i in range(len(lambdas))]
+
+
+def _lasso_plan(data: LabeledDataset, lambda_path, params, seed: int):
+    """(lambdas, full-data path task, one CV task per fold)."""
     y = data.require_training_labels().astype(float)
     lp = params if isinstance(params, LassoParams) else LassoParams.from_mapping(params)
     if lambda_path is None:
         lmax = lambda_max(data.X, y)
         lambda_path = np.geomspace(lmax, lmax * lp.lambda_min_ratio, lp.n_lambdas)
     lambdas = [float(l) for l in lambda_path]
+    # a path step costs about as much as 30 tree fits on the same rows
+    cost = 30.0 * len(lambdas)
+    full = Task(("lasso", tuple(lambdas), lp), _lasso_path, (data.X, y, lambdas, lp), cost)
+    if len(lambdas) == 1:
+        return lambdas, full, []
+    # lazy import: evaluate owns metrics/folds and must stay learner-free
+    from ..evaluate import _cv_cell_fold_aucs, stratified_folds
 
+    # every fold needs both classes for a fold AUC
+    min_class = int(np.bincount(y.astype(int), minlength=2).min())
+    k = min(lp.cv_folds, min_class)
+    if k < 2:
+        raise ValueError("lasso CV needs at least 2 rows per class")
+    folds = stratified_folds(y.astype(int), k, substream(seed, NS_FOLDS, 0))
+    cells = [{"lambda": lam} for lam in lambdas]
+    scorer = partial(_score_lambda_path, lp)
+    cv = [
+        Task(("lasso", tuple(lambdas), lp, seed, k, f), _cv_cell_fold_aucs, (data, scorer, cells, [seed] * len(cells), folds, f), cost)
+        for f in range(k)
+    ]
+    return lambdas, full, cv
+
+
+def lasso_tasks(
+    data: LabeledDataset,
+    lambda_path: Sequence[float] | None = None,
+    params: Mapping | LassoParams = LassoParams(),
+    seed: int = 0,
+) -> list:
+    """The tasks ``fit_lasso`` runs: the full-data path, then its CV folds' paths."""
+    _, full, cv = _lasso_plan(data, lambda_path, params, seed)
+    return [full, *cv]
+
+
+def fit_lasso(
+    data: LabeledDataset,
+    lambda_path: Sequence[float] | None = None,
+    params: Mapping | LassoParams = LassoParams(),
+    seed: int = 0,
+    pool=None,
+) -> ModelArtifact:
+    """Lasso at the penalty with the best CV AUC along the path.
+
+    The path on all rows and the path on each CV fold's training rows are
+    ``lasso_tasks`` on ``pool`` (inline when None). CV uses
+    ``params.cv_folds`` folds, or fewer when the minority class is
+    smaller; a one-penalty path skips CV.
+    """
+    lambdas, full, cv = _lasso_plan(data, lambda_path, params, seed)
+    results = run_tasks(pool, [full, *cv])
+    betas, intercepts, means, scales, computed = results[0]
     cv_table = None
-    if len(lambdas) > 1:
-        # lazy import: evaluate owns metrics/folds and must stay learner-free
-        from ..evaluate import auc, stratified_folds
-
-        # every fold needs both classes for a fold AUC
-        min_class = int(np.bincount(y.astype(int), minlength=2).min())
-        k = min(lp.cv_folds, min_class)
-        if k < 2:
-            raise ValueError("lasso CV needs at least 2 rows per class")
-        folds = stratified_folds(y.astype(int), k, substream(seed, NS_FOLDS, 0))
-        fold_aucs = np.zeros((k, len(lambdas)))
-        for f in range(k):
-            val = folds == f
-            betas, intercepts, means, scales, _ = _lasso_path(data.X[~val], y[~val], lambdas, lp)
-            Z_val = (data.X[val] - means) / scales
-            for i in range(len(lambdas)):
-                scores = sigmoid(intercepts[i] + Z_val @ betas[i])
-                fold_aucs[f, i] = auc(scores, y[val].astype(int))
+    if cv:
+        fold_aucs = np.array(results[1:])  # (k, len(lambdas))
         mean_aucs = fold_aucs.mean(axis=0)
         chosen = int(np.argmax(mean_aucs))  # path is descending, first max = largest lambda
         cv_table = {
@@ -336,7 +376,6 @@ def fit_lasso(
     else:
         chosen = 0
 
-    betas, intercepts, means, scales, computed = _lasso_path(data.X, y, lambdas, lp)
     beta = betas[chosen]
     intercept = float(intercepts[chosen])
     excluded = [name for name, b in zip(data.feature_names, beta) if b == 0.0]

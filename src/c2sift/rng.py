@@ -16,7 +16,6 @@ NS_FOLDS = 3
 NS_BOOTSTRAP = 4
 NS_IMPORTANCE = 5
 NS_STACK = 6
-NS_BOOST = 7
 NS_CV = 8
 NS_PIPELINE = 9
 

@@ -9,6 +9,7 @@ from c2sift.learners import (
     predict_proba,
     save_model,
 )
+from c2sift.learners.artifact import predict_stages
 
 from conftest import make_dataset
 
@@ -69,3 +70,25 @@ def test_single_class_rejected():
     bad = LabeledDataset(data.X, np.zeros(40, int), data.feature_names, data.row_keys)
     with pytest.raises(ValueError, match="both classes"):
         fit_gbm(bad, {"n_rounds": 5})
+
+
+@pytest.mark.parametrize("fitter", [fit_gbm, fit_gbm2])
+def test_staged_probabilities_equal_separate_fits_bitwise(fitter):
+    """Round n of one 60-round fit scores exactly like an n-round fit."""
+    data = make_dataset(n=120, d=5, seed=6)
+    probe = np.random.default_rng(6).normal(size=(40, 5))
+    params = {"max_depth": 3, "learning_rate": 0.1}
+    stages = [0, 1, 37, 60]
+    longest = fitter(data, {**params, "n_rounds": 60})
+    staged = predict_stages(longest, probe, stages, data.feature_names)
+    for n, got in zip(stages, staged):
+        alone = fitter(data, {**params, "n_rounds": n})
+        assert np.array_equal(got, predict_proba(alone, probe, data.feature_names)), n
+    assert np.array_equal(staged[-1], predict_proba(longest, probe, data.feature_names))
+
+
+def test_stages_beyond_the_fit_rejected():
+    data = make_dataset(n=60, d=3, seed=7)
+    model = fit_gbm(data, {"n_rounds": 5})
+    with pytest.raises(ValueError, match="outside"):
+        predict_stages(model, data.X, [6])

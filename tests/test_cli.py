@@ -238,3 +238,56 @@ def test_jobs_flag_matches_serial(tmp_path, features, tiny_grid):
     c1 = cli.read_manifest(m1)["output_checksums"]
     c2 = cli.read_manifest(m2)["output_checksums"]
     assert c1 == c2
+
+
+PAIR_GRID = HyperGrid(
+    rf=({"n_trees": 4, "max_depth": 3, "mtry": "sqrt"}, {"n_trees": 8, "max_depth": 3, "mtry": "sqrt"}),
+    pca_rf=({"n_trees": 4, "max_depth": 3, "mtry": "sqrt", "variance_retained": 0.95},),
+    gbm=tuple({"n_rounds": n, "max_depth": d, "learning_rate": 0.1} for n in (4, 9) for d in (2, 3)),
+    gbm2=tuple({"n_rounds": n, "max_depth": 2, "learning_rate": 0.1, "lam": 1.0, "gamma": 0.0} for n in (4, 9)),
+    glm=({},),
+)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_rejected_at_the_edge(tmp_path, capsys, jobs):
+    for command in (["train", "--features", tmp_path / "x.csv"], ["pipeline"]):
+        with pytest.raises(SystemExit) as exc:
+            run(command + ["--out", tmp_path / "never", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+def test_shared_pool_matches_serial_with_n_rounds_pairs(tmp_path, features, monkeypatch, capsys):
+    """gbm/gbm2 cells paired by n_rounds and train's 20-penalty lasso, on 1 and 2 workers."""
+    monkeypatch.setattr(cli, "default_grid", lambda: PAIR_GRID)
+    sums = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"m{jobs}"
+        assert run(["train", "--features", features, "--out", out, "--seed", "6", "--folds", "3", "--jobs", jobs]) == 0
+        sums.append(cli.read_manifest(out)["output_checksums"])
+        lasso_cv = [row for row in (out / "cv_tables.csv").read_text().splitlines() if row.startswith("lasso,")]
+        assert len(lasso_cv) == 20
+    assert sums[0] == sums[1]
+    progress = [line for line in capsys.readouterr().err.splitlines() if line.startswith("c2sift train: ")]
+    assert sorted(line.split()[2] for line in progress) == sorted(2 * ["rf", "pca_rf", "gbm", "gbm2", "glm", "lasso"])
+
+
+def test_train_manifest_signals_and_timings(tmp_path, features, tiny_grid):
+    out = tmp_path / "models"
+    assert run(["train", "--features", features, "--out", out, "--seed", "2", "--folds", "3"]) == 0
+    manifest = cli.read_manifest(out)
+    data = load_feature_matrix(features)
+    lasso = json.loads((out / "lasso.json").read_text())["training_meta"]
+    signals = manifest["signals"]
+    # 10-fold lasso CV capped at the minority-class count
+    assert signals["lasso"]["cv_folds"] == min(10, int(np.bincount(data.y).min()))
+    assert signals["lasso"]["cv_folds"] == len(lasso["cv"]["fold_aucs"][0])
+    assert signals["lasso"]["path_computed"] == lasso["path_computed"]
+    assert set(signals["stack_meta_glm"]) == {"converged", "separation"}
+    assert all(isinstance(flag, bool) for flag in signals["stack_meta_glm"].values())
+    timings = manifest["timings"]
+    assert set(timings["cv_done_s"]) == {"rf", "pca_rf", "gbm", "gbm2", "glm", "lasso"}
+    assert max(timings["cv_done_s"].values()) <= timings["stack_done_s"] <= timings["total_s"]
+    assert "run_manifest.json" not in manifest["output_checksums"]

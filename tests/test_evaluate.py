@@ -13,8 +13,11 @@ from c2sift.evaluate import (
     sensitivity,
     stratified_folds,
 )
-from c2sift.learners import fit_glm, fit_random_forest
-from c2sift.learners.grids import HyperGrid
+from c2sift.learners import fit_glm, fit_model, fit_random_forest, predict_proba
+from c2sift.learners.artifact import share_groups
+from c2sift.learners.grids import HyperGrid, default_grid
+from c2sift.rng import NS_CV, NS_FOLDS, child_seed, substream
+from c2sift.tasks import TaskPool
 
 from conftest import make_dataset
 
@@ -209,6 +212,52 @@ class TestCvTune:
         small = LabeledDataset(data.X, y, data.feature_names, data.row_keys)
         with pytest.raises(ValueError, match="folds"):
             cv_tune(small, "glm", HyperGrid(), k=10, seed=0)
+
+
+def oracle_cv_tune(data, kind, grid, k, seed):
+    """cv_tune as it was before prefix sharing: every cell fitted on every fold."""
+    folds = stratified_folds(data.y, k, substream(seed, NS_FOLDS, 0))
+    table = []
+    best_mean, best_params = -np.inf, None
+    for cell_idx, cell in enumerate(grid.cells(kind)):
+        fold_aucs = []
+        for f in range(k):
+            val = folds == f
+            train = data.take(np.flatnonzero(~val))
+            model = fit_model(kind, train, cell, child_seed(seed, NS_CV, cell_idx, f))
+            scores = predict_proba(model, data.X[val], data.feature_names)
+            fold_aucs.append(auc(scores, data.y[val]))
+        mean_auc = float(np.mean(fold_aucs))
+        table.append({"params": dict(cell), "fold_aucs": fold_aucs, "mean_auc": mean_auc})
+        if mean_auc > best_mean:
+            best_mean, best_params = mean_auc, dict(cell)
+    return best_params, table
+
+
+class TestPrefixSharedCv:
+    def test_default_boosting_grids_pair_cells_by_n_rounds(self):
+        grid = default_grid()
+        for kind in ("gbm", "gbm2"):
+            groups = share_groups(kind, grid.cells(kind))
+            assert groups == [[0, 4], [1, 5], [2, 6], [3, 7]]
+        assert share_groups("rf", grid.cells("rf")) == [[i] for i in range(8)]
+
+    @pytest.mark.parametrize("kind", ["gbm", "gbm2"])
+    def test_shared_fits_equal_per_cell_fits(self, kind):
+        data = make_dataset(n=60, d=4, seed=8)
+        grid = default_grid()
+        result = cv_tune(data, kind, grid, k=3, seed=5)
+        best_params, table = oracle_cv_tune(data, kind, grid, k=3, seed=5)
+        assert result.table == table
+        assert result.best_params == best_params
+
+    def test_pool_of_two_equals_inline(self):
+        data = make_dataset(n=60, d=4, seed=9)
+        grid = HyperGrid(gbm=tuple({"n_rounds": n, "max_depth": 2} for n in (3, 7, 12)))
+        with TaskPool(2) as pool:
+            shared = cv_tune(data, "gbm", grid, k=3, seed=1, pool=pool)
+        assert shared.table == cv_tune(data, "gbm", grid, k=3, seed=1).table
+        assert shared.table == oracle_cv_tune(data, "gbm", grid, k=3, seed=1)[1]
 
 
 class TestImportance:

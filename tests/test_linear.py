@@ -11,7 +11,10 @@ from c2sift.learners import (
     save_model,
     sigmoid,
 )
-from c2sift.learners.linear import GLMParams, LassoParams, _lasso_path, _standardize
+from c2sift.evaluate import auc, stratified_folds
+from c2sift.learners.linear import GLMParams, LassoParams, _lasso_path, _standardize, lasso_tasks
+from c2sift.rng import NS_FOLDS, substream
+from c2sift.tasks import TaskPool
 
 from conftest import make_dataset
 
@@ -158,3 +161,53 @@ class TestLasso:
         assert len(cv["lambdas"]) == 20
         assert len(cv["mean_auc"]) == 20
         assert model.training_meta["lambda"] in cv["lambdas"]
+
+
+def serial_lasso(data, seed, params=LassoParams()):
+    """fit_lasso's CV and refit as one serial loop, as before its paths became tasks."""
+    y = data.y.astype(float)
+    lmax = lambda_max(data.X, y)
+    lambdas = [float(l) for l in np.geomspace(lmax, lmax * params.lambda_min_ratio, params.n_lambdas)]
+    k = min(params.cv_folds, int(np.bincount(data.y, minlength=2).min()))
+    folds = stratified_folds(data.y, k, substream(seed, NS_FOLDS, 0))
+    fold_aucs = np.zeros((k, len(lambdas)))
+    for f in range(k):
+        val = folds == f
+        betas, intercepts, means, scales, _ = _lasso_path(data.X[~val], y[~val], lambdas, params)
+        Z_val = (data.X[val] - means) / scales
+        for i in range(len(lambdas)):
+            fold_aucs[f, i] = auc(sigmoid(intercepts[i] + Z_val @ betas[i]), data.y[val])
+    mean_aucs = fold_aucs.mean(axis=0)
+    chosen = int(np.argmax(mean_aucs))
+    betas, intercepts, _, _, computed = _lasso_path(data.X, y, lambdas, params)
+    table = {"lambdas": lambdas, "mean_auc": mean_aucs.tolist(), "fold_aucs": fold_aucs.T.tolist()}
+    return table, lambdas[chosen], betas[chosen], float(intercepts[chosen]), computed
+
+
+class TestLassoTasks:
+    @pytest.mark.parametrize("n_pos", [None, 6])
+    def test_fold_tasks_equal_serial_loop(self, n_pos):
+        data = logistic_data(200, [1.0, -1.0, 0.5], seed=13, noise_cols=5)
+        if n_pos is not None:  # six positives cap the 10-fold CV at six folds
+            y = np.zeros(data.n_rows, int)
+            y[np.random.default_rng(13).choice(data.n_rows, n_pos, replace=False)] = 1
+            data = LabeledDataset(data.X, y, data.feature_names, data.row_keys)
+        table, lam, beta, intercept, computed = serial_lasso(data, seed=3)
+        with TaskPool(2) as pool:
+            pooled = fit_lasso(data, seed=3, pool=pool)
+        for model in (fit_lasso(data, seed=3), pooled):
+            assert model.training_meta["cv"] == table
+            assert len(table["fold_aucs"][0]) == (10 if n_pos is None else 6)
+            assert model.training_meta["lambda"] == lam
+            assert model.training_meta["path_computed"] == computed
+            assert np.array_equal(model.parameters["coef"], beta)
+            assert model.parameters["intercept"] == intercept
+
+    def test_tasks_are_what_fit_lasso_runs(self):
+        data = logistic_data(200, [1.0], seed=14, noise_cols=2)
+        tasks = lasso_tasks(data, seed=4)
+        assert len(tasks) == 1 + 10  # the full-data path, then one path per fold
+        pool = TaskPool()
+        pool.submit(tasks)
+        assert pool.submit(lasso_tasks(data, seed=4)) == pool.submit(tasks)
+        assert np.array_equal(fit_lasso(data, seed=4, pool=pool).parameters["coef"], fit_lasso(data, seed=4).parameters["coef"])
