@@ -22,7 +22,7 @@ from time import perf_counter
 
 from . import __version__
 from .aggregate import InternalSpace, group_daily
-from .ensemble import fit_stack, stack_tasks, stack_to_artifact
+from .ensemble import fit_stack, stack_tasks
 from .evaluate import (
     CvResult,
     cv_tasks,
@@ -231,7 +231,7 @@ def run_featurize(
 
 
 def _refit(kind: str, data, params: dict, seed: int):
-    """Full-data fit of a kind's chosen cell: the model saved as <kind>.json."""
+    """Full-data fit of a kind's chosen cell: the model saved as <kind>.json and nested in stack.json."""
     return fit_model(kind, data, params, seed)
 
 
@@ -250,15 +250,17 @@ def run_train(features: Path, out: Path, seed: int, folds: int = 10, jobs: int =
 
     Every CV fit and the lasso's paths are queued up front, longest first.
     As each kind's CV is in (waited for in a fixed order), its full-data
-    refit and its stack fits are queued; only the meta GLM waits for all
-    kinds. Every fit keeps its own seed and results reduce by key, so the
-    outputs are identical for any ``jobs``.
+    refit and its stack OOF fits are queued; only the meta GLM waits for
+    all kinds. The stack nests the full-data fits saved as ``<kind>.json``.
+    Every fit keeps its own seed and results reduce by key, so the outputs
+    are identical for any ``jobs``.
     """
     started = _now()
     clock = perf_counter()
     data = load_feature_matrix(_require_file(features, "feature matrix"))
     data.require_training_labels()
     grid = default_grid()
+    lasso_params = grid.cells("lasso")[0]
     lasso_seed, cv_seed, refit_seed, stack_seed = (child_seed(seed, NS_PIPELINE, i) for i in (10, 11, 12, 13))
     cv_results: dict[str, CvResult] = {}
     chosen: dict[str, dict] = {}
@@ -267,14 +269,14 @@ def run_train(features: Path, out: Path, seed: int, folds: int = 10, jobs: int =
     cv_done_s = {}
     with TaskPool(jobs) as pool:
         plan = {kind: cv_tasks(data, kind, grid, folds, cv_seed) for kind in BASE_KINDS if kind != "lasso"}
-        plan["lasso"] = lasso_tasks(data, seed=lasso_seed)
+        plan["lasso"] = lasso_tasks(data, params=lasso_params, seed=lasso_seed)
         queue = sorted((task for tasks in plan.values() for task in tasks), key=lambda task: -task.cost)
         pool.submit(queue)
         # wait for kinds in the order their last task was queued
         position = {task.key: i for i, task in enumerate(queue)}
         for kind in sorted(plan, key=lambda kind: max(position[task.key] for task in plan[kind])):
             if kind == "lasso":
-                artifacts[kind] = fit_lasso(data, seed=lasso_seed, pool=pool)
+                artifacts[kind] = fit_lasso(data, params=lasso_params, seed=lasso_seed, pool=pool)
                 cv_results[kind] = _lasso_cv_result(artifacts[kind])
                 chosen[kind] = {"lambda_path": [artifacts[kind].training_meta["lambda"]]}
             else:
@@ -289,10 +291,17 @@ def run_train(features: Path, out: Path, seed: int, folds: int = 10, jobs: int =
                 file=sys.stderr,
                 flush=True,
             )
-        stack = fit_stack(data, [(kind, chosen[kind]) for kind in BASE_KINDS], k=folds, seed=stack_seed, pool=pool)
-        stack_done_s = perf_counter() - clock
         for kind, future in refits.items():
             artifacts[kind] = future.result()
+        stack = fit_stack(
+            data,
+            [(kind, chosen[kind]) for kind in BASE_KINDS],
+            [artifacts[kind] for kind in BASE_KINDS],
+            k=folds,
+            seed=stack_seed,
+            pool=pool,
+        )
+        stack_done_s = perf_counter() - clock
     lasso_meta = artifacts["lasso"].training_meta
     signals = {
         "lasso": {
@@ -300,12 +309,12 @@ def run_train(features: Path, out: Path, seed: int, folds: int = 10, jobs: int =
             "path_computed": lasso_meta["path_computed"],
             "n_lambdas": len(lasso_meta["lambda_path"]),
         },
-        "stack_meta_glm": {key: stack.meta.training_meta[key] for key in ("converged", "separation")},
+        "stack_meta_glm": {key: stack.parameters["meta"].training_meta[key] for key in ("converged", "separation")},
     }
     with staged_output(out) as tmp:
         for kind, artifact in artifacts.items():
             save_model(artifact, tmp / f"{kind}.json")
-        save_model(stack_to_artifact(stack), tmp / "stack.json")
+        save_model(stack, tmp / "stack.json")
         write_cv_tables(tmp / "cv_tables.csv", cv_results)
         write_manifest(
             tmp,

@@ -12,7 +12,7 @@ import csv
 import ipaddress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .configio import parse_kv_file
 
@@ -67,17 +67,6 @@ class IngestStats:
         self.lines_read += 1
         self.records_accepted += 1
 
-    def merge(self, other: "IngestStats") -> "IngestStats":
-        """Associative merge, for parallel partition parsing."""
-        reasons = dict(self.reject_reasons)
-        for key, count in other.reject_reasons.items():
-            reasons[key] = reasons.get(key, 0) + count
-        return IngestStats(
-            lines_read=self.lines_read + other.lines_read,
-            records_accepted=self.records_accepted + other.records_accepted,
-            records_rejected=self.records_rejected + other.records_rejected,
-            reject_reasons=reasons,
-        )
 
 
 class RowError(ValueError):
@@ -245,14 +234,3 @@ def write_flow_file(path: str | Path, records: Iterable[FlowRecord]) -> int:
             writer.writerow(record_to_row(record))
             count += 1
     return count
-
-
-def partition_parse(paths: Sequence[str | Path], schema: Mapping[str, str] | None = None) -> tuple[list[FlowRecord], IngestStats]:
-    """Parse several files (or file splits) and merge their stats."""
-    all_records: list[FlowRecord] = []
-    merged = IngestStats()
-    for path in paths:
-        records, stats = parse_flow_file(path, schema)
-        all_records.extend(records)
-        merged = merged.merge(stats)
-    return all_records, merged

@@ -10,6 +10,8 @@ that differ only in that parameter share one fit of the largest.
 
 Serialization is JSON with a version tag; floats round-trip exactly via
 repr, so a reloaded model scores a probe matrix bit-for-bit identically.
+An artifact nested in another's parameters (the stack's bases and meta
+GLM) is encoded, checked and decoded the same way as a model file.
 """
 from __future__ import annotations
 
@@ -166,6 +168,8 @@ def _model_inputs(artifact: ModelArtifact, X: np.ndarray, feature_names) -> np.n
 
 
 def _to_jsonable(obj):
+    if isinstance(obj, ModelArtifact):
+        return encode_model(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
@@ -179,8 +183,9 @@ def _to_jsonable(obj):
     return obj
 
 
-def save_model(artifact: ModelArtifact, path: str | Path) -> None:
-    payload = {
+def encode_model(artifact: ModelArtifact) -> dict:
+    """The JSON payload of a model file; a model nested in another's parameters is written the same way."""
+    return {
         "format": "c2sift-model",
         "version": artifact.version,
         "kind": artifact.kind,
@@ -189,18 +194,15 @@ def save_model(artifact: ModelArtifact, path: str | Path) -> None:
         "training_meta": _to_jsonable(artifact.training_meta),
         "parameters": _to_jsonable(artifact.parameters),
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
-def load_model(path: str | Path) -> ModelArtifact:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != "c2sift-model":
-        raise ValueError(f"{path}: not a model artifact")
+def decode_model(payload) -> ModelArtifact:
+    """Inverse of ``encode_model``: checks the format and version, then revives the parameters."""
+    if not isinstance(payload, dict) or payload.get("format") != "c2sift-model":
+        raise ValueError("not a model artifact")
     version = payload.get("version")
     if not isinstance(version, int) or version > ARTIFACT_VERSION:
-        raise ValueError(
-            f"{path}: artifact version {version!r} is newer than supported version {ARTIFACT_VERSION}"
-        )
+        raise ValueError(f"artifact version {version!r} is newer than supported version {ARTIFACT_VERSION}")
     kind = payload["kind"]
     parameters = payload["parameters"]
     if kind in REVIVERS:
@@ -213,6 +215,17 @@ def load_model(path: str | Path) -> ModelArtifact:
         training_meta=payload.get("training_meta", {}),
         version=version,
     )
+
+
+def save_model(artifact: ModelArtifact, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(encode_model(artifact), sort_keys=True), encoding="utf-8")
+
+
+def load_model(path: str | Path) -> ModelArtifact:
+    try:
+        return decode_model(json.loads(Path(path).read_text(encoding="utf-8")))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -108,11 +108,6 @@ class PcaTransform:
         Z = (X - self.means) / self.scales
         return Z @ self.rotation[:, :k]
 
-    def inverse_transform(self, T: np.ndarray) -> np.ndarray:
-        k = T.shape[1]
-        Z = T @ self.rotation[:, :k].T
-        return Z * self.scales + self.means
-
 
 def fit_pca(X: np.ndarray, variance_retained: float = 0.95) -> PcaTransform:
     """Eigendecomposition of the standardized covariance matrix.

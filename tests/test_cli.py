@@ -240,6 +240,25 @@ def test_jobs_flag_matches_serial(tmp_path, features, tiny_grid):
     assert c1 == c2
 
 
+
+def test_stack_nests_the_saved_base_models(tmp_path, features, tiny_grid):
+    out = tmp_path / "models"
+    assert run(["train", "--features", features, "--out", out, "--seed", "5", "--folds", "4", "--jobs", "2"]) == 0
+    stack = json.loads((out / "stack.json").read_text())
+    kinds = ["rf", "pca_rf", "gbm", "gbm2", "glm", "lasso"]
+    assert [kind for kind, _ in stack["parameters"]["base_specs"]] == kinds
+    for kind, nested in zip(kinds, stack["parameters"]["base_models"]):
+        assert nested == json.loads((out / f"{kind}.json").read_text()), kind
+    meta = stack["parameters"]["meta"]
+    assert meta["kind"] == "glm" and meta["feature_names"] == kinds
+    assert cli.read_manifest(out)["signals"]["stack_meta_glm"] == {
+        key: meta["training_meta"][key] for key in ("converged", "separation")
+    }
+    # the grid's lasso cell is the one train runs
+    lasso_cv = [row for row in (out / "cv_tables.csv").read_text().splitlines() if row.startswith("lasso,")]
+    assert len(lasso_cv) == len(stack["parameters"]["base_models"][5]["training_meta"]["lambda_path"]) == 5
+
+
 PAIR_GRID = HyperGrid(
     rf=({"n_trees": 4, "max_depth": 3, "mtry": "sqrt"}, {"n_trees": 8, "max_depth": 3, "mtry": "sqrt"}),
     pca_rf=({"n_trees": 4, "max_depth": 3, "mtry": "sqrt", "variance_retained": 0.95},),

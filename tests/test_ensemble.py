@@ -1,18 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
-from c2sift.ensemble import (
-    StackModel,
-    fit_stack,
-    oof_matrix,
-    predict_stack,
-    stack_from_artifact,
-    stack_to_artifact,
-)
+from c2sift.ensemble import fit_stack, oof_matrix, predict_stack, stack_tasks
 from c2sift.evaluate import auc, stratified_folds
 from c2sift.learners import (
+    ARTIFACT_VERSION,
     LabeledDataset,
     ModelArtifact,
+    fit_model,
     load_model,
     predict_proba,
     register_kind,
@@ -20,6 +17,7 @@ from c2sift.learners import (
     sigmoid,
 )
 from c2sift.rng import NS_STACK, child_seed
+from c2sift.tasks import TaskPool
 
 from conftest import make_dataset
 
@@ -55,6 +53,12 @@ for _c in (0, 1):
     register_kind(f"feat{_c}", _f, _p)
 
 
+def stack_of(data, specs, k, seed):
+    """fit_stack over bases fitted on all rows, as train fits them (with seeds of their own)."""
+    bases = [fit_model(kind, data, params, child_seed(seed, 99, m)) for m, (kind, params) in enumerate(specs)]
+    return fit_stack(data, specs, bases, k=k, seed=seed)
+
+
 def test_constant_base_gives_constant_column():
     data = make_dataset(n=60, d=3, seed=0)
     out = oof_matrix(data, [("const", {})], k=5, seed=1)
@@ -68,7 +72,6 @@ def test_oof_matches_independent_fold_loop():
     k, seed = 5, 3
     got = oof_matrix(data, specs, k=k, seed=seed)
 
-    from c2sift.learners import fit_model
     from c2sift.rng import NS_FOLDS, substream
 
     folds = stratified_folds(data.y, k, substream(seed, NS_FOLDS, 1))
@@ -107,21 +110,21 @@ def test_stack_dominant_base_gets_weight():
     y = (X[:, 0] > 0).astype(int)  # feat0 base is a perfect scorer
     data = LabeledDataset(X, y, ("a", "b"), tuple((f"h{i}", "2022-01-10") for i in range(n)))
     specs = [("feat0", {}), ("feat1", {}), ("const", {})]
-    stack = fit_stack(data, specs, k=5, seed=0)
-    coefs = np.asarray(stack.meta.parameters["coef"])
+    stack = stack_of(data, specs, k=5, seed=0)
+    coefs = np.asarray(stack.parameters["meta"].parameters["coef"])
     assert coefs[0] > 0
     assert coefs[0] > abs(coefs[1]) and coefs[0] > abs(coefs[2])
     oof = oof_matrix(data, specs, k=5, seed=0)
-    stack_auc = auc(predict_stack(stack, X, ("a", "b")), y)
+    stack_auc = auc(predict_proba(stack, X, ("a", "b")), y)
     assert stack_auc >= auc(oof[:, 0], y)
 
 
 def test_identical_bases_keep_base_auc():
     data = make_dataset(n=150, d=4, seed=5)
     specs = [("feat0", {})] * 4
-    stack = fit_stack(data, specs, k=5, seed=1)
+    stack = stack_of(data, specs, k=5, seed=1)
     base_scores = sigmoid(data.X[:, 0])
-    stack_scores = predict_stack(stack, data.X, data.feature_names)
+    stack_scores = predict_proba(stack, data.X, data.feature_names)
     # meta is monotone in the shared base score, so ranks are identical
     assert auc(stack_scores, data.y) == auc(base_scores, data.y)
 
@@ -139,7 +142,7 @@ def test_region_specialists_stack_improves():
     names = ("left", "right", "which")
     data = LabeledDataset(X, y, names, tuple((f"h{i}", "2022-01-10") for i in range(n)))
     specs = [("feat0", {}), ("feat1", {})]
-    stack = fit_stack(data, specs, k=5, seed=2)
+    stack = stack_of(data, specs, k=5, seed=2)
 
     probe_region = rng.random(n) < 0.5
     probe_signal = rng.normal(size=n)
@@ -149,7 +152,7 @@ def test_region_specialists_stack_improves():
     probe[:, 2] = probe_region.astype(float)
     probe_y = (probe_signal > 0).astype(int)
 
-    stack_auc = auc(predict_stack(stack, probe, names), probe_y)
+    stack_auc = auc(predict_proba(stack, probe, names), probe_y)
     single_aucs = [auc(sigmoid(probe[:, c]), probe_y) for c in (0, 1)]
     assert stack_auc >= max(single_aucs) - 0.01
 
@@ -169,8 +172,13 @@ def test_meta_zero_slopes_constant_output():
         feature_names=("const",),
     )
     base = ModelArtifact("const", {"value": 0.9}, 0, ("a",))
-    stack = StackModel(base_specs=(("const", {}),), base_models=(base,), meta=meta, folds=2, seed=0)
-    out = predict_stack(stack, np.zeros((5, 1)), ("a",))
+    stack = ModelArtifact(
+        kind="stack",
+        parameters={"base_specs": [["const", {}]], "base_models": [base], "meta": meta, "folds": 2},
+        seed=0,
+        feature_names=("a",),
+    )
+    out = predict_proba(stack, np.zeros((5, 1)), ("a",))
     assert np.allclose(out, sigmoid(np.array([0.3])))
     assert len(set(out.tolist())) == 1
 
@@ -178,24 +186,69 @@ def test_meta_zero_slopes_constant_output():
 def test_duplicated_row_identical_outputs():
     data = make_dataset(n=120, d=4, seed=7)
     specs = [("rf", {"n_trees": 10}), ("glm", {})]
-    stack = fit_stack(data, specs, k=5, seed=3)
+    stack = stack_of(data, specs, k=5, seed=3)
     row = data.X[3]
-    out = predict_stack(stack, np.tile(row, (5, 1)), data.feature_names)
+    out = predict_proba(stack, np.tile(row, (5, 1)), data.feature_names)
     assert len(set(out.tolist())) == 1
 
 
 def test_stack_round_trip_bitwise(tmp_path):
     data = make_dataset(n=150, d=5, seed=8)
     specs = [("rf", {"n_trees": 8}), ("gbm", {"n_rounds": 10}), ("glm", {}), ("lasso", {"lambda_path": [0.01]})]
-    stack = fit_stack(data, specs, k=5, seed=4)
-    artifact = stack_to_artifact(stack)
+    stack = stack_of(data, specs, k=5, seed=4)
     probe = np.random.default_rng(8).normal(size=(30, 5))
-    before = predict_proba(artifact, probe, data.feature_names)
-    save_model(artifact, tmp_path / "stack.json")
+    before = predict_proba(stack, probe, data.feature_names)
+    save_model(stack, tmp_path / "stack.json")
     loaded = load_model(tmp_path / "stack.json")
     assert np.array_equal(before, predict_proba(loaded, probe, data.feature_names))
-    rebuilt = stack_from_artifact(loaded)
-    assert np.array_equal(before, predict_stack(rebuilt, probe, data.feature_names))
+    # the registered predictor on the revived nested models, without predict_proba's checks
+    assert np.array_equal(before, predict_stack(loaded, probe))
+
+
+def test_reloaded_stack_keeps_nested_training_meta(tmp_path):
+    data = make_dataset(n=120, d=4, seed=11)
+    specs = [("glm", {}), ("lasso", {"lambda_path": [0.02]}), ("rf", {"n_trees": 4})]
+    stack = stack_of(data, specs, k=4, seed=6)
+    save_model(stack, tmp_path / "stack.json")
+    loaded = load_model(tmp_path / "stack.json")
+    meta = loaded.parameters["meta"]
+    assert set(meta.training_meta) >= {"converged", "separation"}
+    assert meta.training_meta == stack.parameters["meta"].training_meta
+    assert meta.seed == stack.parameters["meta"].seed
+    for before, after in zip(stack.parameters["base_models"], loaded.parameters["base_models"]):
+        assert (after.kind, after.seed, after.feature_names) == (before.kind, before.seed, before.feature_names)
+        assert after.training_meta == json.loads(json.dumps(before.training_meta))
+    glm, lasso, _ = loaded.parameters["base_models"]
+    assert isinstance(glm.training_meta["converged"], bool)
+    assert lasso.training_meta["path_computed"] == 1
+
+
+def test_nested_model_version_checked(tmp_path):
+    data = make_dataset(n=60, d=3, seed=12)
+    specs = [("glm", {}), ("const", {})]
+    save_model(stack_of(data, specs, k=3, seed=0), tmp_path / "stack.json")
+    payload = json.loads((tmp_path / "stack.json").read_text())
+    payload["parameters"]["base_models"][1]["version"] = ARTIFACT_VERSION + 1
+    (tmp_path / "stack.json").write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="newer than supported"):
+        load_model(tmp_path / "stack.json")
+
+
+def test_fit_stack_runs_only_the_queued_oof_fits():
+    data = make_dataset(n=80, d=3, seed=13)
+    specs = [("glm", {}), ("rf", {"n_trees": 3})]
+    k, seed = 4, 2
+    pool = TaskPool(1)
+    for m, spec in enumerate(specs):
+        pool.submit(stack_tasks(data, m, spec, k, seed))
+    queued = len(pool._futures)
+    assert queued == len(specs) * k
+    bases = [fit_model(kind, data, params, 0) for kind, params in specs]
+    stack = fit_stack(data, specs, bases, k=k, seed=seed, pool=pool)
+    assert len(pool._futures) == queued
+    assert all(nested is base for nested, base in zip(stack.parameters["base_models"], bases))
+    with pytest.raises(ValueError, match="2 base specs but 1 base models"):
+        fit_stack(data, specs, bases[:1], k=k, seed=seed)
 
 
 def test_small_class_rejected():
@@ -209,5 +262,5 @@ def test_small_class_rejected():
 
 def test_meta_names_deduplicate():
     data = make_dataset(n=80, d=3, seed=10)
-    stack = fit_stack(data, [("const", {}), ("const", {})], k=4, seed=5)
-    assert stack.meta.feature_names == ("const", "const_2")
+    stack = stack_of(data, [("const", {}), ("const", {})], k=4, seed=5)
+    assert stack.parameters["meta"].feature_names == ("const", "const_2")

@@ -197,6 +197,10 @@ class TestCvTune:
         result = cv_tune(data, "glm", grid, k=4, seed=0)
         assert result.best_params == {"marker": 1}
 
+    def test_lasso_grid_takes_one_cell(self):
+        with pytest.raises(ValueError, match="one cell"):
+            HyperGrid(lasso=({"n_lambdas": 5}, {"n_lambdas": 10}))
+
     def test_sabotaged_cell_loses(self):
         data = make_dataset(n=100, d=4, seed=3)
         grid = HyperGrid(rf=({"n_trees": 5, "max_depth": 0}, {"n_trees": 5, "max_depth": 4}))

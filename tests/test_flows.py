@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from c2sift.flows import (
     CANONICAL_FIELDS,
     FlowRecord,
-    IngestStats,
     build_record,
     parse_flow_file,
     read_schema,
@@ -211,13 +210,3 @@ def test_write_then_parse_file_round_trip(tmp_path):
     parsed, stats = parse_flow_file(path)
     assert parsed == records
     assert stats.records_rejected == 0
-
-
-def test_stats_merge_associative():
-    a = IngestStats(3, 2, 1, {"time-order": 1})
-    b = IngestStats(5, 5, 0, {})
-    c = IngestStats(2, 0, 2, {"time-order": 1, "bad-address": 1})
-    left = a.merge(b).merge(c)
-    right = a.merge(b.merge(c))
-    assert left == right
-    assert left.lines_read == 10 and left.reject_reasons == {"time-order": 2, "bad-address": 1}

@@ -94,7 +94,8 @@ class TestPca:
     def test_full_rank_reconstruction(self):
         X = np.random.default_rng(3).normal(size=(40, 6))
         pca = fit_pca(X)
-        back = pca.inverse_transform(pca.transform(X, k=6))
+        assert np.allclose(pca.rotation.T @ pca.rotation, np.eye(6), atol=1e-10)
+        back = (pca.transform(X, k=6) @ pca.rotation.T) * pca.scales + pca.means
         assert np.allclose(back, X, atol=1e-6)
 
     def test_constant_column_scaled_by_one(self):
