@@ -11,16 +11,17 @@ import datetime as dt
 import ipaddress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .flows import FlowRecord
+import numpy as np
+
+from .flows import DAY_MS, FlowTable, string_ranks
 
 
 class InternalSpace:
     """The set of internal ("device") addresses, defined by CIDR prefixes.
 
-    Prefixes need not be disjoint; membership is any-match. Lookups are
-    memoized per address string since flow data repeats endpoints heavily.
+    Prefixes need not be disjoint; membership is any-match.
     """
 
     def __init__(self, cidrs: Iterable[str]):
@@ -28,7 +29,6 @@ class InternalSpace:
         if not networks:
             raise ValueError("internal space needs at least one CIDR prefix")
         self.networks = tuple(networks)
-        self._memo: dict[str, bool] = {}
 
     @classmethod
     def from_file(cls, path: str | Path) -> "InternalSpace":
@@ -41,54 +41,37 @@ class InternalSpace:
         return cls(cidrs)
 
     def contains(self, ip: str) -> bool:
-        hit = self._memo.get(ip)
-        if hit is None:
-            addr = ipaddress.ip_address(ip)
-            hit = any(addr.version == net.version and addr in net for net in self.networks)
-            self._memo[ip] = hit
-        return hit
-
-
-@dataclass(frozen=True, slots=True)
-class DirectedFlow:
-    """A boundary flow re-keyed as (external host, internal device)."""
-
-    host_ip: str
-    device_ip: str
-    host_port: int
-    device_port: int
-    bytes: int
-    packets: int
-    start_time: int
-    end_time: int
-    initiated_by_host: bool
+        addr = ipaddress.ip_address(ip)
+        return any(addr.version == net.version and addr in net for net in self.networks)
 
 
 @dataclass(frozen=True)
-class HostAggregate:
-    """All flows for one external host within one UTC calendar day.
+class HostDays:
+    """Boundary flows re-keyed as (external host, internal device), per host-day.
 
-    ``flows`` is sorted by start_time, ties broken by (device_ip,
-    device_port); ``device_count`` is the number of distinct device IPs.
+    Flows are sorted by (day, host address string, start_time, device
+    address string, device_port), ties kept in input order. Host-day ``i``
+    is rows ``bounds[i]:bounds[i + 1]``, for ``host_ip[i]`` on
+    ``window_date[i]``; ``device`` codes index ``ips``.
+    ``initiated_by_host`` is True exactly when the external endpoint is
+    the flow's source.
     """
 
-    host_ip: str
-    window_date: dt.date
-    flows: tuple[DirectedFlow, ...]
-    device_count: int
+    ips: tuple[str, ...]
+    bounds: np.ndarray
+    host_ip: tuple[str, ...]
+    window_date: tuple[dt.date, ...]
+    device: np.ndarray
+    host_port: np.ndarray
+    device_port: np.ndarray
+    bytes: np.ndarray
+    packets: np.ndarray
+    start_time: np.ndarray
+    end_time: np.ndarray
+    initiated_by_host: np.ndarray
 
-    @classmethod
-    def build(cls, host_ip: str, window_date: dt.date, flows: Iterable[DirectedFlow]) -> "HostAggregate":
-        ordered = tuple(sorted(flows, key=lambda f: (f.start_time, f.device_ip, f.device_port)))
-        if not ordered:
-            raise ValueError("aggregate needs at least one flow")
-        for flow in ordered:
-            if flow.host_ip != host_ip:
-                raise ValueError(f"flow host {flow.host_ip} != aggregate host {host_ip}")
-            if window_day(flow.start_time) != window_date:
-                raise ValueError(f"flow start {flow.start_time} outside window {window_date}")
-        devices = {flow.device_ip for flow in ordered}
-        return cls(host_ip=host_ip, window_date=window_date, flows=ordered, device_count=len(devices))
+    def __len__(self) -> int:
+        return len(self.host_ip)
 
 
 def window_day(start_time_ms: int) -> dt.date:
@@ -96,82 +79,41 @@ def window_day(start_time_ms: int) -> dt.date:
     return dt.datetime.fromtimestamp(start_time_ms // 1000, tz=dt.timezone.utc).date()
 
 
-def split_direction(record: FlowRecord, space: InternalSpace) -> DirectedFlow | None:
-    """Resolve a flow into host/device roles, or None when non-boundary.
+def group_daily(table: FlowTable, space: InternalSpace) -> tuple[HostDays, int]:
+    """Group a table's boundary flows per (host, day).
 
-    The external endpoint becomes the host; ``initiated_by_host`` is True
-    exactly when the external endpoint is the flow's source.
+    Returns the host-days plus the count of excluded non-boundary flows.
+    Output is independent of input ordering except among flows equal in
+    every sort key.
     """
-    src_internal = space.contains(record.src_ip)
-    dst_internal = space.contains(record.dst_ip)
-    if src_internal == dst_internal:
-        return None
-    if src_internal:
-        host_ip, host_port = record.dst_ip, record.dst_port
-        device_ip, device_port = record.src_ip, record.src_port
-        initiated_by_host = False
-    else:
-        host_ip, host_port = record.src_ip, record.src_port
-        device_ip, device_port = record.dst_ip, record.dst_port
-        initiated_by_host = True
-    return DirectedFlow(
-        host_ip=host_ip,
-        device_ip=device_ip,
-        host_port=host_port,
-        device_port=device_port,
-        bytes=record.bytes,
-        packets=record.packets,
-        start_time=record.start_time,
-        end_time=record.end_time,
-        initiated_by_host=initiated_by_host,
+    inside = np.array([space.contains(ip) for ip in table.ips], dtype=bool)
+    src_inside = inside[table.src]
+    boundary = np.flatnonzero(src_inside != inside[table.dst])
+    by_host = ~src_inside[boundary]
+    src, dst = table.src[boundary], table.dst[boundary]
+    src_port, dst_port = table.src_port[boundary], table.dst_port[boundary]
+    host = np.where(by_host, src, dst)
+    device = np.where(by_host, dst, src)
+    device_port = np.where(by_host, dst_port, src_port)
+    start = table.start_time[boundary]
+    day = start // DAY_MS
+    ranks = string_ranks(table.ips)
+    order = np.lexsort((device_port, ranks[device], start, ranks[host], day))
+    rows = boundary[order]
+    host, day, start = host[order], day[order], start[order]
+    firsts = np.flatnonzero(np.r_[True, (np.diff(day) != 0) | (np.diff(host) != 0)])[: len(order)]
+    host_days = HostDays(
+        ips=table.ips,
+        bounds=np.append(firsts, len(order)),
+        host_ip=tuple(table.ips[code] for code in host[firsts].tolist()),
+        window_date=tuple(window_day(ms) for ms in start[firsts].tolist()),
+        device=device[order],
+        host_port=np.where(by_host, src_port, dst_port)[order],
+        device_port=device_port[order],
+        bytes=table.bytes[rows],
+        packets=table.packets[rows],
+        start_time=start,
+        end_time=table.end_time[rows],
+        initiated_by_host=by_host[order],
     )
-
-
-def group_daily(
-    records: Iterable[FlowRecord], space: InternalSpace
-) -> tuple[dict[tuple[str, dt.date], HostAggregate], int]:
-    """Group boundary records into per-(host, day) aggregates.
-
-    Returns the aggregate map plus the count of excluded non-boundary
-    records. Output is independent of input ordering.
-    """
-    buckets: dict[tuple[str, dt.date], list[DirectedFlow]] = {}
-    non_boundary = 0
-    for record in records:
-        directed = split_direction(record, space)
-        if directed is None:
-            non_boundary += 1
-            continue
-        key = (directed.host_ip, window_day(directed.start_time))
-        buckets.setdefault(key, []).append(directed)
-    aggregates = {
-        key: HostAggregate.build(key[0], key[1], flows) for key, flows in sorted(buckets.items(), key=lambda kv: (str(kv[0][1]), kv[0][0]))
-    }
-    return aggregates, non_boundary
-
-
-def build_aggregates(
-    records: Iterable[FlowRecord], space: InternalSpace, date: dt.date
-) -> tuple[dict[str, HostAggregate], int]:
-    """Group one stated day's records per host.
-
-    Every boundary record lands in exactly one aggregate; a record whose
-    start time falls outside ``date`` is a caller bug and raises.
-    """
-    daily, non_boundary = group_daily(records, space)
-    out: dict[str, HostAggregate] = {}
-    for (host_ip, day), agg in daily.items():
-        if day != date:
-            raise ValueError(f"record(s) for host {host_ip} start on {day}, outside window {date}")
-        out[host_ip] = agg
-    return out, non_boundary
-
-
-def conservation_totals(aggregates: Mapping) -> tuple[int, int, int]:
-    """(flow count, bytes, packets) summed over aggregates, for checks."""
-    flows = nbytes = packets = 0
-    for agg in aggregates.values():
-        flows += len(agg.flows)
-        nbytes += sum(f.bytes for f in agg.flows)
-        packets += sum(f.packets for f in agg.flows)
-    return flows, nbytes, packets
+    return host_days, len(table) - len(boundary)

@@ -59,7 +59,7 @@ from .synthgen import (
     read_labels,
 )
 from .tasks import Task, TaskPool
-from .triage import TriageConfig, build_rules, load_ip_list, triage, write_decisions
+from .triage import TriageConfig, build_rules, list_summary, load_ip_list, triage, write_decisions
 
 INTERNAL_SPACE_CIDR = "10.0.0.0/8"
 
@@ -194,10 +194,10 @@ def run_featurize(
     cfg = FeatureConfig.from_file(_require_file(feature_config, "feature config")) if feature_config else FeatureConfig()
     label_map = read_labels(_require_file(labels, "label file")) if labels else None
 
-    records, stats = parse_flow_file(flows, schema_map)
+    table, stats = parse_flow_file(flows, schema_map)
     space = InternalSpace.from_file(internal_space)
-    aggregates, non_boundary = group_daily(records, space)
-    vectors = featurize_aggregates(aggregates.values(), cfg)
+    host_days, non_boundary = group_daily(table, space)
+    vectors = featurize_aggregates(host_days, cfg)
     with staged_output(out) as tmp:
         write_feature_matrix(
             tmp / "features.csv",
@@ -339,8 +339,8 @@ def _load_model_dir(model_dir: Path) -> dict:
     for path in sorted(model_dir.glob("*.json")):
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            continue
+        except json.JSONDecodeError as exc:
+            raise PipelineError(f"{path}: not valid JSON: {exc}") from exc
         if isinstance(payload, dict) and payload.get("format") == "c2sift-model":
             artifact = load_model(path)
             models[artifact.kind] = artifact
@@ -425,11 +425,14 @@ def read_predictions(path: Path) -> list[tuple[str, str, float]]:
     if not lines or lines[0] != "host_ip,window_date,score":
         raise PipelineError(f"{path}: expected 'host_ip,window_date,score' header")
     out = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        host_ip, window_date, score = line.split(",")
-        out.append((host_ip, window_date, float(score)))
+        try:
+            host_ip, window_date, score = line.split(",")
+            out.append((host_ip, window_date, float(score)))
+        except ValueError:
+            raise PipelineError(f"{path}:{lineno}: expected host_ip,window_date,score, got {line!r}") from None
     return out
 
 
@@ -464,7 +467,12 @@ def run_triage(
     with staged_output(out) as tmp:
         write_decisions(tmp / "decisions.csv", decisions)
         (tmp / "triage_summary.json").write_text(
-            json.dumps({"outcomes": counts, "config": dataclasses.asdict(cfg)}, indent=2, sort_keys=True) + "\n",
+            json.dumps(
+                {"outcomes": counts, "config": dataclasses.asdict(cfg), "lists": list_summary(lists, decisions)},
+                indent=2,
+                sort_keys=True,
+            )
+            + "\n",
             encoding="utf-8",
         )
         write_manifest(

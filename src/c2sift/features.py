@@ -19,14 +19,15 @@ With the default config (16 tracked ports, n=20 quantiles) the width is
 from __future__ import annotations
 
 import datetime as dt
+import ipaddress
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .aggregate import HostAggregate
+from .aggregate import HostDays
 from .configio import parse_kv_file
 
 # Guard for rates and coefficients of variation when a denominator is 0.
@@ -85,31 +86,6 @@ class FeatureVector:
     values: np.ndarray
     names: tuple[str, ...]
     blocks: Mapping[str, range]
-
-    def value(self, name: str) -> float:
-        return float(self.values[self.names.index(name)])
-
-
-@dataclass(frozen=True)
-class FlowVariableSample:
-    """Per-flow variable vectors for one host: packets, bytes, bytes/packets."""
-
-    packets_per_flow: np.ndarray
-    bytes_per_flow: np.ndarray
-    bpp_ratio: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.packets_per_flow)
-        if n < 1:
-            raise ValueError("sample needs at least one flow")
-        if len(self.bytes_per_flow) != n or len(self.bpp_ratio) != n:
-            raise ValueError("sample vectors must have equal length")
-
-    @classmethod
-    def from_aggregate(cls, agg: HostAggregate) -> "FlowVariableSample":
-        packets = np.array([f.packets for f in agg.flows], dtype=float)
-        nbytes = np.array([f.bytes for f in agg.flows], dtype=float)
-        return cls(packets_per_flow=packets, bytes_per_flow=nbytes, bpp_ratio=nbytes / packets)
 
 
 def _pct_label(level: float) -> str:
@@ -171,66 +147,51 @@ def _sample_sd(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1))
 
 
-def flow_size_features(agg: HostAggregate, cfg: FeatureConfig) -> np.ndarray:
+def _flow_size_block(
+    nbytes: np.ndarray,
+    packets: np.ndarray,
+    bpp: np.ndarray,
+    durations: np.ndarray,
+    n_devices: int,
+    n_host_initiated: int,
+    port_counts: np.ndarray,
+) -> np.ndarray:
     """Volume, rate, initiation, and port-fraction features for one host."""
-    if not agg.flows:
-        raise ValueError("aggregate has no flows")
-    nbytes = np.array([f.bytes for f in agg.flows], dtype=float)
-    packets = np.array([f.packets for f in agg.flows], dtype=float)
-    durations = np.array([(f.end_time - f.start_time) / 1000.0 for f in agg.flows])
-    n = len(agg.flows)
-
+    n = len(nbytes)
     total_bytes = float(nbytes.sum())
     total_packets = float(packets.sum())
     total_duration = float(durations.sum())
-    mean_bpp = float(np.mean(nbytes / packets))
-    byte_rate = total_bytes / max(total_duration, EPS_SECONDS)
-    packet_rate = total_packets / max(total_duration, EPS_SECONDS)
-    host_initiated = sum(1 for f in agg.flows if f.initiated_by_host) / n
-
-    port_index = {p: i for i, p in enumerate(cfg.tracked_ports)}
-    port_fracs = np.zeros(len(cfg.tracked_ports) + 1)
-    for f in agg.flows:
-        idx = port_index.get(f.device_port, len(cfg.tracked_ports))
-        port_fracs[idx] += 1.0
-    port_fracs /= n
-
     head = np.array(
         [
             total_bytes,
             total_packets,
             total_duration,
             float(n),
-            float(agg.device_count),
-            mean_bpp,
-            byte_rate,
-            packet_rate,
-            host_initiated,
+            float(n_devices),
+            float(np.mean(bpp)),
+            total_bytes / max(total_duration, EPS_SECONDS),
+            total_packets / max(total_duration, EPS_SECONDS),
+            n_host_initiated / n,
         ]
     )
-    return np.concatenate([head, port_fracs])
+    return np.concatenate([head, port_counts / n])
 
 
-def beaconing_features(agg: HostAggregate, cfg: FeatureConfig) -> np.ndarray:
+def _beaconing_block(starts: np.ndarray, packets: np.ndarray, tolerance: float) -> np.ndarray:
     """Gap statistics over successive start times, plus packet-count spread.
 
     periodicity_score is the fraction of gaps within
-    +-beacon_tolerance * median_gap of the median gap; hosts with fewer
-    than two flows score 0 on every entry.
+    +-tolerance * median_gap of the median gap; hosts with fewer than two
+    flows score 0 on every entry.
     """
-    if not agg.flows:
-        raise ValueError("aggregate has no flows")
-    packets = np.array([f.packets for f in agg.flows], dtype=float)
-    if len(agg.flows) < 2:
+    if len(starts) < 2:
         return np.zeros(5)
-    starts = np.array([f.start_time for f in agg.flows], dtype=np.int64)
     gaps = np.diff(starts) / 1000.0
     mean_gap = float(np.mean(gaps))
     sd_gap = _sample_sd(gaps)
     cv_gap = sd_gap / max(mean_gap, EPS_SECONDS)
     median_gap = float(np.median(gaps))
-    tolerance = cfg.beacon_tolerance * median_gap
-    periodicity = float(np.mean(np.abs(gaps - median_gap) <= tolerance))
+    periodicity = float(np.mean(np.abs(gaps - median_gap) <= tolerance * median_gap))
     return np.array([mean_gap, sd_gap, cv_gap, periodicity, _sample_sd(packets)])
 
 
@@ -256,35 +217,59 @@ def quantile_transform(values: Sequence[float] | np.ndarray, levels: Sequence[fl
     return out
 
 
-def distributional_features(sample: FlowVariableSample, cfg: FeatureConfig) -> np.ndarray:
-    """[mean, sd, q...] per variable distribution, concatenated."""
-    levels = cfg.quantile_levels
+def _distributional_block(variables: Sequence[np.ndarray], levels: Sequence[float]) -> np.ndarray:
+    """[mean, sd, q...] per per-flow variable, concatenated."""
     parts = []
-    for values in (sample.packets_per_flow, sample.bytes_per_flow, sample.bpp_ratio):
+    for values in variables:
         head = np.array([float(np.mean(values)), _sample_sd(values)])
         parts.append(np.concatenate([head, quantile_transform(values, levels)]))
     return np.concatenate(parts)
 
 
-def build_feature_vector(agg: HostAggregate, cfg: FeatureConfig) -> FeatureVector:
-    """Assemble the full fixed-width vector for one host/day."""
-    values = np.concatenate(
-        [
-            flow_size_features(agg, cfg),
-            beaconing_features(agg, cfg),
-            distributional_features(FlowVariableSample.from_aggregate(agg), cfg),
-        ]
+def featurize_aggregates(host_days: HostDays, cfg: FeatureConfig) -> list[FeatureVector]:
+    """Feature vectors for every host-day, ordered by (date, numeric host IP).
+
+    Each host-day's blocks are computed from its slice of the shared
+    columns; the per-flow float variables are built once for all of them.
+    """
+    packets = host_days.packets.astype(float)
+    nbytes = host_days.bytes.astype(float)
+    bpp = nbytes / packets
+    durations = (host_days.end_time - host_days.start_time) / 1000.0
+    n_ports = len(cfg.tracked_ports)
+    port_slots = np.full(len(packets), n_ports)
+    for slot, port in enumerate(cfg.tracked_ports):
+        port_slots[host_days.device_port == port] = slot
+    names = feature_names(cfg)
+    blocks = block_ranges(cfg)
+    levels = cfg.quantile_levels
+    order = sorted(
+        range(len(host_days)),
+        key=lambda i: (host_days.window_date[i].isoformat(), int(ipaddress.ip_address(host_days.host_ip[i]))),
     )
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise AssertionError(f"non-finite feature {feature_names(cfg)[bad]} for host {agg.host_ip}")
-    return FeatureVector(
-        host_ip=agg.host_ip,
-        window_date=agg.window_date,
-        values=values,
-        names=feature_names(cfg),
-        blocks=block_ranges(cfg),
-    )
+    vectors = []
+    for i in order:
+        rows = slice(host_days.bounds[i], host_days.bounds[i + 1])
+        values = np.concatenate(
+            [
+                _flow_size_block(
+                    nbytes[rows],
+                    packets[rows],
+                    bpp[rows],
+                    durations[rows],
+                    len(np.unique(host_days.device[rows])),
+                    int(np.count_nonzero(host_days.initiated_by_host[rows])),
+                    np.bincount(port_slots[rows], minlength=n_ports + 1),
+                ),
+                _beaconing_block(host_days.start_time[rows], packets[rows], cfg.beacon_tolerance),
+                _distributional_block((packets[rows], nbytes[rows], bpp[rows]), levels),
+            ]
+        )
+        if not np.all(np.isfinite(values)):
+            bad = int(np.flatnonzero(~np.isfinite(values))[0])
+            raise AssertionError(f"non-finite feature {names[bad]} for host {host_days.host_ip[i]}")
+        vectors.append(FeatureVector(host_days.host_ip[i], host_days.window_date[i], values, names, blocks))
+    return vectors
 
 
 def write_feature_matrix(
@@ -327,14 +312,3 @@ def write_feature_matrix(
         row.extend(repr(float(vec.values[i])) for i in keep)
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def featurize_aggregates(
-    aggregates: Iterable[HostAggregate], cfg: FeatureConfig
-) -> list[FeatureVector]:
-    """Feature vectors for aggregates, ordered by (date, numeric host IP)."""
-    import ipaddress
-
-    vecs = [build_feature_vector(agg, cfg) for agg in aggregates]
-    vecs.sort(key=lambda v: (v.window_date.isoformat(), int(ipaddress.ip_address(v.host_ip))))
-    return vecs

@@ -1,4 +1,4 @@
-"""Flow record schema and delimited-text ingest.
+"""Flow record schema, delimited-text ingest and the columnar flow table.
 
 A flow file is UTF-8 delimited text (comma or tab) with a header row. A
 schema config maps each canonical field name to the column header used in
@@ -10,9 +10,14 @@ from __future__ import annotations
 
 import csv
 import ipaddress
+import sys
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
+
+import numpy as np
 
 from .configio import parse_kv_file
 
@@ -28,25 +33,40 @@ CANONICAL_FIELDS = (
     "protocol",
     "flags",
 )
+# the int64 columns of a FlowTable, in canonical order
+INT_FIELDS = CANONICAL_FIELDS[2:9]
 
 # IP protocols with no port concept; rows for these must carry port 0.
 PORTLESS_PROTOCOLS = frozenset({1, 58})
 
+INT64_MAX = np.iinfo(np.int64).max
+INT64_MIN = np.iinfo(np.int64).min
 
-@dataclass(frozen=True, slots=True)
-class FlowRecord:
-    """One flow: endpoints, ports, volumes, times, protocol, TCP flags."""
+DAY_MS = 86_400_000
 
-    src_ip: str
-    dst_ip: str
-    src_port: int
-    dst_port: int
-    bytes: int
-    packets: int
-    start_time: int
-    end_time: int
-    protocol: int
-    flags: str = ""
+
+@dataclass(frozen=True)
+class FlowTable:
+    """Flows as columns, one row per flow.
+
+    ``src`` and ``dst`` are codes into ``ips``, the distinct canonical
+    addresses; the other fields are int64 columns except ``flags``.
+    """
+
+    ips: tuple[str, ...]
+    src: np.ndarray
+    dst: np.ndarray
+    src_port: np.ndarray
+    dst_port: np.ndarray
+    bytes: np.ndarray
+    packets: np.ndarray
+    start_time: np.ndarray
+    end_time: np.ndarray
+    protocol: np.ndarray
+    flags: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.src)
 
 
 @dataclass
@@ -68,12 +88,11 @@ class IngestStats:
         self.records_accepted += 1
 
 
-
 class RowError(ValueError):
     """Invalid data row; ``reason`` is a short machine-readable tag."""
 
-    def __init__(self, reason: str, detail: str = ""):
-        super().__init__(detail or reason)
+    def __init__(self, reason: str):
+        super().__init__(reason)
         self.reason = reason
 
 
@@ -93,144 +112,137 @@ def read_schema(path: str | Path) -> dict[str, str]:
     return {name: raw[name] for name in CANONICAL_FIELDS}
 
 
-def _canonical_ip(text: str) -> str:
-    return str(ipaddress.ip_address(text.strip()))
+class _AddressCodes:
+    """Canonicalizes each distinct address string once and interns the result."""
+
+    def __init__(self):
+        self.ips: dict[str, int] = {}  # canonical address -> code
+        self._memo: dict[str, int | None] = {}  # raw text -> code, None when invalid
+
+    def code(self, text: str) -> int | None:
+        try:
+            return self._memo[text]
+        except KeyError:
+            pass
+        try:
+            canonical = str(ipaddress.ip_address(text.strip()))
+        except ValueError:
+            code = None
+        else:
+            code = self.ips.setdefault(canonical, len(self.ips))
+        self._memo[text] = code
+        return code
 
 
-def _parse_int(text: str, name: str) -> int:
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise RowError("bad-integer", f"field {name!r}: not an integer: {text!r}") from None
+def _check_row(row: list[str], index: tuple[int, ...], addresses: _AddressCodes) -> tuple[list[int], str]:
+    """Validate one row's fields; returns its int64 values (src and dst
+    codes, then INT_FIELDS) and its flags.
 
-
-def build_record(values: Mapping[str, str]) -> FlowRecord:
-    """Validate one row's field strings and build a FlowRecord.
-
-    Raises RowError with a reason tag on any invariant violation.
+    Raises RowError with a reason tag on the first invariant violated.
     """
+    src = addresses.code(row[index[0]])
+    dst = addresses.code(row[index[1]])
+    if src is None or dst is None:
+        raise RowError("bad-address")
     try:
-        src_ip = _canonical_ip(values["src_ip"])
-        dst_ip = _canonical_ip(values["dst_ip"])
+        ints = [int(row[i].strip()) for i in index[2:9]]
     except ValueError:
-        raise RowError("bad-address") from None
-    src_port = _parse_int(values["src_port"], "src_port")
-    dst_port = _parse_int(values["dst_port"], "dst_port")
-    nbytes = _parse_int(values["bytes"], "bytes")
-    packets = _parse_int(values["packets"], "packets")
-    start_time = _parse_int(values["start_time"], "start_time")
-    end_time = _parse_int(values["end_time"], "end_time")
-    protocol = _parse_int(values["protocol"], "protocol")
-    flags = values.get("flags", "").strip()
-
-    for port in (src_port, dst_port):
-        if not 0 <= port <= 65535:
-            raise RowError("port-range", f"port {port} outside 0..65535")
+        raise RowError("bad-integer") from None
+    src_port, dst_port, nbytes, packets, start_time, end_time, protocol = ints
+    if not (0 <= src_port <= 65535 and 0 <= dst_port <= 65535):
+        raise RowError("port-range")
     if not 0 <= protocol <= 255:
-        raise RowError("protocol-range", f"protocol {protocol} outside 0..255")
+        raise RowError("protocol-range")
     if protocol in PORTLESS_PROTOCOLS and (src_port != 0 or dst_port != 0):
-        raise RowError("portless-protocol", f"protocol {protocol} carries no ports")
+        raise RowError("portless-protocol")
     if nbytes < 0:
         raise RowError("negative-bytes")
     if packets < 1:
-        raise RowError("bad-packets", f"packets {packets} < 1")
+        raise RowError("bad-packets")
     if nbytes < packets:
         # corrupt collector output should surface, not skew features
-        raise RowError("bytes-lt-packets", f"bytes {nbytes} < packets {packets}")
+        raise RowError("bytes-lt-packets")
     if end_time < start_time:
-        raise RowError("time-order", f"end_time {end_time} < start_time {start_time}")
-
-    return FlowRecord(
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        src_port=src_port,
-        dst_port=dst_port,
-        bytes=nbytes,
-        packets=packets,
-        start_time=start_time,
-        end_time=end_time,
-        protocol=protocol,
-        flags=flags,
-    )
-
-
-def _sniff_delimiter(header_line: str) -> str:
-    return "\t" if "\t" in header_line else ","
+        raise RowError("time-order")
+    # the checks above bound every other field by these three
+    if nbytes > INT64_MAX or end_time > INT64_MAX or start_time < INT64_MIN:
+        raise RowError("int64-range")
+    return [src, dst, *ints], row[index[9]].strip()
 
 
 def parse_flow_file(
     path: str | Path,
     schema: Mapping[str, str] | None = None,
-) -> tuple[list[FlowRecord], IngestStats]:
-    """Parse a flow file into validated records plus ingest stats.
+) -> tuple[FlowTable, IngestStats]:
+    """Stream a flow file into a FlowTable plus ingest stats.
 
     Malformed rows are counted per reason, never silently dropped; a row
     with more or fewer fields than the header is ``field-count``. An
-    unreadable file or a header missing a mapped column is fatal.
-    Parsing is order-preserving and deterministic.
+    unreadable file or a header missing a mapped column is fatal. Rows
+    keep file order and the parse is deterministic.
     """
     schema = dict(schema) if schema is not None else identity_schema()
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        handle = path.open(encoding="utf-8", newline="")
     except OSError as exc:
         raise ValueError(f"cannot read flow file {path}: {exc}") from exc
+    with handle:
+        first = handle.readline()
+        if not first:
+            raise ValueError(f"{path}: empty file, header row required")
+        reader = csv.reader(chain([first], handle), delimiter="\t" if "\t" in first else ",")
+        header = next(reader)
+        index = []
+        for name in CANONICAL_FIELDS:
+            column = schema[name]
+            if column not in header:
+                raise ValueError(f"{path}: header missing mapped column {column!r} (field {name})")
+            index.append(header.index(column))
+        index = tuple(index)
 
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty file, header row required")
-    delimiter = _sniff_delimiter(lines[0])
-    reader = csv.reader(lines, delimiter=delimiter)
-    header = next(reader)
-    column_index: dict[str, int] = {}
-    for name in CANONICAL_FIELDS:
-        column = schema[name]
-        if column not in header:
-            raise ValueError(f"{path}: header missing mapped column {column!r} (field {name})")
-        column_index[name] = header.index(column)
-
-    records: list[FlowRecord] = []
-    stats = IngestStats()
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(header):
-            stats._reject("field-count")
-            continue
-        values = {name: row[idx] for name, idx in column_index.items()}
-        try:
-            records.append(build_record(values))
-        except RowError as exc:
-            stats._reject(exc.reason)
-            continue
-        stats._accept()
-    return records, stats
-
-
-def record_to_row(record: FlowRecord) -> list[str]:
-    """Serialize a record to canonical column order; re-parsing round-trips."""
-    return [
-        record.src_ip,
-        record.dst_ip,
-        str(record.src_port),
-        str(record.dst_port),
-        str(record.bytes),
-        str(record.packets),
-        str(record.start_time),
-        str(record.end_time),
-        str(record.protocol),
-        record.flags,
-    ]
+        addresses = _AddressCodes()
+        names = ("src", "dst") + INT_FIELDS
+        columns = [array("q") for _ in names]
+        flags: list[str] = []
+        stats = IngestStats()
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                stats._reject("field-count")
+                continue
+            try:
+                values, flag = _check_row(row, index, addresses)
+            except RowError as exc:
+                stats._reject(exc.reason)
+                continue
+            for column, value in zip(columns, values):
+                column.append(value)
+            flags.append(sys.intern(flag))
+            stats._accept()
+    table = FlowTable(
+        ips=tuple(addresses.ips),
+        flags=tuple(flags),
+        **{name: np.frombuffer(column, dtype=np.int64) for name, column in zip(names, columns)},
+    )
+    return table, stats
 
 
-def write_flow_file(path: str | Path, records: Iterable[FlowRecord]) -> int:
-    """Write records with the canonical header; returns the row count."""
-    path = Path(path)
-    count = 0
-    with path.open("w", encoding="utf-8", newline="") as handle:
+def string_ranks(strings: tuple[str, ...]) -> np.ndarray:
+    """Position of each string in sorted string order, for lexsort keys on addresses."""
+    ranks = np.empty(len(strings), dtype=np.int64)
+    ranks[sorted(range(len(strings)), key=strings.__getitem__)] = np.arange(len(strings))
+    return ranks
+
+
+def write_flow_file(path: str | Path, table: FlowTable) -> int:
+    """Write a table with the canonical header; returns the row count."""
+    ips = table.ips
+    columns = [getattr(table, name).tolist() for name in INT_FIELDS]
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CANONICAL_FIELDS)
-        for record in records:
-            writer.writerow(record_to_row(record))
-            count += 1
-    return count
+        for src, dst, *ints, flags in zip(table.src.tolist(), table.dst.tolist(), *columns, table.flags):
+            writer.writerow([ips[src], ips[dst], *ints, flags])
+    return len(table)

@@ -85,10 +85,13 @@ def load_feature_matrix(path: str | Path) -> LabeledDataset:
         parts = line.split(",")
         if len(parts) != len(header):
             raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(parts)}")
+        try:
+            if has_label:
+                labels.append(int(parts[2]))
+            rows.append([float(v) for v in parts[first_feature:]])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
         keys.append((parts[0], parts[1]))
-        if has_label:
-            labels.append(int(parts[2]))
-        rows.append([float(v) for v in parts[first_feature:]])
 
     X = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
     y = np.array(labels, dtype=int) if has_label else None

@@ -24,10 +24,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 import numpy as np
 
-from .flows import FlowRecord, write_flow_file
+from .flows import DAY_MS, FlowTable, string_ranks, write_flow_file  # noqa: F401 (DAY_MS is part of this module's API)
 from .rng import NS_SYNTH, substream
-
-DAY_MS = 86_400_000
 
 LABEL_MALICIOUS = "malicious"
 LABEL_BENIGN = "benign"
@@ -151,8 +149,9 @@ def _gaps_ms(arrival: ArrivalSpec, rng: np.random.Generator, horizon_ms: int) ->
 
 
 def _host_flows(
-    host_ip: str, profile: HostProfile, cfg: ScenarioConfig, rng: np.random.Generator
-) -> list[FlowRecord]:
+    host: int, profile: HostProfile, cfg: ScenarioConfig, rng: np.random.Generator, ips: dict[str, int]
+) -> dict[str, np.ndarray]:
+    """One host's flows as FlowTable columns; device addresses are interned into ``ips``."""
     horizon = cfg.day_length_s * 1000
     gaps = _gaps_ms(profile.arrival, rng, horizon)
     first = int(rng.integers(0, max(int(gaps[0]), 1)))
@@ -175,32 +174,21 @@ def _host_flows(
     flags = np.asarray(profile.flags)
     flag_pick = flags[rng.integers(0, len(flags), size=n)]
 
-    records = []
-    for i in range(n):
-        start = cfg.day_start_ms + int(starts_rel[i])
-        device = _device_ip(int(device_ids[device_pick[i]]))
-        if host_initiated[i]:
-            # external host opens the connection toward the device service
-            src_ip, dst_ip = host_ip, device
-            src_port, dst_port = int(ephemeral[i]), int(ports[i])
-        else:
-            src_ip, dst_ip = device, host_ip
-            src_port, dst_port = int(ephemeral[i]), int(ports[i])
-        records.append(
-            FlowRecord(
-                src_ip=src_ip,
-                dst_ip=dst_ip,
-                src_port=src_port,
-                dst_port=dst_port,
-                bytes=int(nbytes[i]),
-                packets=int(packets[i]),
-                start_time=start,
-                end_time=start + int(durations[i]),
-                protocol=6,
-                flags=str(flag_pick[i]),
-            )
-        )
-    return records
+    used, pick = np.unique(device_ids[device_pick], return_inverse=True)
+    device = np.array([ips.setdefault(_device_ip(int(d)), len(ips)) for d in used])[pick]
+    start = cfg.day_start_ms + starts_rel
+    # the initiator (src) sends from an ephemeral port to the service port
+    return {
+        "src": np.where(host_initiated, host, device),
+        "dst": np.where(host_initiated, device, host),
+        "src_port": ephemeral,
+        "dst_port": ports,
+        "bytes": nbytes,
+        "packets": packets,
+        "start_time": start,
+        "end_time": start + durations,
+        "flags": flag_pick,
+    }
 
 
 def generate(
@@ -212,24 +200,36 @@ def generate(
     merge order make the output files bitwise reproducible.
     """
     summary = GenerationSummary()
-    all_records: list[FlowRecord] = []
     hosts: list[tuple[str, str, HostProfile]] = []
     for i in range(cfg.n_c2_hosts):
         hosts.append((_host_ip(LABEL_MALICIOUS, i), LABEL_MALICIOUS, cfg.c2))
     for i in range(cfg.n_benign_hosts):
         hosts.append((_host_ip(LABEL_BENIGN, i), LABEL_BENIGN, cfg.benign))
 
+    ips: dict[str, int] = {}
+    parts: list[dict[str, np.ndarray]] = []
     for host_index, (host_ip, label, profile) in enumerate(hosts):
         rng = substream(cfg.seed, NS_SYNTH, host_index)
-        records = _host_flows(host_ip, profile, cfg, rng)
-        plan = HostPlan(host_ip=host_ip, label=label)
-        plan.n_flows = len(records)
-        plan.total_bytes = sum(r.bytes for r in records)
-        summary.hosts[host_ip] = plan
-        all_records.extend(records)
+        flows = _host_flows(ips.setdefault(host_ip, len(ips)), profile, cfg, rng, ips)
+        summary.hosts[host_ip] = HostPlan(
+            host_ip=host_ip, label=label, n_flows=len(flows["bytes"]), total_bytes=int(flows["bytes"].sum())
+        )
+        parts.append(flows)
 
-    all_records.sort(key=lambda r: (r.start_time, r.src_ip, r.dst_ip, r.src_port, r.dst_port))
-    write_flow_file(flows_path, all_records)
+    columns = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+    table_ips = tuple(ips)
+    ranks = string_ranks(table_ips)
+    order = np.lexsort(
+        (columns["dst_port"], columns["src_port"], ranks[columns["dst"]], ranks[columns["src"]], columns["start_time"])
+    )
+    flags = columns.pop("flags")[order].tolist()
+    table = FlowTable(
+        ips=table_ips,
+        protocol=np.full(len(order), 6, dtype=np.int64),
+        flags=tuple(flags),
+        **{name: column[order] for name, column in columns.items()},
+    )
+    write_flow_file(flows_path, table)
     write_labels(labels_path, summary)
     return summary
 

@@ -9,7 +9,6 @@ one decision.
 """
 from __future__ import annotations
 
-import datetime as dt
 import ipaddress
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,7 +42,6 @@ class IpListSource:
     kind: str
     addresses: frozenset[str]
     networks: tuple
-    loaded_at: str
     invalid_lines: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -92,7 +90,6 @@ def load_ip_list(path: str | Path, kind: str, name: str | None = None) -> IpList
         kind=kind,
         addresses=frozenset(addresses),
         networks=tuple(networks[k] for k in sorted(networks)),
-        loaded_at=dt.datetime.now(dt.timezone.utc).isoformat(),
         invalid_lines=tuple(invalid),
     )
 
@@ -140,18 +137,21 @@ def build_rules(cfg: TriageConfig) -> tuple[Rule, ...]:
 
 @dataclass(frozen=True)
 class TriageDecision:
+    """One flagged host-day's outcome; ``decided_by`` indexes the list that decided it."""
+
     host_ip: str
     window_date: str
     score: float
     outcome: str
     matched_rules: tuple[str, ...] = ()
+    decided_by: int | None = None
 
 
-def _list_outcome(host_ip: str, lists: Sequence[IpListSource]) -> str | None:
+def _list_outcome(host_ip: str, lists: Sequence[IpListSource]) -> tuple[str, int] | None:
     for kind, outcome in _SUPPRESS_ORDER:
-        for source in lists:
+        for i, source in enumerate(lists):
             if source.kind == kind and source.contains(host_ip):
-                return outcome
+                return outcome, i
     return None
 
 
@@ -170,9 +170,9 @@ def triage(
     for host_ip, window_date, score in flagged:
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"score {score} for host {host_ip} outside [0, 1]")
-        outcome = _list_outcome(host_ip, lists)
-        if outcome is not None:
-            decisions.append(TriageDecision(host_ip, window_date, score, outcome))
+        listed = _list_outcome(host_ip, lists)
+        if listed is not None:
+            decisions.append(TriageDecision(host_ip, window_date, score, listed[0], decided_by=listed[1]))
             continue
         row = feature_rows.get((host_ip, window_date))
         if row is None:
@@ -189,6 +189,20 @@ def triage(
         outcome = OUTCOME_CANDIDATE if all_pass else OUTCOME_SUPPRESSED_RULES
         decisions.append(TriageDecision(host_ip, window_date, score, outcome, tuple(matched)))
     return decisions
+
+
+def list_summary(lists: Sequence[IpListSource], decisions: Sequence[TriageDecision]) -> list[dict]:
+    """Per list: its entry count, the lines it could not read, and the flagged host-days it decided."""
+    return [
+        {
+            "name": source.name,
+            "kind": source.kind,
+            "entries": source.entry_count,
+            "invalid_lines": list(source.invalid_lines),
+            "hits": sum(1 for d in decisions if d.decided_by == i),
+        }
+        for i, source in enumerate(lists)
+    ]
 
 
 def write_decisions(path: str | Path, decisions: Sequence[TriageDecision]) -> None:

@@ -1,13 +1,57 @@
 import datetime as dt
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 import pytest
 
-from c2sift.aggregate import DirectedFlow, HostAggregate
+from c2sift.aggregate import HostDays, InternalSpace, group_daily
+from c2sift.features import FeatureConfig, FeatureVector, featurize_aggregates
+from c2sift.flows import INT_FIELDS, FlowTable
 from c2sift.learners import LabeledDataset
 
 DAY0_MS = 1_641_772_800_000  # 2022-01-10T00:00:00Z
 DAY0 = dt.date(2022, 1, 10)
+SPACE = InternalSpace(["10.0.0.0/8"])
+
+
+def flow_table(rows: Iterable[Sequence]) -> FlowTable:
+    """A FlowTable from rows in canonical field order (src_ip, dst_ip, ..., flags)."""
+    rows = list(rows)
+    ips: dict[str, int] = {}
+    codes = [np.array([ips.setdefault(row[i], len(ips)) for row in rows], dtype=np.int64) for i in (0, 1)]
+    ints = {name: np.array([row[i] for row in rows], dtype=np.int64) for i, name in enumerate(INT_FIELDS, start=2)}
+    return FlowTable(ips=tuple(ips), src=codes[0], dst=codes[1], flags=tuple(row[9] for row in rows), **ints)
+
+
+def table_rows(table: FlowTable) -> list[tuple]:
+    """A FlowTable's rows in canonical field order, addresses as strings."""
+    ints = [getattr(table, name).tolist() for name in INT_FIELDS]
+    src = [table.ips[code] for code in table.src.tolist()]
+    dst = [table.ips[code] for code in table.dst.tolist()]
+    return list(zip(src, dst, *ints, table.flags))
+
+
+def grouped_flows(days: HostDays) -> list[tuple]:
+    """Each host-day as (host_ip, window_date, flows), a flow as (device_ip,
+    host_port, device_port, bytes, packets, start_time, end_time, initiated_by_host)."""
+    columns = [days.host_port, days.device_port, days.bytes, days.packets, days.start_time, days.end_time, days.initiated_by_host]
+    flows = list(zip([days.ips[code] for code in days.device.tolist()], *(column.tolist() for column in columns)))
+    bounds = days.bounds.tolist()
+    return [(days.host_ip[i], days.window_date[i], flows[bounds[i] : bounds[i + 1]]) for i in range(len(days))]
+
+
+class Flow(NamedTuple):
+    """One boundary flow seen from its external host."""
+
+    host_ip: str
+    device_ip: str
+    host_port: int
+    device_port: int
+    bytes: int
+    packets: int
+    start_time: int
+    end_time: int
+    initiated_by_host: bool
 
 
 def make_flow(
@@ -21,33 +65,43 @@ def make_flow(
     device_port=50000,
     host_port=443,
     initiated_by_host=False,
-) -> DirectedFlow:
+) -> Flow:
     start = DAY0_MS + round(start_s * 1000)
-    return DirectedFlow(
-        host_ip=host,
-        device_ip=device,
-        host_port=host_port,
-        device_port=device_port,
-        bytes=nbytes,
-        packets=packets,
-        start_time=start,
-        end_time=start + round(duration_s * 1000),
-        initiated_by_host=initiated_by_host,
-    )
+    return Flow(host, device, host_port, device_port, nbytes, packets, start, start + round(duration_s * 1000), initiated_by_host)
 
 
-def make_aggregate(flows, host="198.18.1.1") -> HostAggregate:
-    return HostAggregate.build(host, DAY0, flows)
+def flow_row(flow: Flow) -> tuple:
+    """The canonical row of a boundary flow: the initiator is the source."""
+    host, device = (flow.host_ip, flow.host_port), (flow.device_ip, flow.device_port)
+    (src_ip, src_port), (dst_ip, dst_port) = (host, device) if flow.initiated_by_host else (device, host)
+    return (src_ip, dst_ip, src_port, dst_port, flow.bytes, flow.packets, flow.start_time, flow.end_time, 6, "S")
 
 
-def random_aggregate(rng: np.random.Generator, n_flows: int | None = None) -> HostAggregate:
+def host_days(flows: Iterable[Flow]) -> HostDays:
+    days, non_boundary = group_daily(flow_table(map(flow_row, flows)), SPACE)
+    assert non_boundary == 0
+    return days
+
+
+def feature_vector(flows: Iterable[Flow], cfg: FeatureConfig = FeatureConfig()) -> FeatureVector:
+    """The one vector of flows that share a host and a day."""
+    (vector,) = featurize_aggregates(host_days(flows), cfg)
+    return vector
+
+
+def features_of(flows: Iterable[Flow], cfg: FeatureConfig = FeatureConfig()) -> dict[str, float]:
+    vector = feature_vector(flows, cfg)
+    return dict(zip(vector.names, vector.values.tolist()))
+
+
+def random_flows(rng: np.random.Generator, n_flows: int | None = None) -> list[Flow]:
     n = n_flows or int(rng.integers(1, 40))
     starts = np.sort(rng.integers(0, 86_400_000, size=n))
     flows = []
     for i in range(n):
         packets = int(rng.integers(1, 20))
         flows.append(
-            DirectedFlow(
+            Flow(
                 host_ip="198.18.1.1",
                 device_ip=f"10.0.0.{int(rng.integers(1, 200))}",
                 host_port=443,
@@ -59,7 +113,7 @@ def random_aggregate(rng: np.random.Generator, n_flows: int | None = None) -> Ho
                 initiated_by_host=bool(rng.random() < 0.3),
             )
         )
-    return make_aggregate(flows)
+    return flows
 
 
 def make_dataset(

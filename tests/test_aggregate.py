@@ -1,41 +1,44 @@
+import numpy as np
 import pytest
 
-from c2sift.aggregate import (
-    InternalSpace,
-    build_aggregates,
-    conservation_totals,
-    group_daily,
-    split_direction,
-    window_day,
-)
-from c2sift.flows import FlowRecord
+from c2sift.aggregate import InternalSpace, group_daily, window_day
 
-from conftest import DAY0, DAY0_MS
-
-SPACE = InternalSpace(["10.0.0.0/8"])
+from conftest import DAY0, DAY0_MS, SPACE, flow_table, grouped_flows
 
 
 def rec(src, dst, start=DAY0_MS, nbytes=100, packets=2, sport=50000, dport=443):
-    return FlowRecord(src, dst, sport, dport, nbytes, packets, start, start + 1000, 6, "S")
+    return (src, dst, sport, dport, nbytes, packets, start, start + 1000, 6, "S")
+
+
+def group(records):
+    return group_daily(flow_table(records), SPACE)
+
+
+def per_host(days, column):
+    """host_ip -> that host's slice of a column, for one-day inputs."""
+    assert len(set(days.window_date)) <= 1
+    return {host: column[days.bounds[i] : days.bounds[i + 1]] for i, host in enumerate(days.host_ip)}
 
 
 def test_split_external_source():
-    d = split_direction(rec("203.0.113.7", "10.0.0.5"), SPACE)
-    assert d.host_ip == "203.0.113.7" and d.device_ip == "10.0.0.5"
-    assert d.initiated_by_host is True
-    assert d.host_port == 50000 and d.device_port == 443
+    days, non_boundary = group([rec("203.0.113.7", "10.0.0.5")])
+    assert non_boundary == 0
+    assert days.host_ip == ("203.0.113.7",) and days.ips[days.device[0]] == "10.0.0.5"
+    assert days.initiated_by_host.tolist() == [True]
+    assert days.host_port.tolist() == [50000] and days.device_port.tolist() == [443]
 
 
 def test_split_internal_source():
-    d = split_direction(rec("10.0.0.5", "203.0.113.7"), SPACE)
-    assert d.host_ip == "203.0.113.7"
-    assert d.initiated_by_host is False
-    assert d.device_port == 50000 and d.host_port == 443
+    days, _ = group([rec("10.0.0.5", "203.0.113.7")])
+    assert days.host_ip == ("203.0.113.7",)
+    assert days.initiated_by_host.tolist() == [False]
+    assert days.device_port.tolist() == [50000] and days.host_port.tolist() == [443]
 
 
 def test_split_non_boundary():
-    assert split_direction(rec("10.0.0.5", "10.1.2.3"), SPACE) is None
-    assert split_direction(rec("203.0.113.7", "198.51.100.2"), SPACE) is None
+    days, non_boundary = group([rec("10.0.0.5", "10.1.2.3"), rec("203.0.113.7", "198.51.100.2")])
+    assert non_boundary == 2
+    assert len(days) == 0 and days.bounds.tolist() == [0]
 
 
 def test_build_counts():
@@ -46,10 +49,11 @@ def test_build_counts():
         rec("10.0.0.1", "198.51.100.9", DAY0_MS + 40),
         rec("10.0.0.2", "198.51.100.9", DAY0_MS + 50),
     ]
-    aggs, non_boundary = build_aggregates(records, SPACE, DAY0)
+    days, non_boundary = group(records)
     assert non_boundary == 0
-    assert {h: len(a.flows) for h, a in aggs.items()} == {"203.0.113.7": 3, "198.51.100.9": 2}
-    assert aggs["203.0.113.7"].device_count == 3
+    devices = per_host(days, days.device)
+    assert {h: len(d) for h, d in devices.items()} == {"203.0.113.7": 3, "198.51.100.9": 2}
+    assert len(set(devices["203.0.113.7"].tolist())) == 3
 
 
 def test_flows_sorted_with_tiebreak():
@@ -58,10 +62,15 @@ def test_flows_sorted_with_tiebreak():
         rec("10.0.0.1", "203.0.113.7", DAY0_MS + 500),
         rec("10.0.0.5", "203.0.113.7", DAY0_MS + 100),
     ]
-    aggs, _ = build_aggregates(records, SPACE, DAY0)
-    flows = aggs["203.0.113.7"].flows
-    assert [f.start_time - DAY0_MS for f in flows] == [100, 500, 500]
-    assert [f.device_ip for f in flows] == ["10.0.0.5", "10.0.0.1", "10.0.0.9"]
+    days, _ = group(records)
+    assert (days.start_time - DAY0_MS).tolist() == [100, 500, 500]
+    assert [days.ips[d] for d in days.device] == ["10.0.0.5", "10.0.0.1", "10.0.0.9"]
+
+
+def test_device_tiebreak_is_string_order():
+    # numerically 10.0.0.9 < 10.0.0.10, but as strings "10.0.0.10" sorts first
+    days, _ = group([rec("10.0.0.9", "203.0.113.7"), rec("10.0.0.10", "203.0.113.7")])
+    assert [days.ips[d] for d in days.device] == ["10.0.0.10", "10.0.0.9"]
 
 
 def test_group_by_oracle(rng):
@@ -75,17 +84,18 @@ def test_group_by_oracle(rng):
             records.append(rec(h, internal, DAY0_MS + int(rng.integers(0, 86_400_000)), nbytes=int(rng.integers(2, 5000))))
         else:
             records.append(rec(internal, h, DAY0_MS + int(rng.integers(0, 86_400_000)), nbytes=int(rng.integers(2, 5000))))
-    aggs, non_boundary = build_aggregates(records, SPACE, DAY0)
+    days, non_boundary = group(records)
 
     oracle_counts: dict[str, int] = {}
     oracle_bytes: dict[str, int] = {}
     for r in records:
-        host = r.dst_ip if r.src_ip.startswith("10.") else r.src_ip
+        host = r[1] if r[0].startswith("10.") else r[0]
         oracle_counts[host] = oracle_counts.get(host, 0) + 1
-        oracle_bytes[host] = oracle_bytes.get(host, 0) + r.bytes
+        oracle_bytes[host] = oracle_bytes.get(host, 0) + r[4]
     assert non_boundary == 0
-    assert {h: len(a.flows) for h, a in aggs.items()} == oracle_counts
-    assert {h: sum(f.bytes for f in a.flows) for h, a in aggs.items()} == oracle_bytes
+    nbytes = per_host(days, days.bytes)
+    assert {h: len(b) for h, b in nbytes.items()} == oracle_counts
+    assert {h: int(b.sum()) for h, b in nbytes.items()} == oracle_bytes
 
 
 def test_permutation_invariance(rng):
@@ -93,12 +103,11 @@ def test_permutation_invariance(rng):
         rec(f"10.0.0.{int(rng.integers(1, 30))}", "203.0.113.7", DAY0_MS + int(rng.integers(0, 1000_000)))
         for _ in range(200)
     ]
-    base, _ = build_aggregates(records, SPACE, DAY0)
+    base = grouped_flows(group(records)[0])
     for _ in range(5):
         shuffled = list(records)
         rng.shuffle(shuffled)
-        again, _ = build_aggregates(shuffled, SPACE, DAY0)
-        assert again == base
+        assert grouped_flows(group(shuffled)[0]) == base
 
 
 def test_conservation(rng):
@@ -108,19 +117,13 @@ def test_conservation(rng):
         external = f"203.0.113.{int(rng.integers(1, 20))}"
         records.append(rec(internal, external, DAY0_MS + int(rng.integers(0, 86_000_000)), nbytes=int(rng.integers(2, 9999)), packets=int(rng.integers(1, 9))))
     records.append(rec("10.0.0.1", "10.0.0.2"))  # non-boundary
-    aggs, non_boundary = build_aggregates(records, SPACE, DAY0)
-    flows, nbytes, packets = conservation_totals(aggs)
+    days, non_boundary = group(records)
     boundary = records[:-1]
     assert non_boundary == 1
-    assert flows + non_boundary == len(records)
-    assert nbytes == sum(r.bytes for r in boundary)
-    assert packets == sum(r.packets for r in boundary)
-
-
-def test_out_of_window_raises():
-    records = [rec("10.0.0.1", "203.0.113.7", DAY0_MS - 1)]
-    with pytest.raises(ValueError, match="outside window"):
-        build_aggregates(records, SPACE, DAY0)
+    assert days.bounds[-1] + non_boundary == len(records)
+    assert np.all(np.diff(days.bounds) > 0)
+    assert int(days.bytes.sum()) == sum(r[4] for r in boundary)
+    assert int(days.packets.sum()) == sum(r[5] for r in boundary)
 
 
 def test_group_daily_splits_days():
@@ -128,15 +131,17 @@ def test_group_daily_splits_days():
         rec("10.0.0.1", "203.0.113.7", DAY0_MS + 10),
         rec("10.0.0.1", "203.0.113.7", DAY0_MS + 86_400_000 + 10),
     ]
-    daily, _ = group_daily(records, SPACE)
-    assert sorted(day.isoformat() for (_, day) in daily) == ["2022-01-10", "2022-01-11"]
+    days, _ = group(records)
+    assert sorted(day.isoformat() for day in days.window_date) == ["2022-01-10", "2022-01-11"]
+    assert days.host_ip == ("203.0.113.7", "203.0.113.7")
 
 
 def test_midnight_straddle_belongs_to_start_day():
-    r = FlowRecord("10.0.0.1", "203.0.113.7", 50000, 443, 100, 2, DAY0_MS + 86_399_000, DAY0_MS + 86_401_000, 6, "")
-    assert window_day(r.start_time) == DAY0
-    aggs, _ = build_aggregates([r], SPACE, DAY0)
-    assert len(aggs["203.0.113.7"].flows) == 1
+    r = ("10.0.0.1", "203.0.113.7", 50000, 443, 100, 2, DAY0_MS + 86_399_000, DAY0_MS + 86_401_000, 6, "")
+    assert window_day(r[6]) == DAY0
+    days, _ = group([r])
+    assert days.window_date == (DAY0,)
+    assert days.bounds.tolist() == [0, 1]
 
 
 def test_internal_space_file(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import c2sift.cli as cli
-from c2sift.learners import load_feature_matrix
+from c2sift.learners import fit_model, load_feature_matrix, save_model
 from c2sift.learners.grids import HyperGrid
 
 TINY_GRID = HyperGrid(
@@ -186,6 +186,32 @@ def test_predict_missing_column_names_it(tmp_path, dataset, features, tiny_grid,
     assert rc == 2
     err = capsys.readouterr().err
     assert "bytes_q95" in err
+
+
+def test_truncated_model_file_named(tmp_path, features, capsys):
+    data = load_feature_matrix(features)
+    models = tmp_path / "models"
+    models.mkdir()
+    save_model(fit_model("glm", data, {}, seed=1), models / "glm.json")
+    save_model(fit_model("rf", data, {"n_trees": 4, "max_depth": 3, "mtry": "sqrt"}, seed=1), models / "rf.json")
+    text = (models / "rf.json").read_text()
+    (models / "rf.json").write_text(text[: len(text) // 2])
+    args = ["evaluate", "--features", features, "--model-dir", models, "--out", tmp_path / "eval", "--bootstrap", "5"]
+    rc = run(args + ["--importance-kind", "glm", "--importance-repeats", "1"])
+    assert rc == 2
+    assert "rf.json" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("cells", [("1", "0.5", "abc"), ("yes", "0.5", "0.25")], ids=["feature", "label"])
+def test_bad_feature_matrix_cell_named(tmp_path, capsys, cells):
+    path = tmp_path / "features.csv"
+    path.write_text(
+        "host_ip,window_date,label,f0,f1\n198.18.1.1,2022-01-10,0,0.5,0.25\n198.18.1.2,2022-01-10," + ",".join(cells) + "\n",
+        encoding="utf-8",
+    )
+    assert run(["train", "--features", path, "--out", tmp_path / "models"]) == 2
+    assert f"{path}:3:" in capsys.readouterr().err
 
 
 def test_pipeline_determinism(tmp_path, tiny_grid):

@@ -8,38 +8,25 @@ from hypothesis import strategies as st
 from c2sift.features import (
     EPS_SECONDS,
     FeatureConfig,
-    FlowVariableSample,
     beaconing_feature_names,
-    beaconing_features,
-    build_feature_vector,
-    distributional_feature_names,
-    distributional_features,
-    feature_names,
-    flow_size_feature_names,
-    flow_size_features,
     quantile_transform,
     write_feature_matrix,
 )
 from c2sift.learners import load_feature_matrix
 
-from conftest import make_aggregate, make_flow, random_aggregate
+from conftest import feature_vector, features_of, make_flow, random_flows
 
 CFG = FeatureConfig()
 
 
-def named(values, names):
-    return dict(zip(names, values))
-
-
 class TestFlowSize:
     def test_hand_example(self):
-        agg = make_aggregate(
+        got = features_of(
             [
                 make_flow(0, nbytes=100, packets=2, duration_s=1, device_port=443, initiated_by_host=True),
                 make_flow(10, nbytes=300, packets=6, duration_s=3, device_port=443, initiated_by_host=True),
             ]
         )
-        got = named(flow_size_features(agg, CFG), flow_size_feature_names(CFG))
         assert got["total_bytes"] == 400
         assert got["total_packets"] == 8
         assert got["total_duration"] == 4
@@ -53,15 +40,13 @@ class TestFlowSize:
         assert got["port_other"] == 0.0
 
     def test_zero_duration_guard(self):
-        agg = make_aggregate([make_flow(0, nbytes=500, packets=1, duration_s=0)])
-        got = named(flow_size_features(agg, CFG), flow_size_feature_names(CFG))
+        got = features_of([make_flow(0, nbytes=500, packets=1, duration_s=0)])
         assert got["byte_rate"] == 500 / EPS_SECONDS
         assert np.isfinite(got["byte_rate"])
 
     def test_naive_recompute_oracle(self, rng):
-        agg = random_aggregate(rng, n_flows=500)
-        got = named(flow_size_features(agg, CFG), flow_size_feature_names(CFG))
-        flows = agg.flows
+        flows = random_flows(rng, n_flows=500)
+        got = features_of(flows)
         durations = [(f.end_time - f.start_time) / 1000 for f in flows]
         expect = {
             "total_bytes": sum(f.bytes for f in flows),
@@ -83,26 +68,24 @@ class TestFlowSize:
 
 class TestBeaconing:
     def test_perfect_beacon(self):
-        agg = make_aggregate([make_flow(t, packets=2) for t in (0, 60, 120, 180)])
-        got = named(beaconing_features(agg, CFG), beaconing_feature_names())
-        assert got == {"mean_gap": 60, "sd_gap": 0, "cv_gap": 0, "periodicity_score": 1.0, "sd_packets": 0}
+        got = features_of([make_flow(t, packets=2) for t in (0, 60, 120, 180)])
+        assert {name: got[name] for name in beaconing_feature_names()} == {"mean_gap": 60, "sd_gap": 0, "cv_gap": 0, "periodicity_score": 1.0, "sd_packets": 0}
 
     def test_hand_counted_gaps(self):
-        agg = make_aggregate([make_flow(t) for t in (0, 7, 200, 201)])
-        got = named(beaconing_features(agg, CFG), beaconing_feature_names())
+        got = features_of([make_flow(t) for t in (0, 7, 200, 201)])
         assert got["periodicity_score"] == pytest.approx(1 / 3)
         assert got["mean_gap"] == pytest.approx((7 + 193 + 1) / 3)
 
     def test_single_flow_zeroes(self):
-        got = beaconing_features(make_aggregate([make_flow(0)]), CFG)
-        assert np.array_equal(got, np.zeros(5))
+        got = features_of([make_flow(0)])
+        assert [got[name] for name in beaconing_feature_names()] == [0.0] * 5
 
     def test_jittered_beacon_matches_gap_counter(self, rng):
         starts = np.cumsum(np.abs(rng.normal(60, 3, size=100)))
-        agg = make_aggregate([make_flow(float(t)) for t in starts])
-        got = named(beaconing_features(agg, CFG), beaconing_feature_names())
+        flows = [make_flow(float(t)) for t in starts]
+        got = features_of(flows)
         # independent gap-by-gap counter over the same rounded start times
-        times = sorted(f.start_time for f in agg.flows)
+        times = sorted(f.start_time for f in flows)
         gaps = [(b - a) / 1000 for a, b in zip(times, times[1:])]
         med = sorted(gaps)[len(gaps) // 2 - 1 : len(gaps) // 2 + 1]
         median = sum(med) / 2 if len(gaps) % 2 == 0 else sorted(gaps)[len(gaps) // 2]
@@ -144,28 +127,23 @@ class TestQuantiles:
 
 class TestDistributional:
     def test_singleton(self):
-        sample = FlowVariableSample(
-            packets_per_flow=np.array([1.0]), bytes_per_flow=np.array([60.0]), bpp_ratio=np.array([60.0])
-        )
-        got = named(distributional_features(sample, CFG), distributional_feature_names(CFG))
+        got = features_of([make_flow(0, nbytes=60, packets=1)])
         assert got["bytes_mean"] == 60 and got["bytes_sd"] == 0
+        assert got["bpp_mean"] == 60 and got["packets_mean"] == 1
         assert all(got[f"bytes_q{5 * i}"] == 60 for i in range(1, 21))
 
     def test_two_flow_hand_math(self):
-        agg = make_aggregate([make_flow(0, nbytes=100, packets=2), make_flow(9, nbytes=300, packets=2)])
-        sample = FlowVariableSample.from_aggregate(agg)
-        got = named(distributional_features(sample, CFG), distributional_feature_names(CFG))
+        got = features_of([make_flow(0, nbytes=100, packets=2), make_flow(9, nbytes=300, packets=2)])
         assert got["bpp_mean"] == 100
         assert got["bpp_sd"] == pytest.approx(math.sqrt(5000))  # 70.71, n-1 denominator
         assert got["bpp_q50"] == 50 and got["bpp_q100"] == 150
 
     def test_independent_recompute(self, rng):
-        agg = random_aggregate(rng, n_flows=200)
-        sample = FlowVariableSample.from_aggregate(agg)
-        got = distributional_features(sample, CFG)
+        flows = random_flows(rng, n_flows=200)
+        vec = feature_vector(flows, CFG)
+        got = vec.values[vec.blocks["distributional"]]
         expect = []
-        for values in (sample.packets_per_flow, sample.bytes_per_flow, sample.bpp_ratio):
-            vals = values.tolist()
+        for vals in ([float(f.packets) for f in flows], [float(f.bytes) for f in flows], [f.bytes / f.packets for f in flows]):
             m = sum(vals) / len(vals)
             sd = math.sqrt(sum((v - m) ** 2 for v in vals) / (len(vals) - 1))
             ordered = sorted(vals)
@@ -176,8 +154,7 @@ class TestDistributional:
 
 class TestFeatureVector:
     def test_default_width_and_blocks(self):
-        agg = make_aggregate([make_flow(0), make_flow(5)])
-        vec = build_feature_vector(agg, CFG)
+        vec = feature_vector([make_flow(0), make_flow(5)], CFG)
         assert len(vec.values) == 97 == len(vec.names)
         assert vec.blocks["flow_size"] == range(0, 26)
         assert vec.blocks["beaconing"] == range(26, 31)
@@ -186,47 +163,41 @@ class TestFeatureVector:
 
     def test_small_quantile_config_width(self):
         cfg = FeatureConfig(n_quantiles=4)
-        agg = make_aggregate([make_flow(0)])
-        vec = build_feature_vector(agg, cfg)
+        vec = feature_vector([make_flow(0)], cfg)
         assert len(vec.values) == 9 + 17 + 5 + 3 * 6 == 49
 
     def test_fuzz_finite_and_aligned(self, rng):
         for _ in range(1000):
-            vec = build_feature_vector(random_aggregate(rng), CFG)
+            vec = feature_vector(random_flows(rng), CFG)
             assert np.all(np.isfinite(vec.values))
             assert len(vec.values) == len(vec.names)
 
     def test_flow_order_invariance(self, rng):
-        agg = random_aggregate(rng, n_flows=30)
-        base = build_feature_vector(agg, CFG).values
-        flows = list(agg.flows)
+        flows = random_flows(rng, n_flows=30)
+        base = feature_vector(flows, CFG).values
         for _ in range(5):
             rng.shuffle(flows)
-            again = build_feature_vector(make_aggregate(flows), CFG).values
+            again = feature_vector(flows, CFG).values
             assert np.array_equal(again, base)
 
     def test_scale_equivariance(self, rng):
-        import dataclasses
-
-        agg = random_aggregate(rng, n_flows=50)
+        flows = random_flows(rng, n_flows=50)
         k = 3
-        scaled = make_aggregate([dataclasses.replace(f, bytes=f.bytes * k) for f in agg.flows])
-        names = feature_names(CFG)
-        base = named(build_feature_vector(agg, CFG).values, names)
-        got = named(build_feature_vector(scaled, CFG).values, names)
+        base = features_of(flows)
+        got = features_of([f._replace(bytes=f.bytes * k) for f in flows])
         for i in range(1, 21):
             assert got[f"bytes_q{5 * i}"] == k * base[f"bytes_q{5 * i}"]  # exact: same element scaled
         assert got["bytes_mean"] == pytest.approx(k * base["bytes_mean"], rel=1e-12)
         assert got["bytes_sd"] == pytest.approx(k * base["bytes_sd"], rel=1e-12)
 
     def test_single_flow_finite(self):
-        vec = build_feature_vector(make_aggregate([make_flow(0)]), CFG)
+        vec = feature_vector([make_flow(0)], CFG)
         assert np.all(np.isfinite(vec.values))
 
 
 class TestMatrixIO:
     def test_write_read_round_trip(self, tmp_path, rng):
-        vecs = [build_feature_vector(random_aggregate(rng), CFG) for _ in range(5)]
+        vecs = [feature_vector(random_flows(rng), CFG) for _ in range(5)]
         labels = {v.host_ip: i % 2 for i, v in enumerate(vecs)}
         path = tmp_path / "features.csv"
         write_feature_matrix(path, vecs, labels=labels)
@@ -238,7 +209,7 @@ class TestMatrixIO:
             assert data.y[i] == labels[vec.host_ip]
 
     def test_drop_block(self, tmp_path, rng):
-        vecs = [build_feature_vector(random_aggregate(rng), CFG) for _ in range(3)]
+        vecs = [feature_vector(random_flows(rng), CFG) for _ in range(3)]
         path = tmp_path / "ablated.csv"
         write_feature_matrix(path, vecs, drop_block="distributional")
         data = load_feature_matrix(path)
@@ -246,7 +217,7 @@ class TestMatrixIO:
         assert not any(n.startswith(("bytes_", "packets_", "bpp_")) for n in data.feature_names)
 
     def test_missing_label_errors(self, tmp_path, rng):
-        vecs = [build_feature_vector(random_aggregate(rng), CFG)]
+        vecs = [feature_vector(random_flows(rng), CFG)]
         with pytest.raises(ValueError, match="no label for host"):
             write_feature_matrix(tmp_path / "x.csv", vecs, labels={})
 

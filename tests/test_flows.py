@@ -1,18 +1,14 @@
-import csv
+import dataclasses
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from c2sift.flows import (
-    CANONICAL_FIELDS,
-    FlowRecord,
-    build_record,
-    parse_flow_file,
-    read_schema,
-    record_to_row,
-    write_flow_file,
-)
+import ingest_oracle
+from c2sift.flows import CANONICAL_FIELDS, parse_flow_file, read_schema, write_flow_file
+from conftest import flow_table, table_rows
 
 HEADER = ",".join(CANONICAL_FIELDS)
 
@@ -25,18 +21,17 @@ def write_lines(tmp_path, lines, name="flows.csv"):
 
 def test_parse_simple_row(tmp_path):
     row = "10.0.0.5,203.0.113.7,50432,443,1500,10,1640995200000,1640995201000,6,S"
-    records, stats = parse_flow_file(write_lines(tmp_path, [HEADER, row]))
+    table, stats = parse_flow_file(write_lines(tmp_path, [HEADER, row]))
     assert stats.records_accepted == 1 and stats.records_rejected == 0
-    rec = records[0]
-    assert rec.bytes == 1500 and rec.packets == 10
-    assert rec.src_ip == "10.0.0.5" and rec.dst_port == 443
-    assert rec.flags == "S"
+    assert table.bytes.tolist() == [1500] and table.packets.tolist() == [10]
+    assert table.ips[table.src[0]] == "10.0.0.5" and table.dst_port.tolist() == [443]
+    assert table.flags == ("S",)
 
 
 def test_time_order_rejected(tmp_path):
     row = "10.0.0.5,203.0.113.7,50432,443,1500,10,1640995201000,1640995200000,6,S"
-    records, stats = parse_flow_file(write_lines(tmp_path, [HEADER, row]))
-    assert records == []
+    table, stats = parse_flow_file(write_lines(tmp_path, [HEADER, row]))
+    assert len(table) == 0
     assert stats.reject_reasons == {"time-order": 1}
 
 
@@ -50,6 +45,8 @@ def test_time_order_rejected(tmp_path):
         ("10.0.0.5,203.0.113.7,1,2,3,10,0,0,6,", "bytes-lt-packets"),
         ("10.0.0.5,203.0.113.7,1,2,ten,1,0,0,6,", "bad-integer"),
         ("10.0.0.5,203.0.113.7,1,2,10,1,0,0,1,", "portless-protocol"),
+        ("10.0.0.5,203.0.113.7,1,2,-1,1,0,0,6,", "negative-bytes"),
+        (f"10.0.0.5,203.0.113.7,1,2,{2**63},1,0,0,6,", "int64-range"),
     ],
 )
 def test_rejection_reasons(tmp_path, row, reason):
@@ -67,17 +64,17 @@ def test_rejection_reasons(tmp_path, row, reason):
 )
 def test_field_count_must_match_header(tmp_path, row):
     good = "10.0.0.5,203.0.113.7,50432,443,1500,10,1640995200000,1640995201000,6,S"
-    records, stats = parse_flow_file(write_lines(tmp_path, [HEADER, row, good]))
-    assert len(records) == 1
+    table, stats = parse_flow_file(write_lines(tmp_path, [HEADER, row, good]))
+    assert len(table) == 1
     assert stats.records_accepted == 1 and stats.records_rejected == 1
     assert stats.reject_reasons == {"field-count": 1}
 
 
 def test_icmp_with_zero_ports_accepted(tmp_path):
     row = "10.0.0.5,203.0.113.7,0,0,84,1,5,9,1,"
-    records, stats = parse_flow_file(write_lines(tmp_path, [HEADER, row]))
+    table, stats = parse_flow_file(write_lines(tmp_path, [HEADER, row]))
     assert stats.records_accepted == 1
-    assert records[0].protocol == 1
+    assert table.protocol.tolist() == [1]
 
 
 def test_thousand_rows_against_line_validator(tmp_path):
@@ -90,7 +87,7 @@ def test_thousand_rows_against_line_validator(tmp_path):
     lines.insert(500, "10.0.0.5,203.0.113.7,50000,443,1,2,0,10,6,S")  # bytes < packets
     lines.insert(800, "not-an-ip,203.0.113.7,50000,443,100,2,0,10,6,S")
     path = write_lines(tmp_path, lines)
-    records, stats = parse_flow_file(path)
+    table, stats = parse_flow_file(path)
 
     def row_ok(parts):
         try:
@@ -110,15 +107,15 @@ def test_thousand_rows_against_line_validator(tmp_path):
     assert stats.records_accepted == oracle_ok == 997
     assert stats.records_rejected == len(raw_rows) - oracle_ok == 3
     assert stats.lines_read == stats.records_accepted + stats.records_rejected
-    assert len(records) == 997
+    assert len(table) == 997
 
 
 def test_order_preserved(tmp_path):
     rows = [
         f"10.0.0.{i},203.0.113.7,50000,443,{100 + i},2,{1000 + i},{2000 + i},6," for i in (5, 3, 9, 1)
     ]
-    records, _ = parse_flow_file(write_lines(tmp_path, [HEADER] + rows))
-    assert [r.src_ip for r in records] == ["10.0.0.5", "10.0.0.3", "10.0.0.9", "10.0.0.1"]
+    table, _ = parse_flow_file(write_lines(tmp_path, [HEADER] + rows))
+    assert [table.ips[code] for code in table.src] == ["10.0.0.5", "10.0.0.3", "10.0.0.9", "10.0.0.1"]
 
 
 def test_missing_mapped_column_fatal(tmp_path):
@@ -127,36 +124,47 @@ def test_missing_mapped_column_fatal(tmp_path):
         parse_flow_file(path)
 
 
+def test_empty_file_fatal(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(ValueError, match="empty file"):
+        parse_flow_file(path)
+
+
 def test_unreadable_file_fatal(tmp_path):
     with pytest.raises(ValueError, match="cannot read"):
         parse_flow_file(tmp_path / "absent.csv")
 
 
-def test_custom_schema_and_tabs(tmp_path):
+ARGUS_COLUMNS = {
+    "src_ip": "SrcAddr",
+    "dst_ip": "DstAddr",
+    "src_port": "Sport",
+    "dst_port": "Dport",
+    "bytes": "SrcBytes",
+    "packets": "TotPkts",
+    "start_time": "StartTime",
+    "end_time": "LastTime",
+    "protocol": "Proto",
+    "flags": "State",
+}
+# a file's column order under that schema
+ARGUS_ORDER = ("start_time", "end_time", "src_ip", "dst_ip", "src_port", "dst_port", "bytes", "packets", "protocol", "flags")
+
+
+def argus_schema(tmp_path):
     schema_path = tmp_path / "schema.cfg"
-    schema_path.write_text(
-        "\n".join(
-            [
-                "src_ip = SrcAddr",
-                "dst_ip = DstAddr",
-                "src_port = Sport",
-                "dst_port = Dport",
-                "bytes = SrcBytes",
-                "packets = TotPkts",
-                "start_time = StartTime",
-                "end_time = LastTime",
-                "protocol = Proto",
-                "flags = State",
-            ]
-        ),
-        encoding="utf-8",
-    )
-    schema = read_schema(schema_path)
-    header = "\t".join(["StartTime", "LastTime", "SrcAddr", "DstAddr", "Sport", "Dport", "SrcBytes", "TotPkts", "Proto", "State"])
+    schema_path.write_text("\n".join(f"{k} = {v}" for k, v in ARGUS_COLUMNS.items()), encoding="utf-8")
+    return read_schema(schema_path)
+
+
+def test_custom_schema_and_tabs(tmp_path):
+    schema = argus_schema(tmp_path)
+    header = "\t".join(ARGUS_COLUMNS[name] for name in ARGUS_ORDER)
     row = "\t".join(["100", "200", "10.0.0.5", "203.0.113.7", "50000", "443", "99", "3", "6", "SA"])
-    records, stats = parse_flow_file(write_lines(tmp_path, [header, row]), schema)
+    table, stats = parse_flow_file(write_lines(tmp_path, [header, row]), schema)
     assert stats.records_accepted == 1
-    assert records[0].bytes == 99 and records[0].flags == "SA"
+    assert table.bytes.tolist() == [99] and table.flags == ("SA",)
 
 
 def test_schema_missing_field(tmp_path):
@@ -184,7 +192,7 @@ record_strategy = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(spec=record_strategy)
 def test_round_trip(spec):
-    record = FlowRecord(
+    record = ingest_oracle.FlowRecord(
         src_ip=spec["src_ip"],
         dst_ip=spec["dst_ip"],
         src_port=spec["src_port"],
@@ -196,17 +204,69 @@ def test_round_trip(spec):
         protocol=spec["protocol"],
         flags=spec["flags"],
     )
-    reparsed = build_record(dict(zip(CANONICAL_FIELDS, record_to_row(record))))
-    assert reparsed == record
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "one.csv"
+        write_flow_file(path, flow_table([dataclasses.astuple(record)]))
+        assert path.read_text(encoding="utf-8").splitlines()[1] == ",".join(ingest_oracle.record_to_row(record))
+        table, stats = parse_flow_file(path)
+    assert stats.records_accepted == 1
+    assert table_rows(table) == [dataclasses.astuple(record)]
 
 
 def test_write_then_parse_file_round_trip(tmp_path):
-    records = [
-        FlowRecord("10.0.0.5", "203.0.113.7", 50000, 443, 100, 2, 5, 10, 6, "S"),
-        FlowRecord("2001:db8::1", "203.0.113.7", 0, 0, 84, 1, 7, 7, 17, ""),
+    rows = [
+        ("10.0.0.5", "203.0.113.7", 50000, 443, 100, 2, 5, 10, 6, "S"),
+        ("2001:db8::1", "203.0.113.7", 0, 0, 84, 1, 7, 7, 17, ""),
     ]
     path = tmp_path / "out.csv"
-    assert write_flow_file(path, records) == 2
+    assert write_flow_file(path, flow_table(rows)) == 2
     parsed, stats = parse_flow_file(path)
-    assert parsed == records
+    assert table_rows(parsed) == rows
     assert stats.records_rejected == 0
+
+
+# rows with rejects, repeated addresses and one address in two spellings
+STREAM_ROWS = [
+    ["10.0.0.5", "203.0.113.7", "50000", "443", "1500", "10", "1000", "2000", "6", "S"],
+    ["2001:DB8::0001", "10.0.0.5", "443", "50000", "99", "3", "1001", "1500", "17", ""],
+    ["2001:db8::1", "10.0.0.6", "443", "50001", "80", "2", "1002", "1700", "6", "SA"],
+    ["nope", "10.0.0.6", "443", "50001", "80", "2", "1002", "1700", "6", "SA"],
+    ["10.0.0.6", "203.0.113.7", "1", "2", "10", "1", "9", "5", "6", "F"],
+    ["10.0.0.6", "203.0.113.7", " 7 ", "8", "10", "1", "9", "15", "6", " F "],
+    ["10.0.0.5", "203.0.113.7", "1", "2", "10", "1", "0", "0", "6"],
+    ["10.0.0.5", "203.0.113.7", "50000", "443", "1500", "10", "1000", "2000", "6", "S"],
+]
+
+
+def stream_file(tmp_path, variant):
+    if variant == "tab-schema":
+        order = [CANONICAL_FIELDS.index(name) for name in ARGUS_ORDER]
+        lines = ["\t".join(ARGUS_COLUMNS[name] for name in ARGUS_ORDER)]
+        lines += ["\t".join(row[i] for i in order if i < len(row)) for row in STREAM_ROWS]
+        text = "\n".join(lines) + "\n"
+    else:
+        lines = [HEADER] + [",".join(row) for row in STREAM_ROWS]
+        text = {
+            "lf": "\n".join(lines) + "\n",
+            "crlf": "\r\n".join(lines) + "\r\n",
+            "blank-lines": "\n\n".join(lines) + "\n\n\n",
+            "no-final-newline": "\n".join(lines),
+        }[variant]
+    path = tmp_path / f"{variant}.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return path, argus_schema(tmp_path) if variant == "tab-schema" else None
+
+
+@pytest.mark.parametrize("variant", ["crlf", "blank-lines", "no-final-newline", "tab-schema"])
+def test_stream_parse_matches_oracle(tmp_path, variant):
+    path, schema = stream_file(tmp_path, variant)
+    table, stats = parse_flow_file(path, schema)
+    records, oracle_stats = ingest_oracle.parse_flow_file(path, schema)
+    assert stats == oracle_stats
+    assert table_rows(table) == [dataclasses.astuple(r) for r in records]
+    # every spelling of a file holds the same rows
+    reference, reference_stats = parse_flow_file(stream_file(tmp_path, "lf")[0])
+    assert stats == reference_stats
+    assert stats.reject_reasons == {"bad-address": 1, "time-order": 1, "field-count": 1}
+    assert table_rows(table) == table_rows(reference)
+    assert len(table.ips) == 4  # 2001:DB8::0001 and 2001:db8::1 are one address

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from c2sift.aggregate import InternalSpace, group_daily
-from c2sift.features import FeatureConfig, beaconing_feature_names, beaconing_features, build_feature_vector
+from c2sift.features import FeatureConfig, featurize_aggregates
 from c2sift.flows import parse_flow_file
 from c2sift.synthgen import (
     ArrivalSpec,
@@ -34,9 +34,10 @@ def run_generate(tmp_path, cfg, tag=""):
 
 
 def featurize(flows_path):
-    records, _ = parse_flow_file(flows_path)
-    aggs, _ = group_daily(records, SPACE)
-    return {agg.host_ip: build_feature_vector(agg, CFG) for agg in aggs.values()}
+    """host_ip -> {feature name: value} for a one-day flow file."""
+    table, _ = parse_flow_file(flows_path)
+    vectors = featurize_aggregates(group_daily(table, SPACE)[0], CFG)
+    return {vec.host_ip: dict(zip(vec.names, vec.values.tolist())) for vec in vectors}
 
 
 def test_zero_jitter_beacon_is_perfectly_periodic(tmp_path):
@@ -55,8 +56,8 @@ def test_zero_jitter_beacon_is_perfectly_periodic(tmp_path):
     for host, label in labels.items():
         if label == 1:
             vec = vectors[host]
-            assert vec.value("periodicity_score") == 1.0
-            assert vec.value("sd_gap") == 0.0
+            assert vec["periodicity_score"] == 1.0
+            assert vec["sd_gap"] == 0.0
 
 
 def test_zero_sigma_benign_constant_sizes(tmp_path):
@@ -73,9 +74,9 @@ def test_zero_sigma_benign_constant_sizes(tmp_path):
     labels = read_labels(labels_path)
     for host, vec in featurize(flows_path).items():
         if labels[host] == 0:
-            qs = [vec.value(f"bytes_q{5 * i}") for i in range(1, 21)]
+            qs = [vec[f"bytes_q{5 * i}"] for i in range(1, 21)]
             assert len(set(qs)) == 1
-            assert vec.value("bytes_sd") == 0.0
+            assert vec["bytes_sd"] == 0.0
 
 
 def test_event_replay_oracle(tmp_path):
@@ -124,13 +125,9 @@ def test_shape_separation_sd_gap(tmp_path):
     cfg = default_scenario(seed=8, n_c2=30, n_benign=30)
     flows_path, labels_path, _ = run_generate(tmp_path, cfg)
     labels = read_labels(labels_path)
-    records, _ = parse_flow_file(flows_path)
-    aggs, _ = group_daily(records, SPACE)
     sd_gaps = {0: [], 1: []}
-    names = beaconing_feature_names()
-    for agg in aggs.values():
-        values = dict(zip(names, beaconing_features(agg, CFG)))
-        sd_gaps[labels[agg.host_ip]].append(values["sd_gap"])
+    for host_ip, values in featurize(flows_path).items():
+        sd_gaps[labels[host_ip]].append(values["sd_gap"])
     assert len(sd_gaps[0]) == 30 and len(sd_gaps[1]) == 30
     assert np.mean(sd_gaps[1]) < np.mean(sd_gaps[0])
 
@@ -138,10 +135,20 @@ def test_shape_separation_sd_gap(tmp_path):
 def test_parsed_cleanly_and_one_day(tmp_path):
     cfg = small_scenario(seed=9)
     flows_path, _, _ = run_generate(tmp_path, cfg)
-    records, stats = parse_flow_file(flows_path)
+    table, stats = parse_flow_file(flows_path)
     assert stats.records_rejected == 0
-    days = {r.start_time // 86_400_000 for r in records}
+    days = set((table.start_time // 86_400_000).tolist())
     assert len(days) == 1
+
+
+def test_flows_ordered_by_start_then_address_strings(tmp_path):
+    # a full default day: ~80k flows over 86.4M ms, so some start times tie
+    flows_path, _, _ = run_generate(tmp_path, default_scenario(seed=10))
+    with open(flows_path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    keys = [(int(r["start_time"]), r["src_ip"], r["dst_ip"], int(r["src_port"]), int(r["dst_port"])) for r in rows]
+    assert keys == sorted(keys)
+    assert len({key[0] for key in keys}) < len(keys)
 
 
 def test_overlap_scenario_profiles_match():

@@ -1,7 +1,9 @@
 import ipaddress
+import json
 
 import pytest
 
+import c2sift.cli as cli
 from c2sift.triage import (
     OUTCOME_CANDIDATE,
     OUTCOME_KNOWN_MALICIOUS,
@@ -207,3 +209,43 @@ def test_write_decisions_sorted(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "host_ip,window_date,score,outcome,matched_rules"
     assert lines[1].startswith("198.18.1.1") and lines[2].startswith("198.18.1.9")
+
+
+def write_triage_inputs(tmp_path, prediction_lines):
+    features = tmp_path / "features.csv"
+    features.write_text(
+        "host_ip,window_date,device_count,periodicity_score\n"
+        + "".join(f"198.51.100.{i},2022-01-10,{i}.0,0.5\n" for i in (1, 2, 3)),
+        encoding="utf-8",
+    )
+    predictions = tmp_path / "predictions.csv"
+    predictions.write_text("\n".join(["host_ip,window_date,score"] + prediction_lines) + "\n", encoding="utf-8")
+    return features, predictions
+
+
+def test_summary_counts_each_lists_entries_invalid_lines_and_hits(tmp_path):
+    features, predictions = write_triage_inputs(
+        tmp_path, [f"198.51.100.{i},2022-01-10,0.9" for i in (1, 2, 3)]
+    )
+    deny = tmp_path / "deny.txt"
+    deny.write_text("198.51.100.1\nnot-an-ip\n", encoding="utf-8")
+    allow = tmp_path / "allow.txt"
+    allow.write_text("198.51.100.1\n198.51.100.2\n198.51.100.0/30\n", encoding="utf-8")
+    out = tmp_path / "triage"
+    args = ["triage", "--predictions", predictions, "--features", features, "--deny", deny, "--allow", allow, "--out", out]
+    assert cli.main([str(a) for a in args]) == 0
+    summary = json.loads((out / "triage_summary.json").read_text())
+    # both lists hold 198.51.100.1; the deny list decides it
+    assert summary["lists"] == [
+        {"name": "deny", "kind": "deny", "entries": 1, "invalid_lines": ["not-an-ip"], "hits": 1},
+        {"name": "allow", "kind": "allow", "entries": 3, "invalid_lines": [], "hits": 2},
+    ]
+    assert summary["outcomes"] == {OUTCOME_KNOWN_MALICIOUS: 1, OUTCOME_SUPPRESSED_ALLOW: 2}
+
+
+def test_malformed_prediction_line_named(tmp_path, capsys):
+    features, predictions = write_triage_inputs(tmp_path, ["198.51.100.1,2022-01-10,0.9", "198.51.100.2,2022-01-10"])
+    args = ["triage", "--predictions", predictions, "--features", features, "--out", tmp_path / "triage"]
+    assert cli.main([str(a) for a in args]) == 2
+    assert f"{predictions}:3:" in capsys.readouterr().err
+    assert not (tmp_path / "triage").exists()
