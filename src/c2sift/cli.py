@@ -39,7 +39,7 @@ from .flows import identity_schema, parse_flow_file, read_schema
 from .learners import (
     BASE_KINDS,
     default_grid,
-    fit_lasso,
+    fit_lasso,  # noqa: F401  perfbench/tracing.py wraps cli.fit_lasso by name
     fit_model,
     load_feature_matrix,
     load_model,
@@ -47,7 +47,7 @@ from .learners import (
     save_model,
 )
 from .learners.artifact import fit_cost
-from .learners.linear import lasso_tasks
+from .learners.linear import lasso_cells
 from .rng import NS_PIPELINE, child_seed
 from .synthgen import (
     DAY_MS,
@@ -194,10 +194,14 @@ def run_featurize(
     cfg = FeatureConfig.from_file(_require_file(feature_config, "feature config")) if feature_config else FeatureConfig()
     label_map = read_labels(_require_file(labels, "label file")) if labels else None
 
+    clock = perf_counter()
     table, stats = parse_flow_file(flows, schema_map)
+    parsed = perf_counter()
     space = InternalSpace.from_file(internal_space)
     host_days, non_boundary = group_daily(table, space)
+    grouped = perf_counter()
     vectors = featurize_aggregates(host_days, cfg)
+    timings = {"parse_s": parsed - clock, "group_s": grouped - parsed, "featurize_s": perf_counter() - grouped}
     with staged_output(out) as tmp:
         write_feature_matrix(
             tmp / "features.csv",
@@ -227,6 +231,7 @@ def run_featurize(
             inputs={"flows": str(flows), "internal_space": str(internal_space), "labels": str(labels) if labels else None},
             params={"ablate_distributional": ablate_distributional},
             started=started,
+            timings=timings,
         )
 
 
@@ -235,21 +240,12 @@ def _refit(kind: str, data, params: dict, seed: int):
     return fit_model(kind, data, params, seed)
 
 
-def _lasso_cv_result(model) -> CvResult:
-    meta = model.training_meta
-    table = []
-    if "cv" in meta:
-        cv = meta["cv"]
-        for i, lam in enumerate(cv["lambdas"]):
-            table.append({"params": {"lambda": lam}, "fold_aucs": cv["fold_aucs"][i], "mean_auc": cv["mean_auc"][i]})
-    return CvResult(kind="lasso", best_params={"lambda": meta["lambda"]}, table=table)
-
-
 def run_train(features: Path, out: Path, seed: int, folds: int = 10, jobs: int = 1) -> None:
     """Tune and fit the six bases and the stack on one pool of ``jobs`` workers.
 
-    Every CV fit and the lasso's paths are queued up front, longest first.
-    As each kind's CV is in (waited for in a fixed order), its full-data
+    The lasso's grid becomes one cell per penalty of a path fixed from all
+    rows. Every kind's CV fits are queued up front, longest first. As
+    each kind's CV is in (waited for in a fixed order), its full-data
     refit and its stack OOF fits are queued; only the meta GLM waits for
     all kinds. The stack nests the full-data fits saved as ``<kind>.json``.
     Every fit keeps its own seed and results reduce by key, so the outputs
@@ -260,30 +256,24 @@ def run_train(features: Path, out: Path, seed: int, folds: int = 10, jobs: int =
     data = load_feature_matrix(_require_file(features, "feature matrix"))
     data.require_training_labels()
     grid = default_grid()
-    lasso_params = grid.cells("lasso")[0]
-    lasso_seed, cv_seed, refit_seed, stack_seed = (child_seed(seed, NS_PIPELINE, i) for i in (10, 11, 12, 13))
+    grid = dataclasses.replace(grid, lasso=tuple(cell for spec in grid.lasso for cell in lasso_cells(data, spec)))
+    cv_seed, refit_seed, stack_seed = (child_seed(seed, NS_PIPELINE, i) for i in (11, 12, 13))
     cv_results: dict[str, CvResult] = {}
     chosen: dict[str, dict] = {}
     artifacts = {}
     refits = {}
     cv_done_s = {}
     with TaskPool(jobs) as pool:
-        plan = {kind: cv_tasks(data, kind, grid, folds, cv_seed) for kind in BASE_KINDS if kind != "lasso"}
-        plan["lasso"] = lasso_tasks(data, params=lasso_params, seed=lasso_seed)
+        plan = {kind: cv_tasks(data, kind, grid, folds, cv_seed) for kind in BASE_KINDS}
         queue = sorted((task for tasks in plan.values() for task in tasks), key=lambda task: -task.cost)
         pool.submit(queue)
         # wait for kinds in the order their last task was queued
         position = {task.key: i for i, task in enumerate(queue)}
         for kind in sorted(plan, key=lambda kind: max(position[task.key] for task in plan[kind])):
-            if kind == "lasso":
-                artifacts[kind] = fit_lasso(data, params=lasso_params, seed=lasso_seed, pool=pool)
-                cv_results[kind] = _lasso_cv_result(artifacts[kind])
-                chosen[kind] = {"lambda_path": [artifacts[kind].training_meta["lambda"]]}
-            else:
-                cv_results[kind] = cv_tune(data, kind, grid, k=folds, seed=cv_seed, pool=pool)
-                chosen[kind] = cv_results[kind].best_params
-                refit = Task(("refit", kind), _refit, (kind, data, chosen[kind], refit_seed), fit_cost(kind, chosen[kind]))
-                refits[kind] = pool.submit([refit])[0]
+            cv_results[kind] = cv_tune(data, kind, grid, k=folds, seed=cv_seed, pool=pool)
+            chosen[kind] = cv_results[kind].best_params
+            refit = Task(("refit", kind), _refit, (kind, data, chosen[kind], refit_seed), fit_cost(kind, chosen[kind]))
+            refits[kind] = pool.submit([refit])[0]
             pool.submit(stack_tasks(data, BASE_KINDS.index(kind), (kind, chosen[kind]), folds, stack_seed))
             cv_done_s[kind] = perf_counter() - clock
             print(
@@ -305,7 +295,7 @@ def run_train(features: Path, out: Path, seed: int, folds: int = 10, jobs: int =
     lasso_meta = artifacts["lasso"].training_meta
     signals = {
         "lasso": {
-            "cv_folds": len(lasso_meta["cv"]["fold_aucs"][0]) if "cv" in lasso_meta else 0,
+            "converged": lasso_meta["converged"],
             "path_computed": lasso_meta["path_computed"],
             "n_lambdas": len(lasso_meta["lambda_path"]),
         },
@@ -365,18 +355,23 @@ def run_evaluate(
         raise PipelineError(f"feature matrix {features} has no label column; evaluation needs labels")
     models = _load_model_dir(model_dir)
     reports = []
+    timings = {"bootstrap_s": 0.0, "importance_s": 0.0}
     for kind in sorted(models):
         scores = predict_proba(models[kind], data.X, data.feature_names)
+        clock = perf_counter()
         reports.append(
             evaluate_scores(kind, scores, data.y, B=bootstrap, seed=child_seed(seed, NS_PIPELINE, 20), threshold=threshold)
         )
+        timings["bootstrap_s"] += perf_counter() - clock
     importance = None
     if importance_kind:
         if importance_kind not in models:
             raise PipelineError(f"importance model {importance_kind!r} not in {model_dir}")
+        clock = perf_counter()
         importance = permutation_importance(
             models[importance_kind], data, repeats=importance_repeats, seed=child_seed(seed, NS_PIPELINE, 21)
         )
+        timings["importance_s"] = perf_counter() - clock
     with staged_output(out) as tmp:
         write_evaluation(tmp / "evaluation.json", reports)
         write_bootstrap_table(tmp / "bootstrap_metrics.csv", reports)
@@ -394,6 +389,7 @@ def run_evaluate(
                 "importance_repeats": importance_repeats,
             },
             started=started,
+            timings=timings,
         )
 
 
@@ -581,14 +577,19 @@ def run_pipeline(
     )
 
 
-def _jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {jobs}")
-    return jobs
+def _int_at_least(k: int):
+    """An argparse type for integers >= k, so a bad count fails before any stage runs."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < k:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {k}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -616,18 +617,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--jobs", type=_jobs, default=1, help="worker processes for all of train (default 1)")
+    p.add_argument("--folds", type=_int_at_least(2), default=10)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker processes for all of train (default 1)")
 
     p = sub.add_parser("evaluate", help="bootstrap metrics and importance on held-out data")
     p.add_argument("--features", required=True, type=Path)
     p.add_argument("--model-dir", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--bootstrap", type=int, default=1000)
+    p.add_argument("--bootstrap", type=_int_at_least(1), default=1000)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--importance-kind", default="rf")
-    p.add_argument("--importance-repeats", type=int, default=5)
+    p.add_argument("--importance-repeats", type=_int_at_least(1), default=5)
 
     p = sub.add_parser("predict", help="score a feature matrix with a trained model")
     p.add_argument("--features", required=True, type=Path)
@@ -652,12 +653,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", choices=("default", "overlap"), default="default")
     p.add_argument("--c2-hosts", type=int, default=50)
     p.add_argument("--benign-hosts", type=int, default=250)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--bootstrap", type=int, default=1000)
+    p.add_argument("--folds", type=_int_at_least(2), default=10)
+    p.add_argument("--bootstrap", type=_int_at_least(1), default=1000)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--jobs", type=_jobs, default=1, help="worker processes for all of train (default 1)")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker processes for all of train (default 1)")
     p.add_argument("--ablate-distributional", action="store_true")
-    p.add_argument("--importance-repeats", type=int, default=5)
+    p.add_argument("--importance-repeats", type=_int_at_least(1), default=5)
     return parser
 
 

@@ -1,5 +1,6 @@
-"""Evaluation protocol: AUC/sensitivity, bootstrap resampling, 10-fold CV
-tuning, and percentile-scaled permutation variable importance.
+"""Evaluation protocol: AUC/sensitivity, bootstrap resampling, stratified
+k-fold CV tuning of every kind's grid (the lasso's penalties included),
+and percentile-scaled permutation variable importance.
 
 AUC uses the rank-sum (Mann-Whitney) formulation with midranks for ties,
 which equals P(score+ > score-) + 0.5 * P(tie) and matches the pairwise
@@ -182,8 +183,8 @@ def _cv_cell_fold_aucs(data, scorer, cells, seeds, folds: np.ndarray, f: int) ->
 def cv_tasks(data, kind: str, grid, k: int = 10, seed: int = 0) -> list:
     """One task per (share group of cells, fold), group-major.
 
-    Cells that differ only in a staged kind's stage count share one fit
-    per fold (``share_groups``). Cell i's fit on fold f is seeded
+    Cells that differ only in a staged kind's stage parameter share one
+    fit per fold (``share_groups``). Cell i's fit on fold f is seeded
     (NS_CV, i, f); a shared fit is its largest cell's own fit.
     """
     from .learners.artifact import fit_cost, score_cells, share_groups  # lazy: avoids import cycle

@@ -4,9 +4,10 @@ An artifact carries the fitted parameters, the seed it was trained with,
 the training-time feature names, and free-form training metadata. Kinds
 register fit/predict/revive callables so cross-validation, stacking, and
 the CLI can treat all models uniformly (tests may register extra kinds).
-A staged kind also registers the parameter that counts its stages and a
-predictor that scores every requested stage from one walk, so cells
-that differ only in that parameter share one fit of the largest.
+A staged kind also registers a stage parameter and a group scorer: cells
+that differ only in that parameter form one group, and the scorer scores
+every cell of a group from one fit (boosting's most rounds, the lasso's
+longest penalty path).
 
 Serialization is JSON with a version tag; floats round-trip exactly via
 repr, so a reloaded model scores a probe matrix bit-for-bit identically.
@@ -40,13 +41,13 @@ class ModelArtifact:
 Fitter = Callable[[LabeledDataset, Mapping, int], ModelArtifact]
 Predictor = Callable[[ModelArtifact, np.ndarray], np.ndarray]
 Reviver = Callable[[dict], dict]
-StagedPredictor = Callable[[ModelArtifact, np.ndarray, Sequence[int]], list]
+GroupScorer = Callable[[LabeledDataset, Sequence[Mapping], Sequence[int], np.ndarray, tuple | None], list]
 Cost = Callable[[Mapping], float]
 
 FITTERS: dict[str, Fitter] = {}
 PREDICTORS: dict[str, Predictor] = {}
 REVIVERS: dict[str, Reviver] = {}
-STAGED: dict[str, tuple[str, StagedPredictor]] = {}  # kind -> (stage parameter, predictor)
+STAGED: dict[str, tuple[str, GroupScorer]] = {}  # kind -> (stage parameter, group scorer)
 COSTS: dict[str, Cost] = {}
 
 
@@ -55,7 +56,7 @@ def register_kind(
     fitter: Fitter | None,
     predictor: Predictor,
     reviver: Reviver | None = None,
-    staged: tuple[str, StagedPredictor] | None = None,
+    staged: tuple[str, GroupScorer] | None = None,
     cost: Cost | None = None,
 ) -> None:
     if fitter is not None:
@@ -106,32 +107,13 @@ def score_cells(
 ) -> list[np.ndarray]:
     """``predict_proba`` on X of each cell's model fitted to ``data``.
 
-    ``cells`` is one group of ``share_groups``: a group of several cells
-    fits only its largest stage count, with that cell's seed, and scores
-    the others from that fit's earlier stages.
+    ``cells`` is one group of ``share_groups``: the kind's group scorer
+    scores a group of several cells from one fit.
     """
     if len(cells) == 1:
         return [predict_proba(fit_model(kind, data, cells[0], seeds[0]), X, feature_names)]
-    param = STAGED[kind][0]
-    stages = [int(cell[param]) for cell in cells]
-    top = int(np.argmax(stages))
-    return predict_stages(fit_model(kind, data, cells[top], seeds[top]), X, stages, feature_names)
-
-
-def _align_columns(artifact: ModelArtifact, X: np.ndarray, feature_names) -> np.ndarray:
-    if feature_names is None:
-        if X.shape[1] != len(artifact.feature_names):
-            raise ValueError(
-                f"X has {X.shape[1]} columns, model {artifact.kind!r} expects "
-                f"{len(artifact.feature_names)}; pass feature_names to align by name"
-            )
-        return X
-    index = {name: i for i, name in enumerate(feature_names)}
-    missing = [name for name in artifact.feature_names if name not in index]
-    if missing:
-        raise ValueError(f"feature column(s) missing: {', '.join(missing)}")
-    cols = [index[name] for name in artifact.feature_names]
-    return X[:, cols]
+    X = _model_inputs(kind, data.feature_names, X, feature_names)
+    return [np.clip(p, 0.0, 1.0) for p in STAGED[kind][1](data, cells, seeds, X, data.feature_names)]
 
 
 def predict_proba(artifact: ModelArtifact, X: np.ndarray, feature_names: tuple[str, ...] | None = None) -> np.ndarray:
@@ -140,30 +122,30 @@ def predict_proba(artifact: ModelArtifact, X: np.ndarray, feature_names: tuple[s
     Raises with the offending column on a name mismatch and with the
     offending row/column on non-finite input.
     """
-    X = _model_inputs(artifact, X, feature_names)
+    X = _model_inputs(artifact.kind, artifact.feature_names, X, feature_names)
     if artifact.kind not in PREDICTORS:
         raise ValueError(f"no predictor registered for kind {artifact.kind!r}")
     return np.clip(PREDICTORS[artifact.kind](artifact, X), 0.0, 1.0)
 
 
-def predict_stages(
-    artifact: ModelArtifact, X: np.ndarray, stages: Sequence[int], feature_names: tuple[str, ...] | None = None
-) -> list[np.ndarray]:
-    """``predict_proba`` of the model cut after each of ``stages`` (a staged kind's stage counts)."""
-    X = _model_inputs(artifact, X, feature_names)
-    if artifact.kind not in STAGED:
-        raise ValueError(f"kind {artifact.kind!r} has no stages")
-    return [np.clip(p, 0.0, 1.0) for p in STAGED[artifact.kind][1](artifact, X, stages)]
-
-
-def _model_inputs(artifact: ModelArtifact, X: np.ndarray, feature_names) -> np.ndarray:
+def _model_inputs(kind: str, names: tuple[str, ...], X: np.ndarray, feature_names) -> np.ndarray:
+    """X as float columns in ``names`` order, matched by name when ``feature_names`` is given, checked finite."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
-    X = _align_columns(artifact, X, feature_names)
+    if feature_names is not None:
+        index = {name: i for i, name in enumerate(feature_names)}
+        missing = [name for name in names if name not in index]
+        if missing:
+            raise ValueError(f"feature column(s) missing: {', '.join(missing)}")
+        X = X[:, [index[name] for name in names]]
+    elif X.shape[1] != len(names):
+        raise ValueError(
+            f"X has {X.shape[1]} columns, model {kind!r} expects {len(names)}; pass feature_names to align by name"
+        )
     if not np.all(np.isfinite(X)):
         row, col = np.argwhere(~np.isfinite(X))[0]
-        raise ValueError(f"non-finite input at row {row}, column {artifact.feature_names[col]!r}")
+        raise ValueError(f"non-finite input at row {row}, column {names[col]!r}")
     return X
 
 

@@ -22,11 +22,12 @@ differ only in ``n_rounds`` once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .artifact import ModelArtifact, log_loss, register_kind, sigmoid
+from .artifact import ModelArtifact, fit_model, log_loss, register_kind, sigmoid
 from .data import LabeledDataset
 from .tree import Tree, TreeParams, fit_tree, fit_tree_second_order, presort, tree_predict
 
@@ -118,6 +119,13 @@ def _predict_boosted_stages(artifact: ModelArtifact, X: np.ndarray, stages: Sequ
     return [snapshots[s] for s in stages]
 
 
+def _score_rounds(kind: str, data: LabeledDataset, cells, seeds, X: np.ndarray, feature_names) -> list[np.ndarray]:
+    """Each cell's scores on X from one fit of the cell with the most rounds, under its seed."""
+    stages = [int(cell["n_rounds"]) for cell in cells]
+    top = int(np.argmax(stages))
+    return _predict_boosted_stages(fit_model(kind, data, cells[top], seeds[top]), X, stages)
+
+
 def _predict_boosted(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
     return _predict_boosted_stages(artifact, X, [len(artifact.parameters["trees"])])[0]
 
@@ -135,5 +143,5 @@ def _revive_boosted(parameters: dict) -> dict:
 
 
 # a second-order round costs about twice a first-order one
-register_kind("gbm", fit_gbm, _predict_boosted, _revive_boosted, ("n_rounds", _predict_boosted_stages), _rounds_cost(1.0))
-register_kind("gbm2", fit_gbm2, _predict_boosted, _revive_boosted, ("n_rounds", _predict_boosted_stages), _rounds_cost(2.0))
+register_kind("gbm", fit_gbm, _predict_boosted, _revive_boosted, ("n_rounds", partial(_score_rounds, "gbm")), _rounds_cost(1.0))
+register_kind("gbm2", fit_gbm2, _predict_boosted, _revive_boosted, ("n_rounds", partial(_score_rounds, "gbm2")), _rounds_cost(2.0))

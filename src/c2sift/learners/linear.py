@@ -11,20 +11,19 @@ when a coefficient escapes a cap the fit restarts with a tiny L2 ridge
 
 The lasso path runs from lambda_max = max_j |x_j'(y - pbar)| / n (the
 smallest penalty with every slope exactly zero) down a log-spaced grid,
-warm-starting each fit from the previous solution. The reported model uses
-the penalty with the best stratified k-fold CV AUC, ties broken toward the
-larger (sparser) penalty.
+warm-starting each fit from the previous solution, and a lasso model is
+the fit at its path's last penalty. The grid is fixed once from all
+training rows (``lasso_cells``); each of its prefixes is one CV cell, and
+one path per fold scores them all, so cross-validation tunes the penalty
+like any other staged parameter (Friedman, Hastie & Tibshirani 2010).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..rng import NS_FOLDS, substream
-from ..tasks import Task, run_tasks
 from .artifact import ModelArtifact, register_kind, sigmoid
 from .data import LabeledDataset
 
@@ -47,7 +46,6 @@ class GLMParams:
 class LassoParams:
     n_lambdas: int = 20
     lambda_min_ratio: float = 1e-3
-    cv_folds: int = 10
     max_outer: int = 30
     tol: float = 1e-5
 
@@ -56,7 +54,6 @@ class LassoParams:
         return cls(
             n_lambdas=int(params.get("n_lambdas", 20)),
             lambda_min_ratio=float(params.get("lambda_min_ratio", 1e-3)),
-            cv_folds=int(params.get("cv_folds", 10)),
             max_outer=int(params.get("max_outer", 30)),
             tol=float(params.get("tol", 1e-5)),
         )
@@ -221,16 +218,20 @@ def _cd_quadratic(
 
 def _lasso_path(
     X: np.ndarray, y: np.ndarray, lambdas: Sequence[float], params: LassoParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, bool]:
     """Warm-started fits along a penalty path on standardized features.
 
     The path stops early once the training deviance is essentially
     explained (ratio > 0.995) or a coefficient escapes the separation cap;
     later penalties inherit the stop-point solution. Chasing the exact
     solution on quasi-separated data is expensive and never CV-optimal.
+    ``converged`` is False when a computed penalty used up ``max_outer``
+    IRLS steps without meeting the outer tolerance.
 
-    Returns (betas (L, d), intercepts (L,), means, scales, n_computed).
+    Returns (betas (L, d), intercepts (L,), means, scales, n_computed, converged).
     """
+    if not lambdas:
+        raise ValueError("a lasso path needs at least one penalty")
     Z, means, scales = _standardize(X)
     Z_sq = Z * Z
     n, d = Z.shape
@@ -242,6 +243,7 @@ def _lasso_path(
     betas = np.empty((len(lambdas), d))
     intercepts = np.empty(len(lambdas))
     computed = len(lambdas)
+    converged = True
     for i, lam in enumerate(lambdas):
         capped = False
         for _ in range(params.max_outer):
@@ -259,6 +261,8 @@ def _lasso_path(
                 break
             if change < outer_tol:
                 break
+        else:
+            converged = False
         betas[i] = beta
         intercepts[i] = intercept
         eta = intercept + Z @ beta
@@ -270,7 +274,7 @@ def _lasso_path(
             betas[i + 1 :] = beta
             intercepts[i + 1 :] = intercept
             break
-    return betas, intercepts, means, scales, computed
+    return betas, intercepts, means, scales, computed, converged
 
 
 def lambda_max(X: np.ndarray, y: np.ndarray) -> float:
@@ -296,110 +300,74 @@ def lambda_max(X: np.ndarray, y: np.ndarray) -> float:
     return max(abs(float(Z[:, j] @ wresid)) / n for j in range(Z.shape[1]))
 
 
-def _score_lambda_path(params: LassoParams, train: LabeledDataset, cells, seeds, X: np.ndarray, feature_names) -> list[np.ndarray]:
-    """Scores on X of every penalty in ``cells`` from one warm-started path on ``train``."""
-    lambdas = [cell["lambda"] for cell in cells]
-    betas, intercepts, means, scales, _ = _lasso_path(train.X, train.y.astype(float), lambdas, params)
-    Z = (X - means) / scales
-    return [sigmoid(intercepts[i] + Z @ betas[i]) for i in range(len(lambdas))]
+def lasso_cells(data: LabeledDataset, cell: Mapping) -> list[dict]:
+    """The grid cells that one lasso cell stands for: each prefix of its penalty path.
+
+    The path is fixed once from all of ``data``'s rows: ``lambda_max``,
+    then ``n_lambdas`` log-spaced penalties down to ``lambda_min_ratio``
+    times it. Cell s runs the first s + 1 penalties, so one path fit
+    scores every cell. The cell's other settings ride along in each one.
+    """
+    lp = LassoParams.from_mapping(cell)
+    lmax = lambda_max(data.X, data.require_training_labels().astype(float))
+    path = [float(l) for l in np.geomspace(lmax, lmax * lp.lambda_min_ratio, lp.n_lambdas)]
+    rest = {name: value for name, value in cell.items() if name not in ("n_lambdas", "lambda_min_ratio")}
+    return [{**rest, "lambda_path": path[: s + 1]} for s in range(len(path))]
 
 
-def _lasso_plan(data: LabeledDataset, lambda_path, params, seed: int):
-    """(lambdas, full-data path task, one CV task per fold)."""
+def _score_lambda_path(data: LabeledDataset, cells, seeds, X: np.ndarray, feature_names) -> list[np.ndarray]:
+    """Each cell's scores on X from one warm-started path down the longest cell's penalties.
+
+    A path is deterministic, so its fit at a cell's last penalty is that
+    cell's own fit, bit for bit, early stop included.
+    """
+    paths = [[float(l) for l in cell["lambda_path"]] for cell in cells]
+    longest = max(paths, key=len)
+    if any(path != longest[: len(path)] for path in paths):
+        raise ValueError("lasso cells that share a fit must be prefixes of one penalty path")
     y = data.require_training_labels().astype(float)
-    lp = params if isinstance(params, LassoParams) else LassoParams.from_mapping(params)
-    if lambda_path is None:
-        lmax = lambda_max(data.X, y)
-        lambda_path = np.geomspace(lmax, lmax * lp.lambda_min_ratio, lp.n_lambdas)
-    lambdas = [float(l) for l in lambda_path]
-    # a path step costs about as much as 30 tree fits on the same rows
-    cost = 30.0 * len(lambdas)
-    full = Task(("lasso", tuple(lambdas), lp), _lasso_path, (data.X, y, lambdas, lp), cost)
-    if len(lambdas) == 1:
-        return lambdas, full, []
-    # lazy import: evaluate owns metrics/folds and must stay learner-free
-    from ..evaluate import _cv_cell_fold_aucs, stratified_folds
-
-    # every fold needs both classes for a fold AUC
-    min_class = int(np.bincount(y.astype(int), minlength=2).min())
-    k = min(lp.cv_folds, min_class)
-    if k < 2:
-        raise ValueError("lasso CV needs at least 2 rows per class")
-    folds = stratified_folds(y.astype(int), k, substream(seed, NS_FOLDS, 0))
-    cells = [{"lambda": lam} for lam in lambdas]
-    scorer = partial(_score_lambda_path, lp)
-    cv = [
-        Task(("lasso", tuple(lambdas), lp, seed, k, f), _cv_cell_fold_aucs, (data, scorer, cells, [seed] * len(cells), folds, f), cost)
-        for f in range(k)
-    ]
-    return lambdas, full, cv
-
-
-def lasso_tasks(
-    data: LabeledDataset,
-    lambda_path: Sequence[float] | None = None,
-    params: Mapping | LassoParams = LassoParams(),
-    seed: int = 0,
-) -> list:
-    """The tasks ``fit_lasso`` runs: the full-data path, then its CV folds' paths."""
-    _, full, cv = _lasso_plan(data, lambda_path, params, seed)
-    return [full, *cv]
+    betas, intercepts, means, scales, _, _ = _lasso_path(data.X, y, longest, LassoParams.from_mapping(cells[0]))
+    Z = (X - means) / scales
+    return [sigmoid(intercepts[len(path) - 1] + Z @ betas[len(path) - 1]) for path in paths]
 
 
 def fit_lasso(
     data: LabeledDataset,
-    lambda_path: Sequence[float] | None = None,
+    lambda_path: Sequence[float],
     params: Mapping | LassoParams = LassoParams(),
     seed: int = 0,
-    pool=None,
 ) -> ModelArtifact:
-    """Lasso at the penalty with the best CV AUC along the path.
-
-    The path on all rows and the path on each CV fold's training rows are
-    ``lasso_tasks`` on ``pool`` (inline when None). CV uses
-    ``params.cv_folds`` folds, or fewer when the minority class is
-    smaller; a one-penalty path skips CV.
-    """
-    lambdas, full, cv = _lasso_plan(data, lambda_path, params, seed)
-    results = run_tasks(pool, [full, *cv])
-    betas, intercepts, means, scales, computed = results[0]
-    cv_table = None
-    if cv:
-        fold_aucs = np.array(results[1:])  # (k, len(lambdas))
-        mean_aucs = fold_aucs.mean(axis=0)
-        chosen = int(np.argmax(mean_aucs))  # path is descending, first max = largest lambda
-        cv_table = {
-            "lambdas": lambdas,
-            "mean_auc": mean_aucs.tolist(),
-            "fold_aucs": fold_aucs.T.tolist(),
-        }
-    else:
-        chosen = 0
-
-    beta = betas[chosen]
-    intercept = float(intercepts[chosen])
+    """The lasso at the last penalty of ``lambda_path``, fitted down the path with warm starts."""
+    y = data.require_training_labels().astype(float)
+    lp = params if isinstance(params, LassoParams) else LassoParams.from_mapping(params)
+    lambdas = [float(l) for l in lambda_path]
+    betas, intercepts, means, scales, computed, converged = _lasso_path(data.X, y, lambdas, lp)
+    beta = betas[-1]
     excluded = [name for name, b in zip(data.feature_names, beta) if b == 0.0]
-    meta = {
-        "lambda": lambdas[chosen],
-        "lambda_path": lambdas,
-        "path_computed": computed,
-        "n_active": int(np.count_nonzero(beta)),
-        "excluded_features": excluded,
-    }
-    if cv_table is not None:
-        meta["cv"] = cv_table
     return ModelArtifact(
         kind="lasso",
-        parameters=_linear_parameters(beta, intercept, np.asarray(means), np.asarray(scales)),
+        parameters=_linear_parameters(beta, float(intercepts[-1]), means, scales),
         seed=seed,
         feature_names=data.feature_names,
-        training_meta=meta,
+        training_meta={
+            "lambda": lambdas[-1],
+            "lambda_path": lambdas,
+            "path_computed": computed,
+            "converged": converged,
+            "n_active": int(np.count_nonzero(beta)),
+            "excluded_features": excluded,
+        },
     )
 
 
 def _fit_lasso_registry(data: LabeledDataset, params: Mapping, seed: int) -> ModelArtifact:
-    return fit_lasso(data, lambda_path=params.get("lambda_path"), params=params, seed=seed)
+    return fit_lasso(data, lambda_path=params["lambda_path"], params=params, seed=seed)
+
+
+def _path_cost(params: Mapping) -> float:
+    # a path step costs about as much as 30 tree fits on the same rows
+    return 30.0 * len(params["lambda_path"])
 
 
 register_kind("glm", fit_glm, _predict_linear)
-register_kind("lasso", _fit_lasso_registry, _predict_linear)
+register_kind("lasso", _fit_lasso_registry, _predict_linear, staged=("lambda_path", _score_lambda_path), cost=_path_cost)

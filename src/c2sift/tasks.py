@@ -5,8 +5,8 @@ names its result, and a rough cost used to queue long tasks first. A
 ``TaskPool`` runs each key once: a scheduler can submit a command's
 tasks early, longest first, and the function that reduces them later
 submits the same tasks and gets the same futures back. So cross-
-validation, the lasso path and stacking run the same code whether they
-own the pool or share one. With ``jobs=1`` there are no worker processes
+validation and stacking run the same code whether they own the pool or
+share one. With ``jobs=1`` there are no worker processes
 and each task runs inline when it is first submitted.
 
 Keys name results within one pool, and a pool serves one dataset.

@@ -9,7 +9,8 @@ from c2sift.learners import (
     predict_proba,
     save_model,
 )
-from c2sift.learners.artifact import predict_stages
+from c2sift.learners.artifact import score_cells
+from c2sift.learners.boosting import _predict_boosted_stages
 
 from conftest import make_dataset
 
@@ -80,7 +81,9 @@ def test_staged_probabilities_equal_separate_fits_bitwise(fitter):
     params = {"max_depth": 3, "learning_rate": 0.1}
     stages = [0, 1, 37, 60]
     longest = fitter(data, {**params, "n_rounds": 60})
-    staged = predict_stages(longest, probe, stages, data.feature_names)
+    cells = [{**params, "n_rounds": n} for n in stages]
+    kind = "gbm2" if fitter is fit_gbm2 else "gbm"
+    staged = score_cells(kind, data, cells, [0] * len(cells), probe, data.feature_names)
     for n, got in zip(stages, staged):
         alone = fitter(data, {**params, "n_rounds": n})
         assert np.array_equal(got, predict_proba(alone, probe, data.feature_names)), n
@@ -91,4 +94,4 @@ def test_stages_beyond_the_fit_rejected():
     data = make_dataset(n=60, d=3, seed=7)
     model = fit_gbm(data, {"n_rounds": 5})
     with pytest.raises(ValueError, match="outside"):
-        predict_stages(model, data.X, [6])
+        _predict_boosted_stages(model, data.X, [6])

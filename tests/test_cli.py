@@ -1,11 +1,18 @@
+import csv
 import json
 
-import numpy as np
 import pytest
 
 import c2sift.cli as cli
 from c2sift.learners import fit_model, load_feature_matrix, save_model
 from c2sift.learners.grids import HyperGrid
+
+
+def lasso_cv_rows(models):
+    """The lasso's rows of a train run's cv_tables.csv."""
+    with (models / "cv_tables.csv").open(encoding="utf-8", newline="") as handle:
+        return [row for row in csv.DictReader(handle) if row["kind"] == "lasso"]
+
 
 TINY_GRID = HyperGrid(
     rf=({"n_trees": 8, "max_depth": 4, "mtry": "sqrt"},),
@@ -230,6 +237,17 @@ def test_pipeline_determinism(tmp_path, tiny_grid):
     second = cli.read_manifest(tmp_path / "run2")["output_checksums"]
     assert first == second
     assert len(first) > 10
+    # stage timings sit in each manifest, outside the checksums
+    stage_timings = {
+        "features_train": {"parse_s", "group_s", "featurize_s"},
+        "features_test": {"parse_s", "group_s", "featurize_s"},
+        "evaluation": {"bootstrap_s", "importance_s"},
+    }
+    for stage, keys in stage_timings.items():
+        manifest = cli.read_manifest(tmp_path / "run1" / stage)
+        assert set(manifest["timings"]) == keys
+        assert all(seconds >= 0.0 for seconds in manifest["timings"].values())
+        assert "run_manifest.json" not in manifest["output_checksums"]
 
 
 def test_pipeline_dirs_have_one_manifest_each(tmp_path, tiny_grid):
@@ -280,9 +298,13 @@ def test_stack_nests_the_saved_base_models(tmp_path, features, tiny_grid):
     assert cli.read_manifest(out)["signals"]["stack_meta_glm"] == {
         key: meta["training_meta"][key] for key in ("converged", "separation")
     }
-    # the grid's lasso cell is the one train runs
-    lasso_cv = [row for row in (out / "cv_tables.csv").read_text().splitlines() if row.startswith("lasso,")]
-    assert len(lasso_cv) == len(stack["parameters"]["base_models"][5]["training_meta"]["lambda_path"]) == 5
+    # the grid's lasso cell becomes one CV cell per penalty, tuned on --folds folds;
+    # the chosen cell's path is the nested (and saved) lasso's
+    lasso_cv = lasso_cv_rows(out)
+    assert len(lasso_cv) == 5
+    assert all(len(row["fold_aucs"].split(";")) == 4 for row in lasso_cv)
+    chosen = [json.loads(row["params"]) for row in lasso_cv if row["chosen"] == "1"]
+    assert chosen == [{"lambda_path": stack["parameters"]["base_models"][5]["training_meta"]["lambda_path"]}]
 
 
 PAIR_GRID = HyperGrid(
@@ -294,14 +316,30 @@ PAIR_GRID = HyperGrid(
 )
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_jobs_below_one_rejected_at_the_edge(tmp_path, capsys, jobs):
-    for command in (["train", "--features", tmp_path / "x.csv"], ["pipeline"]):
-        with pytest.raises(SystemExit) as exc:
-            run(command + ["--out", tmp_path / "never", "--jobs", jobs])
-        assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
+COUNT_FLAGS = {  # each subcommand's count flags; --folds needs 2, the others 1
+    "train": ("--jobs", "--folds"),
+    "evaluate": ("--bootstrap", "--importance-repeats"),
+    "pipeline": ("--jobs", "--folds", "--bootstrap", "--importance-repeats"),
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_jobs_below_one_rejected_at_the_edge(tmp_path, capsys, value):
+    required = {
+        "train": ["--features", tmp_path / "x.csv"],
+        "evaluate": ["--features", tmp_path / "x.csv", "--model-dir", tmp_path / "models"],
+        "pipeline": [],
+    }
+    for command, flags in COUNT_FLAGS.items():
+        for flag in flags:
+            for bad in (value, "1") if flag == "--folds" else (value,):
+                with pytest.raises(SystemExit) as exc:
+                    run([command, *required[command], "--out", tmp_path / "never", flag, bad])
+                assert exc.value.code == 2
+                assert flag in capsys.readouterr().err
     assert not (tmp_path / "never").exists()
+    args = cli.build_parser().parse_args(["pipeline", "--out", "x", "--folds", "2", "--bootstrap", "1", "--importance-repeats", "1"])
+    assert (args.folds, args.bootstrap, args.importance_repeats, args.jobs) == (2, 1, 1, 1)
 
 
 def test_shared_pool_matches_serial_with_n_rounds_pairs(tmp_path, features, monkeypatch, capsys):
@@ -323,13 +361,16 @@ def test_train_manifest_signals_and_timings(tmp_path, features, tiny_grid):
     out = tmp_path / "models"
     assert run(["train", "--features", features, "--out", out, "--seed", "2", "--folds", "3"]) == 0
     manifest = cli.read_manifest(out)
-    data = load_feature_matrix(features)
     lasso = json.loads((out / "lasso.json").read_text())["training_meta"]
     signals = manifest["signals"]
-    # 10-fold lasso CV capped at the minority-class count
-    assert signals["lasso"]["cv_folds"] == min(10, int(np.bincount(data.y).min()))
-    assert signals["lasso"]["cv_folds"] == len(lasso["cv"]["fold_aucs"][0])
+    # the lasso is tuned on --folds folds, like every kind
+    lasso_cv = lasso_cv_rows(out)
+    assert len(lasso_cv) == 5
+    assert all(len(row["fold_aucs"].split(";")) == 3 for row in lasso_cv)
+    assert signals["lasso"]["converged"] is lasso["converged"]
+    assert isinstance(lasso["converged"], bool)
     assert signals["lasso"]["path_computed"] == lasso["path_computed"]
+    assert signals["lasso"]["n_lambdas"] == len(lasso["lambda_path"])
     assert set(signals["stack_meta_glm"]) == {"converged", "separation"}
     assert all(isinstance(flag, bool) for flag in signals["stack_meta_glm"].values())
     timings = manifest["timings"]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,10 @@ from c2sift.evaluate import (
     sensitivity,
     stratified_folds,
 )
-from c2sift.learners import fit_glm, fit_model, fit_random_forest, predict_proba
-from c2sift.learners.artifact import share_groups
+from c2sift.learners import fit_glm, fit_model, fit_random_forest, lambda_max, predict_proba
+from c2sift.learners.artifact import score_cells, share_groups
 from c2sift.learners.grids import HyperGrid, default_grid
+from c2sift.learners.linear import lasso_cells
 from c2sift.rng import NS_CV, NS_FOLDS, child_seed, substream
 from c2sift.tasks import TaskPool
 
@@ -197,9 +200,17 @@ class TestCvTune:
         result = cv_tune(data, "glm", grid, k=4, seed=0)
         assert result.best_params == {"marker": 1}
 
-    def test_lasso_grid_takes_one_cell(self):
-        with pytest.raises(ValueError, match="one cell"):
-            HyperGrid(lasso=({"n_lambdas": 5}, {"n_lambdas": 10}))
+    def test_lasso_cells_are_prefixes_of_one_path(self):
+        data = make_dataset(n=80, d=4, seed=2)
+        cells = lasso_cells(data, {"n_lambdas": 5, "max_outer": 10})
+        path = cells[-1]["lambda_path"]
+        assert path[0] == lambda_max(data.X, data.y.astype(float))
+        assert path[-1] == pytest.approx(path[0] * 1e-3)
+        assert cells == [{"max_outer": 10, "lambda_path": path[: s + 1]} for s in range(5)]
+        assert HyperGrid(lasso=tuple(cells)).cells("lasso") == cells
+        assert share_groups("lasso", cells) == [list(range(5))]
+        with pytest.raises(ValueError, match="prefixes"):
+            score_cells("lasso", data, [cells[1], {"max_outer": 10, "lambda_path": path[1:3]}], [0, 0], data.X)
 
     def test_sabotaged_cell_loses(self):
         data = make_dataset(n=100, d=4, seed=3)
@@ -245,15 +256,30 @@ class TestPrefixSharedCv:
             groups = share_groups(kind, grid.cells(kind))
             assert groups == [[0, 4], [1, 5], [2, 6], [3, 7]]
         assert share_groups("rf", grid.cells("rf")) == [[i] for i in range(8)]
+        lasso = lasso_cells(make_dataset(n=60, d=4, seed=8), grid.cells("lasso")[0])
+        assert share_groups("lasso", lasso) == [list(range(20))]
 
-    @pytest.mark.parametrize("kind", ["gbm", "gbm2"])
+    @pytest.mark.parametrize("kind", ["gbm", "gbm2", "lasso"])
     def test_shared_fits_equal_per_cell_fits(self, kind):
         data = make_dataset(n=60, d=4, seed=8)
-        grid = default_grid()
+        # a short all-rows penalty path: one fold path scores all 8 lasso cells
+        grid = dataclasses.replace(default_grid(), lasso=tuple(lasso_cells(data, {"n_lambdas": 8})))
         result = cv_tune(data, kind, grid, k=3, seed=5)
         best_params, table = oracle_cv_tune(data, kind, grid, k=3, seed=5)
         assert result.table == table
         assert result.best_params == best_params
+        if kind == "lasso":
+            # every fold's path stops early (all four slopes active), so the
+            # cells past the stop are scored from the stop-point fit; the
+            # scores themselves, not just their AUCs, equal separate fits
+            cells = grid.cells("lasso")
+            folds = stratified_folds(data.y, 3, substream(5, NS_FOLDS, 0))
+            for f in range(3):
+                train, val = data.take(np.flatnonzero(folds != f)), data.X[folds == f]
+                assert fit_model("lasso", train, cells[-1], 0).training_meta["path_computed"] < 8
+                shared = score_cells("lasso", train, cells, [0] * len(cells), val, data.feature_names)
+                for cell, scores in zip(cells, shared):
+                    assert np.array_equal(scores, predict_proba(fit_model("lasso", train, cell, 0), val, data.feature_names))
 
     def test_pool_of_two_equals_inline(self):
         data = make_dataset(n=60, d=4, seed=9)

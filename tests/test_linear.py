@@ -11,8 +11,9 @@ from c2sift.learners import (
     save_model,
     sigmoid,
 )
-from c2sift.evaluate import auc, stratified_folds
-from c2sift.learners.linear import GLMParams, LassoParams, _lasso_path, _standardize, lasso_tasks
+from c2sift.evaluate import auc, cv_tasks, cv_tune, stratified_folds
+from c2sift.learners.grids import HyperGrid
+from c2sift.learners.linear import GLMParams, LassoParams, _lasso_path, _standardize, lasso_cells
 from c2sift.rng import NS_FOLDS, substream
 from c2sift.tasks import TaskPool
 
@@ -128,8 +129,10 @@ class TestLasso:
         betas = [1.5, -1.5, 1.2, -1.2, 1.0, -1.0, 0.9, -0.9, 0.8, -0.8]
         data = logistic_data(2000, betas, seed=9, noise_cols=40)
         lmax = lambda_max(data.X, data.y.astype(float))
-        path = np.geomspace(lmax, lmax * 0.1, 20)
-        model = fit_lasso(data, lambda_path=path, seed=9)
+        path = [float(l) for l in np.geomspace(lmax, lmax * 0.1, 20)]
+        grid = HyperGrid(lasso=tuple({"lambda_path": path[: s + 1]} for s in range(20)))
+        best = cv_tune(data, "lasso", grid, k=10, seed=9).best_params
+        model = fit_lasso(data, lambda_path=best["lambda_path"], seed=9)
         coef = np.asarray(model.parameters["coef"])
         informative_kept = int(np.count_nonzero(coef[:10]))
         noise_kept = int(np.count_nonzero(coef[10:]))
@@ -141,14 +144,14 @@ class TestLasso:
         lmax = lambda_max(data.X, data.y.astype(float))
         lambdas = [lmax * 0.5, lmax * 0.2, lmax * 0.05]
         params = LassoParams()
-        warm, warm_b, _, _, _ = _lasso_path(data.X, data.y.astype(float), lambdas, params)
+        warm, warm_b, _, _, _, _ = _lasso_path(data.X, data.y.astype(float), lambdas, params)
         for i, lam in enumerate(lambdas):
-            cold, cold_b, _, _, _ = _lasso_path(data.X, data.y.astype(float), [lam], params)
+            cold, cold_b, _, _, _, _ = _lasso_path(data.X, data.y.astype(float), [lam], params)
             assert np.max(np.abs(warm[i] - cold[0])) < 1e-3
 
     def test_excluded_features_reported(self):
         data = logistic_data(500, [2.0], seed=11, noise_cols=3)
-        model = fit_lasso(data, seed=11)
+        model = fit_lasso(data, lambda_path=lasso_cells(data, {})[-1]["lambda_path"], seed=11)
         excluded = set(model.training_meta["excluded_features"])
         active = {n for n, b in zip(data.feature_names, model.parameters["coef"]) if b != 0.0}
         assert excluded.isdisjoint(active)
@@ -156,58 +159,75 @@ class TestLasso:
 
     def test_cv_table_recorded(self):
         data = logistic_data(400, [1.0, -1.0], seed=12, noise_cols=2)
-        model = fit_lasso(data, seed=12)
-        cv = model.training_meta["cv"]
-        assert len(cv["lambdas"]) == 20
-        assert len(cv["mean_auc"]) == 20
-        assert model.training_meta["lambda"] in cv["lambdas"]
+        result = cv_tune(data, "lasso", HyperGrid(lasso=tuple(lasso_cells(data, {}))), k=10, seed=12)
+        assert len(result.table) == 20
+        assert all(len(row["fold_aucs"]) == 10 for row in result.table)
+        model = fit_lasso(data, lambda_path=result.best_params["lambda_path"], seed=12)
+        assert model.training_meta["lambda"] in [row["params"]["lambda_path"][-1] for row in result.table]
+
+    def test_converged_flag(self):
+        data = logistic_data(300, [1.0, -1.0], seed=15, noise_cols=3)
+        path = lasso_cells(data, {"n_lambdas": 5})[-1]["lambda_path"]
+        assert fit_lasso(data, lambda_path=path).training_meta["converged"] is True
+        # one IRLS step cannot meet the outer tolerance once slopes move
+        assert fit_lasso(data, lambda_path=path, params={"max_outer": 1}).training_meta["converged"] is False
 
 
-def serial_lasso(data, seed, params=LassoParams()):
-    """fit_lasso's CV and refit as one serial loop, as before its paths became tasks."""
+def serial_lasso(data, k, seed, params=LassoParams()):
+    """The lasso's CV and refit as one serial loop: each fold's path scores every penalty."""
     y = data.y.astype(float)
     lmax = lambda_max(data.X, y)
     lambdas = [float(l) for l in np.geomspace(lmax, lmax * params.lambda_min_ratio, params.n_lambdas)]
-    k = min(params.cv_folds, int(np.bincount(data.y, minlength=2).min()))
     folds = stratified_folds(data.y, k, substream(seed, NS_FOLDS, 0))
-    fold_aucs = np.zeros((k, len(lambdas)))
+    fold_aucs = np.zeros((len(lambdas), k))
     for f in range(k):
         val = folds == f
-        betas, intercepts, means, scales, _ = _lasso_path(data.X[~val], y[~val], lambdas, params)
+        betas, intercepts, means, scales, _, _ = _lasso_path(data.X[~val], y[~val], lambdas, params)
         Z_val = (data.X[val] - means) / scales
         for i in range(len(lambdas)):
-            fold_aucs[f, i] = auc(sigmoid(intercepts[i] + Z_val @ betas[i]), data.y[val])
-    mean_aucs = fold_aucs.mean(axis=0)
-    chosen = int(np.argmax(mean_aucs))
-    betas, intercepts, _, _, computed = _lasso_path(data.X, y, lambdas, params)
-    table = {"lambdas": lambdas, "mean_auc": mean_aucs.tolist(), "fold_aucs": fold_aucs.T.tolist()}
-    return table, lambdas[chosen], betas[chosen], float(intercepts[chosen]), computed
+            fold_aucs[i, f] = auc(sigmoid(intercepts[i] + Z_val @ betas[i]), data.y[val])
+    table = [
+        {"params": {"lambda_path": lambdas[: i + 1]}, "fold_aucs": row.tolist(), "mean_auc": float(np.mean(row.tolist()))}
+        for i, row in enumerate(fold_aucs)
+    ]
+    chosen = int(np.argmax([row["mean_auc"] for row in table]))  # path is descending, first max = largest lambda
+    betas, intercepts, _, _, computed, _ = _lasso_path(data.X, y, lambdas, params)
+    return table, chosen, betas[chosen], float(intercepts[chosen]), computed
 
 
 class TestLassoTasks:
     @pytest.mark.parametrize("n_pos", [None, 6])
     def test_fold_tasks_equal_serial_loop(self, n_pos):
         data = logistic_data(200, [1.0, -1.0, 0.5], seed=13, noise_cols=5)
-        if n_pos is not None:  # six positives cap the 10-fold CV at six folds
+        k = 10
+        if n_pos is not None:  # six positives allow six folds at most
             y = np.zeros(data.n_rows, int)
             y[np.random.default_rng(13).choice(data.n_rows, n_pos, replace=False)] = 1
             data = LabeledDataset(data.X, y, data.feature_names, data.row_keys)
-        table, lam, beta, intercept, computed = serial_lasso(data, seed=3)
+            with pytest.raises(ValueError, match="folds"):
+                cv_tasks(data, "lasso", HyperGrid(lasso=tuple(lasso_cells(data, {}))), k, 3)
+            k = 6
+        grid = HyperGrid(lasso=tuple(lasso_cells(data, {})))
+        table, chosen, beta, intercept, computed = serial_lasso(data, k, seed=3)
         with TaskPool(2) as pool:
-            pooled = fit_lasso(data, seed=3, pool=pool)
-        for model in (fit_lasso(data, seed=3), pooled):
-            assert model.training_meta["cv"] == table
-            assert len(table["fold_aucs"][0]) == (10 if n_pos is None else 6)
-            assert model.training_meta["lambda"] == lam
-            assert model.training_meta["path_computed"] == computed
-            assert np.array_equal(model.parameters["coef"], beta)
-            assert model.parameters["intercept"] == intercept
+            pooled = cv_tune(data, "lasso", grid, k=k, seed=3, pool=pool)
+        for result in (cv_tune(data, "lasso", grid, k=k, seed=3), pooled):
+            assert result.table == table
+            assert all(len(row["fold_aucs"]) == k for row in result.table)
+            assert result.best_params == table[chosen]["params"]
+        # the refit of the chosen cell is the all-rows path cut at its penalty
+        model = fit_lasso(data, lambda_path=pooled.best_params["lambda_path"], seed=3)
+        assert model.training_meta["lambda"] == table[chosen]["params"]["lambda_path"][-1]
+        assert model.training_meta["path_computed"] == min(computed, chosen + 1)
+        assert np.array_equal(model.parameters["coef"], beta)
+        assert model.parameters["intercept"] == intercept
 
-    def test_tasks_are_what_fit_lasso_runs(self):
+    def test_tasks_are_what_cv_tune_runs(self):
         data = logistic_data(200, [1.0], seed=14, noise_cols=2)
-        tasks = lasso_tasks(data, seed=4)
-        assert len(tasks) == 1 + 10  # the full-data path, then one path per fold
+        grid = HyperGrid(lasso=tuple(lasso_cells(data, {})))
+        tasks = cv_tasks(data, "lasso", grid, 10, 4)
+        assert len(tasks) == 10  # one path per fold scores all 20 penalties
         pool = TaskPool()
         pool.submit(tasks)
-        assert pool.submit(lasso_tasks(data, seed=4)) == pool.submit(tasks)
-        assert np.array_equal(fit_lasso(data, seed=4, pool=pool).parameters["coef"], fit_lasso(data, seed=4).parameters["coef"])
+        assert pool.submit(cv_tasks(data, "lasso", grid, 10, 4)) == pool.submit(tasks)
+        assert cv_tune(data, "lasso", grid, k=10, seed=4, pool=pool).table == cv_tune(data, "lasso", grid, k=10, seed=4).table
