@@ -1,10 +1,11 @@
 """Single entry point: generate -> featurize -> train -> evaluate -> predict -> triage.
 
-Every command writes into a fresh output directory via a staging rename,
-so failures never leave partial outputs behind, and drops a
-run_manifest.json with sha256 checksums of everything it wrote. All
-randomness derives from --seed; rerunning a command with identical inputs
-reproduces identical checksums.
+Every command runs inside ``stage``: it refuses an existing output
+directory before reading any input, writes into a staging directory that
+is renamed only on success, so failures never leave partial outputs
+behind, and drops a run_manifest.json with sha256 checksums of
+everything it wrote. All randomness derives from --seed; rerunning a
+command with identical inputs reproduces identical checksums.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import json
 import os
 import shutil
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
 from pathlib import Path
 from time import perf_counter
@@ -46,7 +47,6 @@ from .learners import (
     predict_proba,
     save_model,
 )
-from .learners.artifact import fit_cost
 from .learners.linear import lasso_cells
 from .rng import NS_PIPELINE, child_seed
 from .synthgen import (
@@ -62,6 +62,8 @@ from .tasks import Task, TaskPool
 from .triage import TriageConfig, build_rules, list_summary, load_ip_list, triage, write_decisions
 
 INTERNAL_SPACE_CIDR = "10.0.0.0/8"
+KNOWN_BAD = 5  # hosts in generate's deny_sample.txt
+KNOWN_BENIGN = 3  # hosts in generate's allow_sample.txt
 
 
 class PipelineError(Exception):
@@ -78,6 +80,10 @@ def _sha256(path: Path) -> str:
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def write_manifest(out_dir: Path, command: str, inputs: dict, params: dict, started: str, **extra) -> None:
@@ -100,9 +106,7 @@ def write_manifest(out_dir: Path, command: str, inputs: dict, params: dict, star
         "output_checksums": checksums,
         **extra,
     }
-    (Path(out_dir) / "run_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(Path(out_dir) / "run_manifest.json", manifest)
 
 
 def read_manifest(out_dir: Path) -> dict:
@@ -110,19 +114,36 @@ def read_manifest(out_dir: Path) -> dict:
 
 
 @contextmanager
-def staged_output(out: Path):
-    """Yield a staging dir that is renamed to ``out`` only on success."""
+def stage(out: Path, command: str, inputs: dict, params: dict):
+    """Run one command's body into ``out``, all or nothing.
+
+    An existing ``out`` is refused before the body runs, so no input is
+    read. The body gets a staging directory and an ``extra`` dict of
+    manifest blocks to fill (``signals``, ``timings``); ``params`` may
+    also be filled in by the body. On success run_manifest.json is
+    written, with ``timings.total_s``, and staging is renamed to ``out``;
+    on any exception staging, and any parent directory it had to create,
+    is removed.
+    """
     out = Path(out)
     if out.exists():
         raise PipelineError(f"output path already exists: {out}")
+    started, clock = _now(), perf_counter()
     staging = out.with_name(out.name + ".staging")
     if staging.exists():
         shutil.rmtree(staging)
+    new_parents = [directory for directory in staging.parents if not directory.exists()]
     staging.mkdir(parents=True)
+    extra = {"timings": {}}
     try:
-        yield staging
+        yield staging, extra
+        extra["timings"]["total_s"] = perf_counter() - clock
+        write_manifest(staging, command, inputs, params, started, **extra)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
+        for directory in new_parents:  # innermost first
+            with suppress(OSError):  # not empty: something else wrote there meanwhile
+                directory.rmdir()
         raise
     os.replace(staging, out)
 
@@ -140,41 +161,27 @@ def run_generate(
     scenario: str = "default",
     c2_hosts: int = 50,
     benign_hosts: int = 250,
-    known_bad: int = 5,
-    known_benign: int = 3,
     day_start_ms: int | None = None,
 ) -> None:
-    started = _now()
-    factory = {"default": default_scenario, "overlap": overlap_scenario}.get(scenario)
-    if factory is None:
-        raise PipelineError(f"unknown scenario {scenario!r} (default, overlap)")
-    cfg = factory(seed=seed, n_c2=c2_hosts, n_benign=benign_hosts)
-    if day_start_ms is not None:
-        cfg = dataclasses.replace(cfg, day_start_ms=day_start_ms)
-    with staged_output(out) as tmp:
+    params = {"seed": seed, "scenario": scenario, "c2_hosts": c2_hosts, "benign_hosts": benign_hosts}
+    with stage(out, "generate", {}, params) as (tmp, _):
+        factory = {"default": default_scenario, "overlap": overlap_scenario}.get(scenario)
+        if factory is None:
+            raise PipelineError(f"unknown scenario {scenario!r} (default, overlap)")
+        cfg = factory(seed=seed, n_c2=c2_hosts, n_benign=benign_hosts)
+        if day_start_ms is not None:
+            cfg = dataclasses.replace(cfg, day_start_ms=day_start_ms)
+        params["day_start_ms"] = cfg.day_start_ms
         summary = generate(cfg, tmp / "flows.csv", tmp / "labels.csv")
         (tmp / "internal_space.txt").write_text(INTERNAL_SPACE_CIDR + "\n", encoding="utf-8")
         malicious = sorted(h for h, p in summary.hosts.items() if p.label == LABEL_MALICIOUS)
         benign = sorted(h for h, p in summary.hosts.items() if p.label == LABEL_BENIGN)
         (tmp / "deny_sample.txt").write_text(
-            "# sample of already-known bad hosts\n" + "\n".join(malicious[:known_bad]) + "\n",
+            "# sample of already-known bad hosts\n" + "\n".join(malicious[:KNOWN_BAD]) + "\n",
             encoding="utf-8",
         )
         (tmp / "allow_sample.txt").write_text(
-            "# sample of vetted hosts\n" + "\n".join(benign[:known_benign]) + "\n", encoding="utf-8"
-        )
-        write_manifest(
-            tmp,
-            "generate",
-            inputs={},
-            params={
-                "seed": seed,
-                "scenario": scenario,
-                "c2_hosts": c2_hosts,
-                "benign_hosts": benign_hosts,
-                "day_start_ms": cfg.day_start_ms,
-            },
-            started=started,
+            "# sample of vetted hosts\n" + "\n".join(benign[:KNOWN_BENIGN]) + "\n", encoding="utf-8"
         )
 
 
@@ -187,51 +194,38 @@ def run_featurize(
     schema: Path | None = None,
     ablate_distributional: bool = False,
 ) -> None:
-    started = _now()
-    flows = _require_file(flows, "flow file")
-    internal_space = _require_file(internal_space, "internal-space config")
-    schema_map = read_schema(_require_file(schema, "schema config")) if schema else identity_schema()
-    cfg = FeatureConfig.from_file(_require_file(feature_config, "feature config")) if feature_config else FeatureConfig()
-    label_map = read_labels(_require_file(labels, "label file")) if labels else None
+    inputs = {"flows": str(flows), "internal_space": str(internal_space), "labels": str(labels) if labels else None}
+    with stage(out, "featurize", inputs, {"ablate_distributional": ablate_distributional}) as (tmp, extra):
+        flows = _require_file(flows, "flow file")
+        internal_space = _require_file(internal_space, "internal-space config")
+        schema_map = read_schema(_require_file(schema, "schema config")) if schema else identity_schema()
+        cfg = FeatureConfig.from_file(_require_file(feature_config, "feature config")) if feature_config else FeatureConfig()
+        label_map = read_labels(_require_file(labels, "label file")) if labels else None
 
-    clock = perf_counter()
-    table, stats = parse_flow_file(flows, schema_map)
-    parsed = perf_counter()
-    space = InternalSpace.from_file(internal_space)
-    host_days, non_boundary = group_daily(table, space)
-    grouped = perf_counter()
-    vectors = featurize_aggregates(host_days, cfg)
-    timings = {"parse_s": parsed - clock, "group_s": grouped - parsed, "featurize_s": perf_counter() - grouped}
-    with staged_output(out) as tmp:
+        clock = perf_counter()
+        table, stats = parse_flow_file(flows, schema_map)
+        parsed = perf_counter()
+        space = InternalSpace.from_file(internal_space)
+        host_days, non_boundary = group_daily(table, space)
+        grouped = perf_counter()
+        vectors = featurize_aggregates(host_days, cfg)
+        extra["timings"].update(parse_s=parsed - clock, group_s=grouped - parsed, featurize_s=perf_counter() - grouped)
         write_feature_matrix(
             tmp / "features.csv",
             vectors,
             labels=label_map,
             drop_block="distributional" if ablate_distributional else None,
         )
-        (tmp / "ingest_stats.json").write_text(
-            json.dumps(
-                {
-                    "lines_read": stats.lines_read,
-                    "records_accepted": stats.records_accepted,
-                    "records_rejected": stats.records_rejected,
-                    "reject_reasons": stats.reject_reasons,
-                    "non_boundary": non_boundary,
-                    "host_days": len(vectors),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-        write_manifest(
-            tmp,
-            "featurize",
-            inputs={"flows": str(flows), "internal_space": str(internal_space), "labels": str(labels) if labels else None},
-            params={"ablate_distributional": ablate_distributional},
-            started=started,
-            timings=timings,
+        _write_json(
+            tmp / "ingest_stats.json",
+            {
+                "lines_read": stats.lines_read,
+                "records_accepted": stats.records_accepted,
+                "records_rejected": stats.records_rejected,
+                "reject_reasons": stats.reject_reasons,
+                "non_boundary": non_boundary,
+                "host_days": len(vectors),
+            },
         )
 
 
@@ -244,81 +238,63 @@ def run_train(features: Path, out: Path, seed: int, folds: int = 10, jobs: int =
     """Tune and fit the six bases and the stack on one pool of ``jobs`` workers.
 
     The lasso's grid becomes one cell per penalty of a path fixed from all
-    rows. Every kind's CV fits are queued up front, longest first. As
-    each kind's CV is in (waited for in a fixed order), its full-data
-    refit and its stack OOF fits are queued; only the meta GLM waits for
-    all kinds. The stack nests the full-data fits saved as ``<kind>.json``.
-    Every fit keeps its own seed and results reduce by key, so the outputs
-    are identical for any ``jobs``.
+    rows. Every kind's CV fits are queued up front, in ``BASE_KINDS``
+    order, and kinds are waited for in that order. As each kind's CV is
+    in, its full-data refit and its stack OOF fits are queued; only the
+    meta GLM waits for all kinds. The stack nests the full-data fits saved
+    as ``<kind>.json``. Every fit keeps its own seed and results reduce
+    by key, so the outputs are identical for any ``jobs``.
     """
-    started = _now()
-    clock = perf_counter()
-    data = load_feature_matrix(_require_file(features, "feature matrix"))
-    data.require_training_labels()
-    grid = default_grid()
-    grid = dataclasses.replace(grid, lasso=tuple(cell for spec in grid.lasso for cell in lasso_cells(data, spec)))
-    cv_seed, refit_seed, stack_seed = (child_seed(seed, NS_PIPELINE, i) for i in (11, 12, 13))
-    cv_results: dict[str, CvResult] = {}
     chosen: dict[str, dict] = {}
-    artifacts = {}
-    refits = {}
-    cv_done_s = {}
-    with TaskPool(jobs) as pool:
-        plan = {kind: cv_tasks(data, kind, grid, folds, cv_seed) for kind in BASE_KINDS}
-        queue = sorted((task for tasks in plan.values() for task in tasks), key=lambda task: -task.cost)
-        pool.submit(queue)
-        # wait for kinds in the order their last task was queued
-        position = {task.key: i for i, task in enumerate(queue)}
-        for kind in sorted(plan, key=lambda kind: max(position[task.key] for task in plan[kind])):
-            cv_results[kind] = cv_tune(data, kind, grid, k=folds, seed=cv_seed, pool=pool)
-            chosen[kind] = cv_results[kind].best_params
-            refit = Task(("refit", kind), _refit, (kind, data, chosen[kind], refit_seed), fit_cost(kind, chosen[kind]))
-            refits[kind] = pool.submit([refit])[0]
-            pool.submit(stack_tasks(data, BASE_KINDS.index(kind), (kind, chosen[kind]), folds, stack_seed))
-            cv_done_s[kind] = perf_counter() - clock
-            print(
-                f"c2sift train: {kind} CV done at {cv_done_s[kind]:.1f} s, chose {json.dumps(chosen[kind], sort_keys=True)}",
-                file=sys.stderr,
-                flush=True,
+    params = {"seed": seed, "folds": folds, "jobs": jobs, "chosen": chosen}
+    with stage(out, "train", {"features": str(features)}, params) as (tmp, extra):
+        clock = perf_counter()
+        data = load_feature_matrix(_require_file(features, "feature matrix"))
+        data.require_training_labels()
+        grid = default_grid()
+        grid = dataclasses.replace(grid, lasso=tuple(cell for spec in grid.lasso for cell in lasso_cells(data, spec)))
+        cv_seed, refit_seed, stack_seed = (child_seed(seed, NS_PIPELINE, i) for i in (11, 12, 13))
+        cv_results: dict[str, CvResult] = {}
+        refits = {}
+        cv_done_s = {}
+        with TaskPool(jobs) as pool:
+            for kind in BASE_KINDS:
+                pool.submit(cv_tasks(data, kind, grid, folds, cv_seed))
+            for kind in BASE_KINDS:
+                cv_results[kind] = cv_tune(data, kind, grid, k=folds, seed=cv_seed, pool=pool)
+                chosen[kind] = cv_results[kind].best_params
+                refits[kind] = pool.submit([Task(("refit", kind), _refit, (kind, data, chosen[kind], refit_seed))])[0]
+                pool.submit(stack_tasks(data, BASE_KINDS.index(kind), (kind, chosen[kind]), folds, stack_seed))
+                cv_done_s[kind] = perf_counter() - clock
+                print(
+                    f"c2sift train: {kind} CV done at {cv_done_s[kind]:.1f} s, chose {json.dumps(chosen[kind], sort_keys=True)}",
+                    file=sys.stderr,
+                    flush=True,
+                )
+            artifacts = {kind: future.result() for kind, future in refits.items()}
+            stack = fit_stack(
+                data,
+                [(kind, chosen[kind]) for kind in BASE_KINDS],
+                [artifacts[kind] for kind in BASE_KINDS],
+                k=folds,
+                seed=stack_seed,
+                pool=pool,
             )
-        for kind, future in refits.items():
-            artifacts[kind] = future.result()
-        stack = fit_stack(
-            data,
-            [(kind, chosen[kind]) for kind in BASE_KINDS],
-            [artifacts[kind] for kind in BASE_KINDS],
-            k=folds,
-            seed=stack_seed,
-            pool=pool,
-        )
-        stack_done_s = perf_counter() - clock
-    lasso_meta = artifacts["lasso"].training_meta
-    signals = {
-        "lasso": {
-            "converged": lasso_meta["converged"],
-            "path_computed": lasso_meta["path_computed"],
-            "n_lambdas": len(lasso_meta["lambda_path"]),
-        },
-        "stack_meta_glm": {key: stack.parameters["meta"].training_meta[key] for key in ("converged", "separation")},
-    }
-    with staged_output(out) as tmp:
+            stack_done_s = perf_counter() - clock
+        lasso_meta = artifacts["lasso"].training_meta
+        extra["signals"] = {
+            "lasso": {
+                "converged": lasso_meta["converged"],
+                "path_computed": lasso_meta["path_computed"],
+                "n_lambdas": len(lasso_meta["lambda_path"]),
+            },
+            "stack_meta_glm": {key: stack.parameters["meta"].training_meta[key] for key in ("converged", "separation")},
+        }
+        extra["timings"].update(cv_done_s=cv_done_s, stack_done_s=stack_done_s)
         for kind, artifact in artifacts.items():
             save_model(artifact, tmp / f"{kind}.json")
         save_model(stack, tmp / "stack.json")
         write_cv_tables(tmp / "cv_tables.csv", cv_results)
-        write_manifest(
-            tmp,
-            "train",
-            inputs={"features": str(features)},
-            params={"seed": seed, "folds": folds, "jobs": jobs, "chosen": chosen},
-            started=started,
-            signals=signals,
-            timings={
-                "cv_done_s": cv_done_s,
-                "stack_done_s": stack_done_s,
-                "total_s": perf_counter() - clock,
-            },
-        )
 
 
 def _load_model_dir(model_dir: Path) -> dict:
@@ -349,71 +325,56 @@ def run_evaluate(
     importance_kind: str = "rf",
     importance_repeats: int = 5,
 ) -> None:
-    started = _now()
-    data = load_feature_matrix(_require_file(features, "feature matrix"))
-    if data.y is None:
-        raise PipelineError(f"feature matrix {features} has no label column; evaluation needs labels")
-    models = _load_model_dir(model_dir)
-    reports = []
-    timings = {"bootstrap_s": 0.0, "importance_s": 0.0}
-    for kind in sorted(models):
-        scores = predict_proba(models[kind], data.X, data.feature_names)
-        clock = perf_counter()
-        reports.append(
-            evaluate_scores(kind, scores, data.y, B=bootstrap, seed=child_seed(seed, NS_PIPELINE, 20), threshold=threshold)
-        )
-        timings["bootstrap_s"] += perf_counter() - clock
-    importance = None
-    if importance_kind:
-        if importance_kind not in models:
-            raise PipelineError(f"importance model {importance_kind!r} not in {model_dir}")
-        clock = perf_counter()
-        importance = permutation_importance(
-            models[importance_kind], data, repeats=importance_repeats, seed=child_seed(seed, NS_PIPELINE, 21)
-        )
-        timings["importance_s"] = perf_counter() - clock
-    with staged_output(out) as tmp:
+    inputs = {"features": str(features), "model_dir": str(model_dir)}
+    params = {
+        "bootstrap": bootstrap,
+        "threshold": threshold,
+        "seed": seed,
+        "importance_kind": importance_kind,
+        "importance_repeats": importance_repeats,
+    }
+    with stage(out, "evaluate", inputs, params) as (tmp, extra):
+        data = load_feature_matrix(_require_file(features, "feature matrix"))
+        if data.y is None:
+            raise PipelineError(f"feature matrix {features} has no label column; evaluation needs labels")
+        models = _load_model_dir(model_dir)
+        reports = []
+        timings = extra["timings"]
+        timings.update(bootstrap_s=0.0, importance_s=0.0)
+        for kind in sorted(models):
+            scores = predict_proba(models[kind], data.X, data.feature_names)
+            clock = perf_counter()
+            reports.append(
+                evaluate_scores(kind, scores, data.y, B=bootstrap, seed=child_seed(seed, NS_PIPELINE, 20), threshold=threshold)
+            )
+            timings["bootstrap_s"] += perf_counter() - clock
+        if importance_kind:
+            if importance_kind not in models:
+                raise PipelineError(f"importance model {importance_kind!r} not in {model_dir}")
+            clock = perf_counter()
+            importance = permutation_importance(
+                models[importance_kind], data, repeats=importance_repeats, seed=child_seed(seed, NS_PIPELINE, 21)
+            )
+            timings["importance_s"] = perf_counter() - clock
+            write_importance(tmp / f"importance_{importance_kind}.csv", importance)
         write_evaluation(tmp / "evaluation.json", reports)
         write_bootstrap_table(tmp / "bootstrap_metrics.csv", reports)
-        if importance is not None:
-            write_importance(tmp / f"importance_{importance_kind}.csv", importance)
-        write_manifest(
-            tmp,
-            "evaluate",
-            inputs={"features": str(features), "model_dir": str(model_dir)},
-            params={
-                "bootstrap": bootstrap,
-                "threshold": threshold,
-                "seed": seed,
-                "importance_kind": importance_kind,
-                "importance_repeats": importance_repeats,
-            },
-            started=started,
-            timings=timings,
-        )
 
 
 def run_predict(features: Path, model_dir: Path, out: Path, model_kind: str = "stack") -> None:
-    started = _now()
-    data = load_feature_matrix(_require_file(features, "feature matrix"))
-    model_path = _require_file(Path(model_dir) / f"{model_kind}.json", f"model artifact {model_kind}")
-    artifact = load_model(model_path)
-    try:
-        scores = predict_proba(artifact, data.X, data.feature_names)
-    except ValueError as exc:
-        raise PipelineError(f"predict failed on {features}: {exc}") from exc
-    with staged_output(out) as tmp:
+    model_path = Path(model_dir) / f"{model_kind}.json"
+    inputs = {"features": str(features), "model": str(model_path)}
+    with stage(out, "predict", inputs, {"model_kind": model_kind}) as (tmp, _):
+        data = load_feature_matrix(_require_file(features, "feature matrix"))
+        artifact = load_model(_require_file(model_path, f"model artifact {model_kind}"))
+        try:
+            scores = predict_proba(artifact, data.X, data.feature_names)
+        except ValueError as exc:
+            raise PipelineError(f"predict failed on {features}: {exc}") from exc
         lines = ["host_ip,window_date,score"]
         for (host_ip, window_date), score in zip(data.row_keys, scores):
             lines.append(f"{host_ip},{window_date},{repr(float(score))}")
         (tmp / "predictions.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        write_manifest(
-            tmp,
-            "predict",
-            inputs={"features": str(features), "model": str(model_path)},
-            params={"model_kind": model_kind},
-            started=started,
-        )
 
 
 def read_predictions(path: Path) -> list[tuple[str, str, float]]:
@@ -443,44 +404,32 @@ def run_triage(
     triage_config: Path | None = None,
     threshold: float | None = None,
 ) -> None:
-    started = _now()
-    flagged = read_predictions(_require_file(predictions, "predictions file"))
-    data = load_feature_matrix(_require_file(features, "feature matrix"))
-    feature_rows = {
-        key: dict(zip(data.feature_names, map(float, row))) for key, row in zip(data.row_keys, data.X)
+    list_paths = (("deny", deny), ("allow", allow), ("cdn_cloud", cdn), ("sinkhole", sinkhole))
+    inputs = {
+        "predictions": str(predictions),
+        "features": str(features),
+        "lists": [str(p) for _, group in list_paths for p in group],
     }
-    cfg = TriageConfig.from_file(triage_config) if triage_config else TriageConfig()
-    if threshold is not None:
-        cfg = dataclasses.replace(cfg, threshold=threshold)
-    lists = []
-    for kind, paths in (("deny", deny), ("allow", allow), ("cdn_cloud", cdn), ("sinkhole", sinkhole)):
-        for path in paths:
-            lists.append(load_ip_list(_require_file(path, f"{kind} list"), kind))
-    decisions = triage(flagged, lists, build_rules(cfg), feature_rows)
-    counts: dict[str, int] = {}
-    for d in decisions:
-        counts[d.outcome] = counts.get(d.outcome, 0) + 1
-    with staged_output(out) as tmp:
+    params = {}
+    with stage(out, "triage", inputs, params) as (tmp, _):
+        flagged = read_predictions(_require_file(predictions, "predictions file"))
+        data = load_feature_matrix(_require_file(features, "feature matrix"))
+        feature_rows = {
+            key: dict(zip(data.feature_names, map(float, row))) for key, row in zip(data.row_keys, data.X)
+        }
+        cfg = TriageConfig.from_file(triage_config) if triage_config else TriageConfig()
+        if threshold is not None:
+            cfg = dataclasses.replace(cfg, threshold=threshold)
+        params["config"] = dataclasses.asdict(cfg)
+        lists = [load_ip_list(_require_file(path, f"{kind} list"), kind) for kind, group in list_paths for path in group]
+        decisions = triage(flagged, lists, build_rules(cfg), feature_rows)
+        counts: dict[str, int] = {}
+        for d in decisions:
+            counts[d.outcome] = counts.get(d.outcome, 0) + 1
         write_decisions(tmp / "decisions.csv", decisions)
-        (tmp / "triage_summary.json").write_text(
-            json.dumps(
-                {"outcomes": counts, "config": dataclasses.asdict(cfg), "lists": list_summary(lists, decisions)},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-        write_manifest(
-            tmp,
-            "triage",
-            inputs={
-                "predictions": str(predictions),
-                "features": str(features),
-                "lists": [str(p) for group in (deny, allow, cdn, sinkhole) for p in group],
-            },
-            params={"config": dataclasses.asdict(cfg)},
-            started=started,
+        _write_json(
+            tmp / "triage_summary.json",
+            {"outcomes": counts, "config": params["config"], "lists": list_summary(lists, decisions)},
         )
 
 
@@ -497,34 +446,33 @@ def run_pipeline(
     ablate_distributional: bool = False,
     importance_repeats: int = 5,
 ) -> None:
-    started = _now()
+    """Every stage on two synthetic days, each into its own directory under ``out``.
+
+    The pipeline itself is not staged: a staged pipeline would hand its
+    stages inputs under ``out``'s staging path, and their manifests would
+    record those paths.
+    """
+    started, clock = _now(), perf_counter()
     out = Path(out)
     if out.exists():
         raise PipelineError(f"output path already exists: {out}")
     out.mkdir(parents=True)
 
     base_day = default_scenario().day_start_ms
-    run_generate(
-        out / "train_data",
-        seed=child_seed(seed, NS_PIPELINE, 0),
-        scenario=scenario,
-        c2_hosts=c2_hosts,
-        benign_hosts=benign_hosts,
-        day_start_ms=base_day,
-    )
-    run_generate(
-        out / "test_data",
-        seed=child_seed(seed, NS_PIPELINE, 1),
-        scenario=scenario,
-        c2_hosts=c2_hosts,
-        benign_hosts=benign_hosts,
-        day_start_ms=base_day + DAY_MS,
-    )
-    for split in ("train", "test"):
+    for day, split in enumerate(("train", "test")):
+        day_dir = out / f"{split}_data"
+        run_generate(
+            day_dir,
+            seed=child_seed(seed, NS_PIPELINE, day),
+            scenario=scenario,
+            c2_hosts=c2_hosts,
+            benign_hosts=benign_hosts,
+            day_start_ms=base_day + day * DAY_MS,
+        )
         run_featurize(
-            flows=out / f"{split}_data" / "flows.csv",
-            internal_space=out / f"{split}_data" / "internal_space.txt",
-            labels=out / f"{split}_data" / "labels.csv",
+            flows=day_dir / "flows.csv",
+            internal_space=day_dir / "internal_space.txt",
+            labels=day_dir / "labels.csv",
             out=out / f"features_{split}",
             ablate_distributional=ablate_distributional,
         )
@@ -574,6 +522,7 @@ def run_pipeline(
             "ablate_distributional": ablate_distributional,
         },
         started=started,
+        timings={"total_s": perf_counter() - clock},
     )
 
 
@@ -633,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="score a feature matrix with a trained model")
     p.add_argument("--features", required=True, type=Path)
     p.add_argument("--model-dir", required=True, type=Path)
-    p.add_argument("--model", default="stack")
+    p.add_argument("--model", dest="model_kind", default="stack")
     p.add_argument("--out", required=True, type=Path)
 
     p = sub.add_parser("triage", help="filter predictions through lists and rules")
@@ -662,64 +611,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+COMMANDS = {
+    "generate": run_generate,
+    "featurize": run_featurize,
+    "train": run_train,
+    "evaluate": run_evaluate,
+    "predict": run_predict,
+    "triage": run_triage,
+    "pipeline": run_pipeline,
+}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command = args.pop("command")
     try:
-        if args.command == "generate":
-            run_generate(args.out, args.seed, args.scenario, args.c2_hosts, args.benign_hosts)
-        elif args.command == "featurize":
-            run_featurize(
-                args.flows,
-                args.internal_space,
-                args.out,
-                labels=args.labels,
-                feature_config=args.feature_config,
-                schema=args.schema,
-                ablate_distributional=args.ablate_distributional,
-            )
-        elif args.command == "train":
-            run_train(args.features, args.out, args.seed, args.folds, args.jobs)
-        elif args.command == "evaluate":
-            run_evaluate(
-                args.features,
-                args.model_dir,
-                args.out,
-                bootstrap=args.bootstrap,
-                threshold=args.threshold,
-                seed=args.seed,
-                importance_kind=args.importance_kind,
-                importance_repeats=args.importance_repeats,
-            )
-        elif args.command == "predict":
-            run_predict(args.features, args.model_dir, args.out, args.model)
-        elif args.command == "triage":
-            run_triage(
-                args.predictions,
-                args.features,
-                args.out,
-                deny=args.deny,
-                allow=args.allow,
-                cdn=args.cdn,
-                sinkhole=args.sinkhole,
-                triage_config=args.triage_config,
-                threshold=args.threshold,
-            )
-        elif args.command == "pipeline":
-            run_pipeline(
-                args.out,
-                args.seed,
-                scenario=args.scenario,
-                c2_hosts=args.c2_hosts,
-                benign_hosts=args.benign_hosts,
-                folds=args.folds,
-                bootstrap=args.bootstrap,
-                threshold=args.threshold,
-                jobs=args.jobs,
-                ablate_distributional=args.ablate_distributional,
-                importance_repeats=args.importance_repeats,
-            )
+        COMMANDS[command](**args)
     except (PipelineError, ValueError, KeyError, OSError) as exc:
-        print(f"c2sift {args.command}: error: {exc}", file=sys.stderr)
+        print(f"c2sift {command}: error: {exc}", file=sys.stderr)
         return 2
     return 0
 

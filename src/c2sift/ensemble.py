@@ -19,7 +19,6 @@ from .evaluate import stratified_folds
 from .learners.artifact import (
     ModelArtifact,
     decode_model,
-    fit_cost,
     fit_model,
     predict_proba,
     register_kind,
@@ -59,10 +58,9 @@ def _oof_column(data, kind: str, params, folds: np.ndarray, f: int, seed: int, m
 
 def _base_tasks(data, m: int, kind: str, params, folds: np.ndarray, k: int, seed: int) -> list[Task]:
     """One OOF fit of base m per non-empty fold; keys end in (m, fold)."""
-    cost = fit_cost(kind, params)
     key = ("stack", kind, json.dumps(params, sort_keys=True), seed, folds.tobytes(), m)
     return [
-        Task((*key, f), _oof_column, (data, kind, params, folds, f, seed, m), cost)
+        Task((*key, f), _oof_column, (data, kind, params, folds, f, seed, m))
         for f in range(k)
         if (folds == f).any()
     ]

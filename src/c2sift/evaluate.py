@@ -187,7 +187,7 @@ def cv_tasks(data, kind: str, grid, k: int = 10, seed: int = 0) -> list:
     fit per fold (``share_groups``). Cell i's fit on fold f is seeded
     (NS_CV, i, f); a shared fit is its largest cell's own fit.
     """
-    from .learners.artifact import fit_cost, score_cells, share_groups  # lazy: avoids import cycle
+    from .learners.artifact import score_cells, share_groups  # lazy: avoids import cycle
 
     y = data.require_training_labels()
     counts = np.bincount(y, minlength=2)
@@ -199,11 +199,10 @@ def cv_tasks(data, kind: str, grid, k: int = 10, seed: int = 0) -> list:
     tasks = []
     for group in share_groups(kind, cells):
         members = [cells[i] for i in group]
-        cost = max(fit_cost(kind, cell) for cell in members)
         for f in range(k):
             seeds = [child_seed(seed, NS_CV, i, f) for i in group]
             key = ("cv", kind, k, json.dumps(members, sort_keys=True), tuple(seeds))
-            tasks.append(Task(key, _cv_cell_fold_aucs, (data, scorer, members, seeds, folds, f), cost))
+            tasks.append(Task(key, _cv_cell_fold_aucs, (data, scorer, members, seeds, folds, f)))
     return tasks
 
 

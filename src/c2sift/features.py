@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import datetime as dt
 import ipaddress
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -207,14 +206,9 @@ def quantile_transform(values: Sequence[float] | np.ndarray, levels: Sequence[fl
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("empty distribution")
-    ordered = np.sort(arr)
     m = arr.size
-    out = np.empty(len(levels))
-    for i, level in enumerate(levels):
-        rank = math.ceil(level * m - 1e-9)
-        rank = min(max(rank, 1), m)
-        out[i] = ordered[rank - 1]
-    return out
+    ranks = np.clip(np.ceil(np.asarray(levels, dtype=float) * m - 1e-9).astype(np.int64), 1, m)
+    return np.sort(arr)[ranks - 1]
 
 
 def _distributional_block(variables: Sequence[np.ndarray], levels: Sequence[float]) -> np.ndarray:

@@ -42,13 +42,11 @@ Fitter = Callable[[LabeledDataset, Mapping, int], ModelArtifact]
 Predictor = Callable[[ModelArtifact, np.ndarray], np.ndarray]
 Reviver = Callable[[dict], dict]
 GroupScorer = Callable[[LabeledDataset, Sequence[Mapping], Sequence[int], np.ndarray, tuple | None], list]
-Cost = Callable[[Mapping], float]
 
 FITTERS: dict[str, Fitter] = {}
 PREDICTORS: dict[str, Predictor] = {}
 REVIVERS: dict[str, Reviver] = {}
 STAGED: dict[str, tuple[str, GroupScorer]] = {}  # kind -> (stage parameter, group scorer)
-COSTS: dict[str, Cost] = {}
 
 
 def register_kind(
@@ -57,7 +55,6 @@ def register_kind(
     predictor: Predictor,
     reviver: Reviver | None = None,
     staged: tuple[str, GroupScorer] | None = None,
-    cost: Cost | None = None,
 ) -> None:
     if fitter is not None:
         FITTERS[kind] = fitter
@@ -66,19 +63,12 @@ def register_kind(
         REVIVERS[kind] = reviver
     if staged is not None:
         STAGED[kind] = staged
-    if cost is not None:
-        COSTS[kind] = cost
 
 
 def fit_model(kind: str, data: LabeledDataset, params: Mapping, seed: int) -> ModelArtifact:
     if kind not in FITTERS:
         raise ValueError(f"unknown model kind {kind!r}")
     return FITTERS[kind](data, params, seed)
-
-
-def fit_cost(kind: str, params: Mapping) -> float:
-    """Rough relative cost of one fit, in tree fits; only orders work."""
-    return COSTS[kind](params) if kind in COSTS else 1.0
 
 
 def share_groups(kind: str, cells: Sequence[Mapping]) -> list[list[int]]:

@@ -130,10 +130,6 @@ def _predict_boosted(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
     return _predict_boosted_stages(artifact, X, [len(artifact.parameters["trees"])])[0]
 
 
-def _rounds_cost(weight: float):
-    return lambda params: weight * GBMParams.from_mapping(params).n_rounds
-
-
 def _revive_boosted(parameters: dict) -> dict:
     return {
         "f0": parameters["f0"],
@@ -142,6 +138,5 @@ def _revive_boosted(parameters: dict) -> dict:
     }
 
 
-# a second-order round costs about twice a first-order one
-register_kind("gbm", fit_gbm, _predict_boosted, _revive_boosted, ("n_rounds", partial(_score_rounds, "gbm")), _rounds_cost(1.0))
-register_kind("gbm2", fit_gbm2, _predict_boosted, _revive_boosted, ("n_rounds", partial(_score_rounds, "gbm2")), _rounds_cost(2.0))
+register_kind("gbm", fit_gbm, _predict_boosted, _revive_boosted, ("n_rounds", partial(_score_rounds, "gbm")))
+register_kind("gbm2", fit_gbm2, _predict_boosted, _revive_boosted, ("n_rounds", partial(_score_rounds, "gbm2")))

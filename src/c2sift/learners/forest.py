@@ -190,10 +190,5 @@ def _revive_pca_rf(parameters: dict) -> dict:
     }
 
 
-def _trees_cost(weight: float):
-    return lambda params: weight * int(params.get("n_trees", RFParams.n_trees))
-
-
-# a pca_rf tree costs about twice an rf tree on the same rows
-register_kind("rf", fit_random_forest, _predict_rf, _revive_rf, cost=_trees_cost(1.0))
-register_kind("pca_rf", fit_pca_rf, _predict_pca_rf, _revive_pca_rf, cost=_trees_cost(2.0))
+register_kind("rf", fit_random_forest, _predict_rf, _revive_rf)
+register_kind("pca_rf", fit_pca_rf, _predict_pca_rf, _revive_pca_rf)

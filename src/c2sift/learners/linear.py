@@ -364,10 +364,5 @@ def _fit_lasso_registry(data: LabeledDataset, params: Mapping, seed: int) -> Mod
     return fit_lasso(data, lambda_path=params["lambda_path"], params=params, seed=seed)
 
 
-def _path_cost(params: Mapping) -> float:
-    # a path step costs about as much as 30 tree fits on the same rows
-    return 30.0 * len(params["lambda_path"])
-
-
 register_kind("glm", fit_glm, _predict_linear)
-register_kind("lasso", _fit_lasso_registry, _predict_linear, staged=("lambda_path", _score_lambda_path), cost=_path_cost)
+register_kind("lasso", _fit_lasso_registry, _predict_linear, staged=("lambda_path", _score_lambda_path))

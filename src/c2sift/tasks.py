@@ -1,13 +1,12 @@
 """One pool of worker processes for all of a command's independent fits.
 
-A ``Task`` is a module-level function with its arguments, a key that
-names its result, and a rough cost used to queue long tasks first. A
-``TaskPool`` runs each key once: a scheduler can submit a command's
-tasks early, longest first, and the function that reduces them later
-submits the same tasks and gets the same futures back. So cross-
+A ``Task`` is a module-level function with its arguments and a key
+that names its result. A ``TaskPool`` runs each key once: a scheduler
+can submit a command's tasks early, and the function that reduces them
+later submits the same tasks and gets the same futures back. So cross-
 validation and stacking run the same code whether they own the pool or
-share one. With ``jobs=1`` there are no worker processes
-and each task runs inline when it is first submitted.
+share one. With ``jobs=1`` there are no worker processes and each task
+runs inline when it is first submitted.
 
 Keys name results within one pool, and a pool serves one dataset.
 Results are gathered in task order, never in completion order, so the
@@ -25,7 +24,6 @@ class Task:
     key: tuple
     fn: Callable
     args: tuple
-    cost: float = 1.0
 
 
 class TaskPool:

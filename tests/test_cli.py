@@ -1,4 +1,6 @@
+import argparse
 import csv
+import inspect
 import json
 
 import pytest
@@ -98,12 +100,53 @@ def test_existing_output_rejected(tmp_path, dataset, capsys):
     assert "already exists" in capsys.readouterr().err
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("an input was read before --out was checked")
+
+
+@pytest.mark.parametrize("command", ["generate", "featurize", "train", "evaluate", "predict", "triage", "pipeline"])
+def test_existing_output_refused_before_any_input_is_read(tmp_path, monkeypatch, capsys, command):
+    for reader in ("generate", "parse_flow_file", "load_feature_matrix", "load_model", "read_predictions"):
+        monkeypatch.setattr(cli, reader, _never)
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for name in ("flows.csv", "internal_space.txt", "features.csv", "predictions.csv", "models/stack.json"):
+        (inputs / name).parent.mkdir(exist_ok=True)
+        (inputs / name).touch()
+    required = {
+        "featurize": ["--flows", inputs / "flows.csv", "--internal-space", inputs / "internal_space.txt"],
+        "train": ["--features", inputs / "features.csv"],
+        "evaluate": ["--features", inputs / "features.csv", "--model-dir", inputs / "models"],
+        "predict": ["--features", inputs / "features.csv", "--model-dir", inputs / "models"],
+        "triage": ["--predictions", inputs / "predictions.csv", "--features", inputs / "features.csv"],
+    }
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run([command, *required.get(command, []), "--out", out]) == 2
+    assert "already exists" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["inputs", "out"]
+    assert not any(out.iterdir())
+
+
+def test_each_subcommand_is_its_run_function():
+    """main() passes the parsed flags straight through as keyword arguments."""
+    parser = cli.build_parser()
+    subcommands = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    assert set(subcommands.choices) == set(cli.COMMANDS)
+    api_only = {"generate": {"day_start_ms"}}  # set by pipeline and callers of run_generate, no flag
+    for command, sub in subcommands.choices.items():
+        dests = {action.dest for action in sub._actions if action.dest != "help"}
+        parameters = inspect.signature(cli.COMMANDS[command]).parameters
+        assert dests == set(parameters) - api_only.get(command, set()), command
+        assert all(parameters[name].default is not inspect.Parameter.empty for name in api_only.get(command, ()))
+
+
 def test_missing_input_fails_without_partial_output(tmp_path, capsys):
-    out = tmp_path / "nope"
+    out = tmp_path / "runs" / "nope"
     assert run(["featurize", "--flows", tmp_path / "absent.csv", "--internal-space", tmp_path / "x", "--out", out]) == 2
     assert "not found" in capsys.readouterr().err
     assert not out.exists()
-    assert not list(tmp_path.glob("*.staging"))
+    assert not list(tmp_path.iterdir())  # nor the staging dir, nor the parent made for it
 
 
 def test_failure_inside_staging_leaves_nothing(tmp_path, dataset, capsys):
@@ -237,17 +280,24 @@ def test_pipeline_determinism(tmp_path, tiny_grid):
     second = cli.read_manifest(tmp_path / "run2")["output_checksums"]
     assert first == second
     assert len(first) > 10
-    # stage timings sit in each manifest, outside the checksums
+    # timings sit in every manifest, outside the checksums
     stage_timings = {
-        "features_train": {"parse_s", "group_s", "featurize_s"},
-        "features_test": {"parse_s", "group_s", "featurize_s"},
-        "evaluation": {"bootstrap_s", "importance_s"},
+        "": {"total_s"},
+        "train_data": {"total_s"},
+        "test_data": {"total_s"},
+        "features_train": {"parse_s", "group_s", "featurize_s", "total_s"},
+        "features_test": {"parse_s", "group_s", "featurize_s", "total_s"},
+        "models": {"cv_done_s", "stack_done_s", "total_s"},
+        "evaluation": {"bootstrap_s", "importance_s", "total_s"},
+        "predictions": {"total_s"},
+        "triage": {"total_s"},
     }
     for stage, keys in stage_timings.items():
         manifest = cli.read_manifest(tmp_path / "run1" / stage)
         assert set(manifest["timings"]) == keys
-        assert all(seconds >= 0.0 for seconds in manifest["timings"].values())
-        assert "run_manifest.json" not in manifest["output_checksums"]
+        assert manifest["timings"]["total_s"] >= 0.0
+        assert all(seconds >= 0.0 for seconds in manifest["timings"].values() if isinstance(seconds, float))
+        assert not any(path.endswith("run_manifest.json") for path in manifest["output_checksums"])
 
 
 def test_pipeline_dirs_have_one_manifest_each(tmp_path, tiny_grid):
