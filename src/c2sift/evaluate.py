@@ -183,9 +183,11 @@ def _cv_cell_fold_aucs(data, scorer, cells, seeds, folds: np.ndarray, f: int) ->
 def cv_tasks(data, kind: str, grid, k: int = 10, seed: int = 0) -> list:
     """One task per (share group of cells, fold), group-major.
 
-    Cells that differ only in a staged kind's stage parameter share one
+    Cells that differ only in a staged kind's stage parameters share one
     fit per fold (``share_groups``). Cell i's fit on fold f is seeded
-    (NS_CV, i, f); a shared fit is its largest cell's own fit.
+    (NS_CV, i, f); a shared fit uses its group leader's seed for every
+    cell, the leader being the cell the kind's group scorer fits
+    (boosting's most rounds; a forest's deepest cap, then most trees).
     """
     from .learners.artifact import score_cells, share_groups  # lazy: avoids import cycle
 

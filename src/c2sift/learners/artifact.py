@@ -4,10 +4,11 @@ An artifact carries the fitted parameters, the seed it was trained with,
 the training-time feature names, and free-form training metadata. Kinds
 register fit/predict/revive callables so cross-validation, stacking, and
 the CLI can treat all models uniformly (tests may register extra kinds).
-A staged kind also registers a stage parameter and a group scorer: cells
-that differ only in that parameter form one group, and the scorer scores
-every cell of a group from one fit (boosting's most rounds, the lasso's
-longest penalty path).
+A staged kind also registers a tuple of stage parameters and a group
+scorer: cells that differ only in those parameters form one group, and
+the scorer scores every cell of a group from one fit (boosting's most
+rounds, the lasso's longest penalty path, a forest's deepest and largest
+cell, whose trees the shallower and smaller cells reuse).
 
 Serialization is JSON with a version tag; floats round-trip exactly via
 repr, so a reloaded model scores a probe matrix bit-for-bit identically.
@@ -46,7 +47,7 @@ GroupScorer = Callable[[LabeledDataset, Sequence[Mapping], Sequence[int], np.nda
 FITTERS: dict[str, Fitter] = {}
 PREDICTORS: dict[str, Predictor] = {}
 REVIVERS: dict[str, Reviver] = {}
-STAGED: dict[str, tuple[str, GroupScorer]] = {}  # kind -> (stage parameter, group scorer)
+STAGED: dict[str, tuple[tuple[str, ...], GroupScorer]] = {}  # kind -> (stage parameters, group scorer)
 
 
 def register_kind(
@@ -54,7 +55,7 @@ def register_kind(
     fitter: Fitter | None,
     predictor: Predictor,
     reviver: Reviver | None = None,
-    staged: tuple[str, GroupScorer] | None = None,
+    staged: tuple[tuple[str, ...], GroupScorer] | None = None,
 ) -> None:
     if fitter is not None:
         FITTERS[kind] = fitter
@@ -74,15 +75,15 @@ def fit_model(kind: str, data: LabeledDataset, params: Mapping, seed: int) -> Mo
 def share_groups(kind: str, cells: Sequence[Mapping]) -> list[list[int]]:
     """Cell indices grouped so that one fit scores each group.
 
-    Cells of a staged kind that set its stage parameter and agree on
-    everything else form one group; every other cell is a group alone.
+    Cells of a staged kind that set any of its stage parameters and agree
+    on everything else form one group; every other cell is a group alone.
     Groups come in the order of their first cell.
     """
-    param = STAGED[kind][0] if kind in STAGED else None
+    params = STAGED[kind][0] if kind in STAGED else ()
     groups: dict = {}
     for i, cell in enumerate(cells):
-        rest = {name: value for name, value in cell.items() if name != param}
-        key = json.dumps(rest, sort_keys=True) if param in cell else i
+        rest = {name: value for name, value in cell.items() if name not in params}
+        key = json.dumps(rest, sort_keys=True) if any(name in cell for name in params) else i
         groups.setdefault(key, []).append(i)
     return list(groups.values())
 

@@ -138,5 +138,5 @@ def _revive_boosted(parameters: dict) -> dict:
     }
 
 
-register_kind("gbm", fit_gbm, _predict_boosted, _revive_boosted, ("n_rounds", partial(_score_rounds, "gbm")))
-register_kind("gbm2", fit_gbm2, _predict_boosted, _revive_boosted, ("n_rounds", partial(_score_rounds, "gbm2")))
+register_kind("gbm", fit_gbm, _predict_boosted, _revive_boosted, (("n_rounds",), partial(_score_rounds, "gbm")))
+register_kind("gbm2", fit_gbm2, _predict_boosted, _revive_boosted, (("n_rounds",), partial(_score_rounds, "gbm2")))

@@ -6,6 +6,15 @@ draws from its own substream (stream id = tree index), so fits are
 reproducible and trees could be built in parallel without changing the
 result.
 
+Because tree b depends only on the seed and b, under one seed a B-tree
+forest is the first B trees of any larger one (Breiman 2001), and one
+staged pass over a forest's trees scores every prefix of it. A depth cap
+c changes tree b only if the uncapped fit grew a node at depth >= c: a
+tree whose every node lies above depth c drew all its columns above the
+cap, so the capped fit of the same substream is the same tree. Cross-
+validation uses both facts to score a grid's ``n_trees`` and
+``max_depth`` cells from one forest per fold (``_score_forest_group``).
+
 The PCA front end centers and unit-scales columns (constant columns are
 scaled by 1), rotates onto the eigenvectors of the correlation-scale
 covariance matrix in decreasing eigenvalue order, and keeps the smallest
@@ -13,8 +22,10 @@ number of components reaching the requested variance fraction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping
+from functools import partial
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +38,7 @@ from .tree import Tree, TreeParams, fit_tree, tree_predict
 @dataclass(frozen=True)
 class RFParams:
     n_trees: int = 300
-    mtry: int | None = None  # None resolves to round(sqrt(d))
+    mtry: int | None = None  # from_mapping resolves None and "sqrt" to round(sqrt(d))
     max_depth: int | None = None
     min_leaf: int = 1
     bootstrap: bool = True
@@ -35,7 +46,7 @@ class RFParams:
     @classmethod
     def from_mapping(cls, params: Mapping, d: int) -> "RFParams":
         mtry = params.get("mtry")
-        if mtry == "sqrt":
+        if mtry is None or mtry == "sqrt":
             mtry = max(1, round(d**0.5))
         elif mtry == "third":
             mtry = max(1, d // 3)
@@ -48,21 +59,19 @@ class RFParams:
         )
 
 
-def fit_random_forest(data: LabeledDataset, params: Mapping | RFParams, seed: int) -> ModelArtifact:
+def _forest_tree(X: np.ndarray, y: np.ndarray, rf: RFParams, seed: int, b: int) -> Tree:
+    """Tree b of a forest: its bootstrap rows and column draws come from substream (NS_FOREST, b)."""
+    rng = substream(seed, NS_FOREST, b)
+    n = len(y)
+    idx = rng.integers(0, n, size=n) if rf.bootstrap else np.arange(n)
+    tree_params = TreeParams(max_depth=rf.max_depth, min_leaf=rf.min_leaf, mtry=rf.mtry)
+    return fit_tree(X[idx], y[idx], tree_params, rng, criterion="gini")
+
+
+def fit_random_forest(data: LabeledDataset, params: Mapping, seed: int) -> ModelArtifact:
     y = data.require_training_labels()
-    d = data.X.shape[1]
-    rf = params if isinstance(params, RFParams) else RFParams.from_mapping(params, d)
-    mtry = rf.mtry if rf.mtry is not None else max(1, round(d**0.5))
-    tree_params = TreeParams(max_depth=rf.max_depth, min_leaf=rf.min_leaf, mtry=mtry)
-    n = data.n_rows
-    trees = []
-    for b in range(rf.n_trees):
-        rng = substream(seed, NS_FOREST, b)
-        if rf.bootstrap:
-            idx = rng.integers(0, n, size=n)
-        else:
-            idx = np.arange(n)
-        trees.append(fit_tree(data.X[idx], y[idx], tree_params, rng, criterion="gini"))
+    rf = RFParams.from_mapping(params, data.X.shape[1])
+    trees = [_forest_tree(data.X, y, rf, seed, b) for b in range(rf.n_trees)]
     return ModelArtifact(
         kind="rf",
         parameters={"trees": trees},
@@ -70,7 +79,7 @@ def fit_random_forest(data: LabeledDataset, params: Mapping | RFParams, seed: in
         feature_names=data.feature_names,
         training_meta={
             "n_trees": rf.n_trees,
-            "mtry": mtry,
+            "mtry": rf.mtry,
             "max_depth": rf.max_depth,
             "min_leaf": rf.min_leaf,
             "bootstrap": rf.bootstrap,
@@ -78,15 +87,56 @@ def fit_random_forest(data: LabeledDataset, params: Mapping | RFParams, seed: in
     )
 
 
-def _forest_proba(trees, X: np.ndarray) -> np.ndarray:
+def _forest_proba(trees, X: np.ndarray, stages: Sequence[int]) -> list[np.ndarray]:
+    """Mean leaf probability over the first s trees for each s in ``stages``, from one pass in tree order."""
+    if not all(0 < s <= len(trees) for s in stages):
+        raise ValueError(f"stages {list(stages)} outside 1..{len(trees)} trees")
     total = np.zeros(X.shape[0])
-    for tree in trees:
+    snapshots = {}
+    for t, tree in enumerate(trees[: max(stages)], start=1):
         total += tree_predict(tree, X)
-    return total / len(trees)
+        if t in stages:
+            snapshots[t] = total / t
+    return [snapshots[s] for s in stages]
 
 
 def _predict_rf(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
-    return _forest_proba(artifact.parameters["trees"], X)
+    trees = artifact.parameters["trees"]
+    return _forest_proba(trees, X, [len(trees)])[0]
+
+
+def _deepest_first(cap: int | None) -> float:
+    return -math.inf if cap is None else -cap
+
+
+def _score_forest_group(kind: str, data: LabeledDataset, cells, seeds, X: np.ndarray, feature_names) -> list[np.ndarray]:
+    """Each cell's scores on X, fitted under its group leader's seed, from one forest per depth cap.
+
+    The leader is the first cell with the deepest cap (None is deepest),
+    then the most trees. Caps are fitted deepest first, and tree b of a cap
+    is tree b of the last deeper cap that grew one when that tree has no
+    node at depth >= cap (module docstring); otherwise it is fitted from
+    its substream. A cell scores the mean of its cap's first ``n_trees``
+    trees. pca_rf fits its PCA once for the whole group.
+    """
+    if kind == "pca_rf":
+        pca, data = _pca_inputs(data, float(cells[0].get("variance_retained", 0.95)))
+        X = pca.transform(X)
+    y = data.require_training_labels()
+    rfs = [RFParams.from_mapping(cell, data.X.shape[1]) for cell in cells]
+    leader = min(range(len(cells)), key=lambda i: (_deepest_first(rfs[i].max_depth), -rfs[i].n_trees))
+    latest: dict[int, Tree] = {}  # tree b of the shallowest cap fitted so far that grew one
+    scores: list = [None] * len(cells)
+    for cap in sorted({rf.max_depth for rf in rfs}, key=_deepest_first):
+        members = [i for i, rf in enumerate(rfs) if rf.max_depth == cap]
+        n_trees = max(rfs[i].n_trees for i in members)
+        for b in range(n_trees):
+            if b not in latest or latest[b].depth >= cap:
+                latest[b] = _forest_tree(data.X, y, rfs[members[0]], seeds[leader], b)
+        stages = [rfs[i].n_trees for i in members]
+        for i, p in zip(members, _forest_proba([latest[b] for b in range(n_trees)], X, stages)):
+            scores[i] = p
+    return scores
 
 
 def _revive_rf(parameters: dict) -> dict:
@@ -144,14 +194,17 @@ def fit_pca(X: np.ndarray, variance_retained: float = 0.95) -> PcaTransform:
     return PcaTransform(means=means, scales=scales, rotation=vectors, eigenvalues=eigenvalues, k=k)
 
 
+def _pca_inputs(data: LabeledDataset, variance_retained: float) -> tuple[PcaTransform, LabeledDataset]:
+    """The PCA fitted to ``data``, and ``data`` rotated onto its components."""
+    pca = fit_pca(data.X, variance_retained)
+    component_names = tuple(f"pc{i + 1}" for i in range(pca.k))
+    inner = LabeledDataset(X=pca.transform(data.X), y=data.y, feature_names=component_names, row_keys=data.row_keys)
+    return pca, inner
+
+
 def fit_pca_rf(data: LabeledDataset, params: Mapping, seed: int) -> ModelArtifact:
     variance_retained = float(params.get("variance_retained", 0.95))
-    pca = fit_pca(data.X, variance_retained)
-    transformed = pca.transform(data.X)
-    component_names = tuple(f"pc{i + 1}" for i in range(pca.k))
-    inner = LabeledDataset(
-        X=transformed, y=data.y, feature_names=component_names, row_keys=data.row_keys
-    )
+    pca, inner = _pca_inputs(data, variance_retained)
     forest = fit_random_forest(inner, params, seed)
     return ModelArtifact(
         kind="pca_rf",
@@ -180,7 +233,8 @@ def _predict_pca_rf(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
         eigenvalues=np.asarray(p["eigenvalues"], dtype=float),
         k=int(p["k"]),
     )
-    return _forest_proba(artifact.parameters["trees"], pca.transform(X))
+    trees = artifact.parameters["trees"]
+    return _forest_proba(trees, pca.transform(X), [len(trees)])[0]
 
 
 def _revive_pca_rf(parameters: dict) -> dict:
@@ -190,5 +244,6 @@ def _revive_pca_rf(parameters: dict) -> dict:
     }
 
 
-register_kind("rf", fit_random_forest, _predict_rf, _revive_rf)
-register_kind("pca_rf", fit_pca_rf, _predict_pca_rf, _revive_pca_rf)
+_STAGES = ("n_trees", "max_depth")
+register_kind("rf", fit_random_forest, _predict_rf, _revive_rf, (_STAGES, partial(_score_forest_group, "rf")))
+register_kind("pca_rf", fit_pca_rf, _predict_pca_rf, _revive_pca_rf, (_STAGES, partial(_score_forest_group, "pca_rf")))

@@ -365,4 +365,4 @@ def _fit_lasso_registry(data: LabeledDataset, params: Mapping, seed: int) -> Mod
 
 
 register_kind("glm", fit_glm, _predict_linear)
-register_kind("lasso", _fit_lasso_registry, _predict_linear, staged=("lambda_path", _score_lambda_path))
+register_kind("lasso", _fit_lasso_registry, _predict_linear, staged=(("lambda_path",), _score_lambda_path))

@@ -74,6 +74,17 @@ class Tree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
+    @property
+    def depth(self) -> int:
+        """Depth of the deepest node; the root is at depth 0."""
+        level, depth = np.zeros(1, dtype=np.int64), 0
+        while True:
+            split = level[self.feature[level] >= 0]
+            if split.size == 0:
+                return depth
+            level = np.concatenate([self.left[split], self.right[split]])
+            depth += 1
+
     def to_jsonable(self) -> dict:
         return {
             "feature": self.feature.tolist(),

@@ -179,10 +179,16 @@ class HostAggregate:
         return cls(host_ip, window_date, ordered, len({flow.device_ip for flow in ordered}))
 
 
+def contains(space: InternalSpace, ip: str) -> bool:
+    """Whether one address lies in any of the space's networks of its IP version."""
+    addr = ipaddress.ip_address(ip)
+    return any(addr.version == net.version and addr in net for net in space.networks)
+
+
 def split_direction(record: FlowRecord, space: InternalSpace) -> DirectedFlow | None:
     """Resolve a flow into host/device roles, or None when non-boundary."""
-    src_internal = space.contains(record.src_ip)
-    dst_internal = space.contains(record.dst_ip)
+    src_internal = contains(space, record.src_ip)
+    dst_internal = contains(space, record.dst_ip)
     if src_internal == dst_internal:
         return None
     if src_internal:

@@ -3,6 +3,7 @@ import pytest
 
 from c2sift.aggregate import InternalSpace, group_daily, window_day
 
+import ingest_oracle
 from conftest import DAY0, DAY0_MS, SPACE, flow_table, grouped_flows
 
 
@@ -148,7 +149,20 @@ def test_internal_space_file(tmp_path):
     p = tmp_path / "space.txt"
     p.write_text("# devices\n10.0.0.0/8\n192.168.0.0/16\n", encoding="utf-8")
     space = InternalSpace.from_file(p)
-    assert space.contains("192.168.3.4") and not space.contains("203.0.113.7")
+    assert space.inside(["192.168.3.4", "203.0.113.7"]).tolist() == [True, False]
+
+
+def test_internal_space_mask_test_matches_per_address_oracle():
+    space = InternalSpace(["10.0.0.0/8", "192.168.4.0/22", "172.16.0.1/12", "fd00::/8", "2001:db8:0:8000::/49", "::/127"])
+    ips = [
+        "10.0.0.1", "10.255.255.255", "11.0.0.0", "9.255.255.255", "192.168.3.255", "192.168.4.0",
+        "192.168.7.255", "192.168.8.0", "172.31.0.9", "172.32.0.0", "0.0.0.0", "255.255.255.255",
+        "fd00::1", "fdff:ffff::", "fe00::", "fc00::1", "2001:db8:0:8000::1", "2001:db8:0:7fff::1",
+        "2001:DB8:0:FFFF::", "::", "::1", "::2", "::ffff:10.0.0.1", "::a00:1", "fd00::1%eth0",
+    ]
+    assert space.inside(ips).tolist() == [ingest_oracle.contains(space, ip) for ip in ips]
+    assert space.inside(ips).sum() == 12
+    assert space.inside([]).tolist() == []
 
 
 def test_internal_space_empty_rejected():

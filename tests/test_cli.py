@@ -358,8 +358,8 @@ def test_stack_nests_the_saved_base_models(tmp_path, features, tiny_grid):
 
 
 PAIR_GRID = HyperGrid(
-    rf=({"n_trees": 4, "max_depth": 3, "mtry": "sqrt"}, {"n_trees": 8, "max_depth": 3, "mtry": "sqrt"}),
-    pca_rf=({"n_trees": 4, "max_depth": 3, "mtry": "sqrt", "variance_retained": 0.95},),
+    rf=tuple({"n_trees": n, "max_depth": d, "mtry": "sqrt"} for n in (4, 8) for d in (2, None)),
+    pca_rf=tuple({"n_trees": n, "max_depth": d, "mtry": "sqrt", "variance_retained": 0.95} for n in (4, 8) for d in (2, None)),
     gbm=tuple({"n_rounds": n, "max_depth": d, "learning_rate": 0.1} for n in (4, 9) for d in (2, 3)),
     gbm2=tuple({"n_rounds": n, "max_depth": 2, "learning_rate": 0.1, "lam": 1.0, "gamma": 0.0} for n in (4, 9)),
     glm=({},),
@@ -393,7 +393,8 @@ def test_jobs_below_one_rejected_at_the_edge(tmp_path, capsys, value):
 
 
 def test_shared_pool_matches_serial_with_n_rounds_pairs(tmp_path, features, monkeypatch, capsys):
-    """gbm/gbm2 cells paired by n_rounds and train's 20-penalty lasso, on 1 and 2 workers."""
+    """gbm/gbm2 cells paired by n_rounds, rf/pca_rf cells sharing one forest per
+    (n_trees, max_depth) group and train's 20-penalty lasso, on 1 and 2 workers."""
     monkeypatch.setattr(cli, "default_grid", lambda: PAIR_GRID)
     sums = []
     for jobs in ("1", "2"):

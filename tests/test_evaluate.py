@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -229,17 +230,38 @@ class TestCvTune:
             cv_tune(small, "glm", HyperGrid(), k=10, seed=0)
 
 
+def forest_leaders(cells):
+    """Each forest cell's group leader: among the cells equal to it but for
+    n_trees and max_depth, the first with the deepest cap (None deepest),
+    then the most trees."""
+
+    def rest(cell):
+        return {name: value for name, value in cell.items() if name not in ("n_trees", "max_depth")}
+
+    def rank(i):
+        cap = cells[i].get("max_depth")
+        return (math.inf if cap is None else cap, cells[i].get("n_trees", 300))
+
+    return [max((j for j, other in enumerate(cells) if rest(other) == rest(cell)), key=rank) for cell in cells]
+
+
 def oracle_cv_tune(data, kind, grid, k, seed):
-    """cv_tune as it was before prefix sharing: every cell fitted on every fold."""
+    """cv_tune as it was before prefix sharing: every cell fitted on every fold.
+
+    A forest cell is fitted under its group leader's seed, the seed its
+    shared fit takes; boosting and the lasso draw no random numbers.
+    """
     folds = stratified_folds(data.y, k, substream(seed, NS_FOLDS, 0))
+    cells = grid.cells(kind)
+    seeded = forest_leaders(cells) if kind in ("rf", "pca_rf") else range(len(cells))
     table = []
     best_mean, best_params = -np.inf, None
-    for cell_idx, cell in enumerate(grid.cells(kind)):
+    for cell, seed_idx in zip(cells, seeded):
         fold_aucs = []
         for f in range(k):
             val = folds == f
             train = data.take(np.flatnonzero(~val))
-            model = fit_model(kind, train, cell, child_seed(seed, NS_CV, cell_idx, f))
+            model = fit_model(kind, train, cell, child_seed(seed, NS_CV, seed_idx, f))
             scores = predict_proba(model, data.X[val], data.feature_names)
             fold_aucs.append(auc(scores, data.y[val]))
         mean_auc = float(np.mean(fold_aucs))
@@ -255,11 +277,14 @@ class TestPrefixSharedCv:
         for kind in ("gbm", "gbm2"):
             groups = share_groups(kind, grid.cells(kind))
             assert groups == [[0, 4], [1, 5], [2, 6], [3, 7]]
-        assert share_groups("rf", grid.cells("rf")) == [[i] for i in range(8)]
+        # rf and pca_rf cells pair up by mtry: n_trees and max_depth share one forest
+        for kind in ("rf", "pca_rf"):
+            assert share_groups(kind, grid.cells(kind)) == [[0, 2, 4, 6], [1, 3, 5, 7]]
+            assert forest_leaders(grid.cells(kind)) == [6, 7] * 4
         lasso = lasso_cells(make_dataset(n=60, d=4, seed=8), grid.cells("lasso")[0])
         assert share_groups("lasso", lasso) == [list(range(20))]
 
-    @pytest.mark.parametrize("kind", ["gbm", "gbm2", "lasso"])
+    @pytest.mark.parametrize("kind", ["gbm", "gbm2", "lasso", "rf", "pca_rf"])
     def test_shared_fits_equal_per_cell_fits(self, kind):
         data = make_dataset(n=60, d=4, seed=8)
         # a short all-rows penalty path: one fold path scores all 8 lasso cells

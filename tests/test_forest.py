@@ -10,6 +10,10 @@ from c2sift.learners import (
     predict_proba,
     save_model,
 )
+from c2sift.evaluate import cv_tune
+from c2sift.learners import fit_model, forest
+from c2sift.learners.artifact import score_cells, share_groups
+from c2sift.learners.grids import HyperGrid
 from c2sift.learners.tree import TreeParams, fit_tree, tree_predict
 from c2sift.rng import NS_FOREST, substream
 
@@ -55,6 +59,91 @@ def test_forest_probability_in_tree_hull():
     mean = predict_proba(model, probe)
     assert np.all(mean >= per_tree.min(axis=0) - 1e-12)
     assert np.all(mean <= per_tree.max(axis=0) + 1e-12)
+
+
+def recorded(monkeypatch, name, record):
+    """Replace ``forest.<name>`` with a wrapper that appends ``record(*args)`` to the returned list."""
+    calls = []
+    original = getattr(forest, name)
+
+    def wrapper(*args):
+        calls.append(record(*args))
+        return original(*args)
+
+    monkeypatch.setattr(forest, name, wrapper)
+    return calls
+
+
+class TestForestGroupScorer:
+    @pytest.mark.parametrize("kind", ["rf", "pca_rf"])
+    def test_each_cell_equals_its_own_fit_under_the_leader_seed(self, monkeypatch, kind):
+        data = make_dataset(n=120, d=6, seed=3)
+        train, val = data.take(np.arange(80)), data.X[80:]
+        extra = {"mtry": 2, **({"variance_retained": 0.9} if kind == "pca_rf" else {})}
+        seeds = [11, 12, 13, 14, 15]
+        leader = {"n_trees": 8, "max_depth": None, **extra}
+        depths = [tree.depth for tree in fit_model(kind, train, leader, 13).parameters["trees"]]
+        cap = max(depths)
+        # the cap keeps some leader trees and cuts the deepest, which must be refitted
+        assert min(depths) < cap
+        cells = [
+            {"n_trees": 3, "max_depth": 1, **extra},
+            {"n_trees": 5, "max_depth": cap, **extra},
+            leader,
+            {"n_trees": 12, "max_depth": cap, **extra},  # four trees past the leader's eight
+            {"n_trees": 4, "max_depth": None, **extra},
+        ]
+        assert share_groups(kind, cells) == [[0, 1, 2, 3, 4]]
+        separate = [fit_model(kind, train, cell, 13) for cell in cells]
+        capped = [tree.depth for tree in separate[3].parameters["trees"]]
+
+        fitted = recorded(monkeypatch, "_forest_tree", lambda X, y, rf, seed, b: (b, rf.max_depth, seed))
+        pcas = recorded(monkeypatch, "fit_pca", lambda *args: None)
+        shared = score_cells(kind, train, cells, seeds, val, data.feature_names)
+
+        for model, scores in zip(separate, shared):
+            assert np.array_equal(scores, predict_proba(model, val, data.feature_names))
+        reused = [b for b in range(8) if depths[b] < cap]
+        assert 0 < len(reused) < 8
+        assert fitted == (
+            [(b, None, 13) for b in range(8)]
+            + [(b, cap, 13) for b in range(12) if b not in reused]
+            + [(b, 1, 13) for b in range(3) if capped[b] >= 1]
+        )
+        assert len(pcas) == (kind == "pca_rf")
+
+    def test_pca_fitted_once_per_group_and_fold(self, monkeypatch):
+        data = make_dataset(n=60, d=4, seed=8)
+        cells = tuple(
+            {"n_trees": n, "max_depth": cap, "mtry": mtry, "variance_retained": 0.95}
+            for n in (3, 5)
+            for cap in (2, None)
+            for mtry in ("sqrt", "third")
+        )
+        pcas = recorded(monkeypatch, "fit_pca", lambda *args: None)
+        cv_tune(data, "pca_rf", HyperGrid(pca_rf=cells), k=3, seed=5)
+        assert len(share_groups("pca_rf", list(cells))) == 2
+        assert len(pcas) == 2 * 3
+
+    def test_staged_probabilities_are_prefix_forests(self):
+        data = make_dataset(n=80, d=5, seed=6)
+        probe = np.random.default_rng(3).normal(size=(20, 5))
+        trees = fit_random_forest(data, {"n_trees": 9}, seed=4).parameters["trees"]
+        staged = forest._forest_proba(trees, probe, [9, 2, 5])
+        for stage, scores in zip([9, 2, 5], staged):
+            prefix = fit_random_forest(data, {"n_trees": stage}, seed=4)
+            assert np.array_equal(scores, predict_proba(prefix, probe))
+        with pytest.raises(ValueError, match="outside"):
+            forest._forest_proba(trees, probe, [10])
+
+
+def test_tree_depth_reads_the_deepest_node():
+    data = make_dataset(n=80, d=5, seed=2)
+    for cap in (0, 1, 3):
+        tree = fit_tree(data.X, data.y, TreeParams(max_depth=cap))
+        assert tree.depth == cap
+    stump = fit_tree(data.X, np.zeros(80), TreeParams())
+    assert stump.n_nodes == 1 and stump.depth == 0
 
 
 class TestPca:
