@@ -186,8 +186,9 @@ def cv_tasks(data, kind: str, grid, k: int = 10, seed: int = 0) -> list:
     Cells that differ only in a staged kind's stage parameters share one
     fit per fold (``share_groups``). Cell i's fit on fold f is seeded
     (NS_CV, i, f); a shared fit uses its group leader's seed for every
-    cell, the leader being the cell the kind's group scorer fits
-    (boosting's most rounds; a forest's deepest cap, then most trees).
+    cell, the leader being the cell the kind's group scorer fits first:
+    the deepest cap, then the most rounds (boosting, which draws no
+    random numbers) or trees (forests; no cap is deepest).
     """
     from .learners.artifact import score_cells, share_groups  # lazy: avoids import cycle
 

@@ -6,9 +6,9 @@ register fit/predict/revive callables so cross-validation, stacking, and
 the CLI can treat all models uniformly (tests may register extra kinds).
 A staged kind also registers a tuple of stage parameters and a group
 scorer: cells that differ only in those parameters form one group, and
-the scorer scores every cell of a group from one fit (boosting's most
-rounds, the lasso's longest penalty path, a forest's deepest and largest
-cell, whose trees the shallower and smaller cells reuse).
+the scorer scores every cell of a group from one fit (the lasso's
+longest penalty path; boosting's or a forest's deepest and largest cell,
+whose trees the shallower and smaller cells reuse).
 
 Serialization is JSON with a version tag; floats round-trip exactly via
 repr, so a reloaded model scores a probe matrix bit-for-bit identically.

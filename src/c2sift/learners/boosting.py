@@ -16,20 +16,27 @@ is positive.
 
 Boosting draws no random numbers, so the first n rounds of a longer fit
 are exactly the n-round fit: one fit scores every round count up to its
-own (staged prediction), which cross-validation uses to fit cells that
-differ only in ``n_rounds`` once.
+own (staged prediction). Depth caps nest too: given the same F, a tree
+whose deepest node is at depth at most c is exactly the tree a fit capped
+at c grows, since every node the cap turns into a leaf was a leaf
+already. So a fit capped at c shares every round of a deeper fit before
+that fit's first tree with depth > c. (Forests cut at >= c: an uncapped
+forest node at depth c draws columns from its rng before it becomes a
+leaf; a boosted tree draws nothing.) Cross-validation uses both facts to
+score a grid's ``n_rounds`` and ``max_depth`` cells from one fit per
+learning rate and fold (``_score_boosted_group``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .artifact import ModelArtifact, fit_model, log_loss, register_kind, sigmoid
+from .artifact import ModelArtifact, log_loss, register_kind, sigmoid
 from .data import LabeledDataset
-from .tree import Tree, TreeParams, fit_tree, fit_tree_second_order, presort, tree_predict
+from .tree import Presort, Tree, TreeParams, fit_tree, fit_tree_second_order, presort, tree_predict
 
 
 @dataclass(frozen=True)
@@ -58,25 +65,32 @@ def _base_log_odds(y: np.ndarray) -> float:
     return float(np.log(pbar / (1.0 - pbar)))
 
 
-def _fit_boosted(data: LabeledDataset, params: GBMParams, seed: int, second_order: bool) -> ModelArtifact:
-    y = data.require_training_labels().astype(float)
-    X = data.X
-    # every round searches the same rows; only the targets change
-    sorted_X = presort(X)
-    f0 = _base_log_odds(y)
-    F = np.full(data.n_rows, f0)
+def _boost(
+    sorted_X: Presort, y: np.ndarray, F: np.ndarray, trees: list[Tree], params: GBMParams, second_order: bool,
+    loss_path: list[float] | None = None,
+) -> None:
+    """Append rounds to ``trees`` until it holds ``params.n_rounds``; F is the training log-odds after ``trees``."""
     tree_params = TreeParams(max_depth=params.max_depth, min_leaf=params.min_leaf)
-    trees: list[Tree] = []
-    loss_path = [log_loss(y, sigmoid(F))]
-    for _ in range(params.n_rounds):
+    while len(trees) < params.n_rounds:
         p = sigmoid(F)
         if second_order:
             tree = fit_tree_second_order(sorted_X, p - y, p * (1.0 - p), tree_params, lam=params.lam, gamma=params.gamma)
         else:
             tree = fit_tree(sorted_X, y - p, tree_params, criterion="mse")
-        F = F + params.learning_rate * tree_predict(tree, X)
+        F = F + params.learning_rate * tree_predict(tree, sorted_X.X)
         trees.append(tree)
-        loss_path.append(log_loss(y, sigmoid(F)))
+        if loss_path is not None:
+            loss_path.append(log_loss(y, sigmoid(F)))
+
+
+def _fit_boosted(data: LabeledDataset, params: GBMParams, seed: int, second_order: bool) -> ModelArtifact:
+    y = data.require_training_labels().astype(float)
+    f0 = _base_log_odds(y)
+    F = np.full(data.n_rows, f0)
+    trees: list[Tree] = []
+    loss_path = [log_loss(y, sigmoid(F))]
+    # every round searches the same rows; only the targets change
+    _boost(presort(data.X), y, F, trees, params, second_order, loss_path)
     kind = "gbm2" if second_order else "gbm"
     return ModelArtifact(
         kind=kind,
@@ -119,11 +133,35 @@ def _predict_boosted_stages(artifact: ModelArtifact, X: np.ndarray, stages: Sequ
     return [snapshots[s] for s in stages]
 
 
-def _score_rounds(kind: str, data: LabeledDataset, cells, seeds, X: np.ndarray, feature_names) -> list[np.ndarray]:
-    """Each cell's scores on X from one fit of the cell with the most rounds, under its seed."""
-    stages = [int(cell["n_rounds"]) for cell in cells]
-    top = int(np.argmax(stages))
-    return _predict_boosted_stages(fit_model(kind, data, cells[top], seeds[top]), X, stages)
+def _score_boosted_group(kind: str, data: LabeledDataset, cells, seeds, X: np.ndarray, feature_names) -> list[np.ndarray]:
+    """Each cell's scores on X, from one boosted fit per depth cap that shares a deeper cap's rounds.
+
+    Caps are fitted deepest first. A cap takes the rounds of the last
+    deeper cap's fit up to its first tree deeper than the cap (module
+    docstring), rebuilds F over them with the fit's own steps, and boosts
+    on from there. A cell scores its cap's first ``n_rounds`` rounds.
+    Boosting draws no random numbers, so the seeds only name the models.
+    """
+    second_order = kind == "gbm2"
+    y = data.require_training_labels().astype(float)
+    sorted_X = presort(data.X)
+    f0 = _base_log_odds(y)
+    gps = [GBMParams.from_mapping(cell) for cell in cells]
+    trees: list[Tree] = []  # the rounds of the shallowest cap fitted so far
+    scores: list = [None] * len(cells)
+    for cap in sorted({gp.max_depth for gp in gps}, reverse=True):
+        members = [i for i, gp in enumerate(gps) if gp.max_depth == cap]
+        params = replace(gps[members[0]], n_rounds=max(gps[i].n_rounds for i in members))
+        del trees[next((t for t, tree in enumerate(trees) if tree.depth > cap), len(trees)) :]
+        if len(trees) < params.n_rounds:
+            F = np.full(data.n_rows, f0)
+            for tree in trees:
+                F = F + params.learning_rate * tree_predict(tree, sorted_X.X)
+            _boost(sorted_X, y, F, trees, params, second_order)
+        model = ModelArtifact(kind, {"f0": f0, "learning_rate": params.learning_rate, "trees": trees}, seeds[0], feature_names)
+        for i, p in zip(members, _predict_boosted_stages(model, X, [gps[i].n_rounds for i in members])):
+            scores[i] = p
+    return scores
 
 
 def _predict_boosted(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
@@ -138,5 +176,6 @@ def _revive_boosted(parameters: dict) -> dict:
     }
 
 
-register_kind("gbm", fit_gbm, _predict_boosted, _revive_boosted, (("n_rounds",), partial(_score_rounds, "gbm")))
-register_kind("gbm2", fit_gbm2, _predict_boosted, _revive_boosted, (("n_rounds",), partial(_score_rounds, "gbm2")))
+_STAGES = ("n_rounds", "max_depth")
+register_kind("gbm", fit_gbm, _predict_boosted, _revive_boosted, (_STAGES, partial(_score_boosted_group, "gbm")))
+register_kind("gbm2", fit_gbm2, _predict_boosted, _revive_boosted, (_STAGES, partial(_score_boosted_group, "gbm2")))

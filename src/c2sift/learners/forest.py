@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -91,10 +91,15 @@ def _forest_proba(trees, X: np.ndarray, stages: Sequence[int]) -> list[np.ndarra
     """Mean leaf probability over the first s trees for each s in ``stages``, from one pass in tree order."""
     if not all(0 < s <= len(trees) for s in stages):
         raise ValueError(f"stages {list(stages)} outside 1..{len(trees)} trees")
-    total = np.zeros(X.shape[0])
+    return _prefix_means((tree_predict(tree, X) for tree in trees[: max(stages)]), X.shape[0], stages)
+
+
+def _prefix_means(leaf_probs: Iterable[np.ndarray], n_rows: int, stages: Sequence[int]) -> list[np.ndarray]:
+    """Mean of the first s of ``leaf_probs`` for each s in ``stages``, summed in order."""
+    total = np.zeros(n_rows)
     snapshots = {}
-    for t, tree in enumerate(trees[: max(stages)], start=1):
-        total += tree_predict(tree, X)
+    for t, p in enumerate(leaf_probs, start=1):
+        total += p
         if t in stages:
             snapshots[t] = total / t
     return [snapshots[s] for s in stages]
@@ -117,7 +122,8 @@ def _score_forest_group(kind: str, data: LabeledDataset, cells, seeds, X: np.nda
     is tree b of the last deeper cap that grew one when that tree has no
     node at depth >= cap (module docstring); otherwise it is fitted from
     its substream. A cell scores the mean of its cap's first ``n_trees``
-    trees. pca_rf fits its PCA once for the whole group.
+    trees; each distinct tree is predicted once. pca_rf fits its PCA once
+    for the whole group.
     """
     if kind == "pca_rf":
         pca, data = _pca_inputs(data, float(cells[0].get("variance_retained", 0.95)))
@@ -126,6 +132,7 @@ def _score_forest_group(kind: str, data: LabeledDataset, cells, seeds, X: np.nda
     rfs = [RFParams.from_mapping(cell, data.X.shape[1]) for cell in cells]
     leader = min(range(len(cells)), key=lambda i: (_deepest_first(rfs[i].max_depth), -rfs[i].n_trees))
     latest: dict[int, Tree] = {}  # tree b of the shallowest cap fitted so far that grew one
+    leaf_probs: dict[int, np.ndarray] = {}  # tree_predict(latest[b], X)
     scores: list = [None] * len(cells)
     for cap in sorted({rf.max_depth for rf in rfs}, key=_deepest_first):
         members = [i for i, rf in enumerate(rfs) if rf.max_depth == cap]
@@ -133,8 +140,9 @@ def _score_forest_group(kind: str, data: LabeledDataset, cells, seeds, X: np.nda
         for b in range(n_trees):
             if b not in latest or latest[b].depth >= cap:
                 latest[b] = _forest_tree(data.X, y, rfs[members[0]], seeds[leader], b)
+                leaf_probs[b] = tree_predict(latest[b], X)
         stages = [rfs[i].n_trees for i in members]
-        for i, p in zip(members, _forest_proba([latest[b] for b in range(n_trees)], X, stages)):
+        for i, p in zip(members, _prefix_means((leaf_probs[b] for b in range(n_trees)), X.shape[0], stages)):
             scores[i] = p
     return scores
 

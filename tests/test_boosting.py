@@ -9,8 +9,10 @@ from c2sift.learners import (
     predict_proba,
     save_model,
 )
-from c2sift.learners.artifact import score_cells
+from c2sift.learners import boosting, fit_model
+from c2sift.learners.artifact import score_cells, share_groups
 from c2sift.learners.boosting import _predict_boosted_stages
+from c2sift.learners.tree import TreeParams
 
 from conftest import make_dataset
 
@@ -95,3 +97,43 @@ def test_stages_beyond_the_fit_rejected():
     model = fit_gbm(data, {"n_rounds": 5})
     with pytest.raises(ValueError, match="outside"):
         _predict_boosted_stages(model, data.X, [6])
+
+
+class TestBoostingGroupScorer:
+    @pytest.mark.parametrize("kind", ["gbm", "gbm2"])
+    def test_each_cell_equals_its_own_fit(self, monkeypatch, kind):
+        data = make_dataset(n=120, d=6, seed=0)
+        train, val = data.take(np.arange(80)), data.X[80:]
+        extra = {"learning_rate": 0.3, "min_leaf": 8, **({"lam": 1.0, "gamma": 0.0} if kind == "gbm2" else {})}
+        cells = [
+            {"n_rounds": 4, "max_depth": 2, **extra},
+            {"n_rounds": 10, "max_depth": 5, **extra},
+            {"n_rounds": 2, "max_depth": 3, **extra},
+            {"n_rounds": 12, "max_depth": 3, **extra},  # two rounds past the depth-5 fit's ten
+            {"n_rounds": 6, "max_depth": 5, **extra},
+            {"n_rounds": 0, "max_depth": 2, **extra},
+        ]
+        assert share_groups(kind, cells) == [list(range(6))]
+        seeds = [21, 22, 23, 24, 25, 26]
+        separate = [fit_model(kind, train, cell, seed) for cell, seed in zip(cells, seeds)]
+        # a cap shares the deeper fit's rounds up to its first tree deeper than the cap
+        deep = [tree.depth for tree in separate[1].parameters["trees"]]
+        shared3 = next(t for t, depth in enumerate(deep) if depth > 3)
+        assert 0 < shared3 < 10
+        mid = [tree.depth for tree in separate[3].parameters["trees"]]
+        shared2 = next((t for t, depth in enumerate(mid) if depth > 2), 12)
+
+        one_round = "fit_tree_second_order" if kind == "gbm2" else "fit_tree"
+        original = getattr(boosting, one_round)
+        fitted = []
+
+        def record(*args, **kwargs):
+            fitted.append(next(a for a in args if isinstance(a, TreeParams)).max_depth)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(boosting, one_round, record)
+        shared = score_cells(kind, train, cells, seeds, val, data.feature_names)
+
+        for model, scores in zip(separate, shared):
+            assert np.array_equal(scores, predict_proba(model, val, data.feature_names))
+        assert fitted == [5] * 10 + [3] * (12 - shared3) + [2] * (4 - min(shared2, 4))

@@ -361,7 +361,7 @@ PAIR_GRID = HyperGrid(
     rf=tuple({"n_trees": n, "max_depth": d, "mtry": "sqrt"} for n in (4, 8) for d in (2, None)),
     pca_rf=tuple({"n_trees": n, "max_depth": d, "mtry": "sqrt", "variance_retained": 0.95} for n in (4, 8) for d in (2, None)),
     gbm=tuple({"n_rounds": n, "max_depth": d, "learning_rate": 0.1} for n in (4, 9) for d in (2, 3)),
-    gbm2=tuple({"n_rounds": n, "max_depth": 2, "learning_rate": 0.1, "lam": 1.0, "gamma": 0.0} for n in (4, 9)),
+    gbm2=tuple({"n_rounds": n, "max_depth": d, "learning_rate": 0.1, "lam": 1.0, "gamma": 0.0} for n in (4, 9) for d in (2, 3)),
     glm=({},),
 )
 
@@ -393,8 +393,9 @@ def test_jobs_below_one_rejected_at_the_edge(tmp_path, capsys, value):
 
 
 def test_shared_pool_matches_serial_with_n_rounds_pairs(tmp_path, features, monkeypatch, capsys):
-    """gbm/gbm2 cells paired by n_rounds, rf/pca_rf cells sharing one forest per
-    (n_trees, max_depth) group and train's 20-penalty lasso, on 1 and 2 workers."""
+    """gbm/gbm2 cells sharing one boosted fit per (n_rounds, max_depth) group,
+    rf/pca_rf cells sharing one forest per (n_trees, max_depth) group and
+    train's 20-penalty lasso, on 1 and 2 workers."""
     monkeypatch.setattr(cli, "default_grid", lambda: PAIR_GRID)
     sums = []
     for jobs in ("1", "2"):

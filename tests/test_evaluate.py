@@ -272,11 +272,12 @@ def oracle_cv_tune(data, kind, grid, k, seed):
 
 
 class TestPrefixSharedCv:
-    def test_default_boosting_grids_pair_cells_by_n_rounds(self):
+    def test_default_grids_group_boosting_by_learning_rate_and_forests_by_mtry(self):
         grid = default_grid()
+        # gbm and gbm2 cells group by learning rate: n_rounds and max_depth share one fit
         for kind in ("gbm", "gbm2"):
             groups = share_groups(kind, grid.cells(kind))
-            assert groups == [[0, 4], [1, 5], [2, 6], [3, 7]]
+            assert groups == [[0, 2, 4, 6], [1, 3, 5, 7]]
         # rf and pca_rf cells pair up by mtry: n_trees and max_depth share one forest
         for kind in ("rf", "pca_rf"):
             assert share_groups(kind, grid.cells(kind)) == [[0, 2, 4, 6], [1, 3, 5, 7]]

@@ -99,7 +99,10 @@ class TestForestGroupScorer:
 
         fitted = recorded(monkeypatch, "_forest_tree", lambda X, y, rf, seed, b: (b, rf.max_depth, seed))
         pcas = recorded(monkeypatch, "fit_pca", lambda *args: None)
+        predicted = recorded(monkeypatch, "tree_predict", lambda tree, X: tree)
         shared = score_cells(kind, train, cells, seeds, val, data.feature_names)
+        # each distinct tree is predicted once, however many caps reuse it
+        assert len(predicted) == len({id(tree) for tree in predicted}) == len(fitted)
 
         for model, scores in zip(separate, shared):
             assert np.array_equal(scores, predict_proba(model, val, data.feature_names))
