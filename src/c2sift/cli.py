@@ -47,6 +47,7 @@ from .learners import (
     predict_proba,
     save_model,
 )
+from .learners.artifact import decode_model
 from .learners.linear import lasso_cells
 from .rng import NS_PIPELINE, child_seed
 from .synthgen import (
@@ -194,12 +195,20 @@ def run_featurize(
     schema: Path | None = None,
     ablate_distributional: bool = False,
 ) -> None:
-    inputs = {"flows": str(flows), "internal_space": str(internal_space), "labels": str(labels) if labels else None}
-    with stage(out, "featurize", inputs, {"ablate_distributional": ablate_distributional}) as (tmp, extra):
+    inputs = {
+        "flows": str(flows),
+        "internal_space": str(internal_space),
+        "labels": str(labels) if labels else None,
+        "feature_config": str(feature_config) if feature_config else None,
+        "schema": str(schema) if schema else None,
+    }
+    params = {"ablate_distributional": ablate_distributional}
+    with stage(out, "featurize", inputs, params) as (tmp, extra):
         flows = _require_file(flows, "flow file")
         internal_space = _require_file(internal_space, "internal-space config")
         schema_map = read_schema(_require_file(schema, "schema config")) if schema else identity_schema()
         cfg = FeatureConfig.from_file(_require_file(feature_config, "feature config")) if feature_config else FeatureConfig()
+        params["config"] = dataclasses.asdict(cfg)
         label_map = read_labels(_require_file(labels, "label file")) if labels else None
 
         clock = perf_counter()
@@ -301,15 +310,20 @@ def _load_model_dir(model_dir: Path) -> dict:
     model_dir = Path(model_dir)
     if not model_dir.is_dir():
         raise PipelineError(f"model directory not found: {model_dir}")
-    models = {}
+    models, files = {}, {}
     for path in sorted(model_dir.glob("*.json")):
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise PipelineError(f"{path}: not valid JSON: {exc}") from exc
         if isinstance(payload, dict) and payload.get("format") == "c2sift-model":
-            artifact = load_model(path)
-            models[artifact.kind] = artifact
+            try:
+                artifact = decode_model(payload)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+            if artifact.kind in files:
+                raise PipelineError(f"two {artifact.kind} models in {model_dir}: {files[artifact.kind].name} and {path.name}")
+            models[artifact.kind], files[artifact.kind] = artifact, path
     if not models:
         raise PipelineError(f"no model artifacts in {model_dir}")
     return models
@@ -520,6 +534,7 @@ def run_pipeline(
             "threshold": threshold,
             "jobs": jobs,
             "ablate_distributional": ablate_distributional,
+            "importance_repeats": importance_repeats,
         },
         started=started,
         timings={"total_s": perf_counter() - clock},

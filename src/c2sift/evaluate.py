@@ -12,12 +12,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .learners.artifact import predict_proba, score_cells, share_groups
 from .rng import NS_BOOTSTRAP, NS_CV, NS_FOLDS, NS_IMPORTANCE, child_seed, substream
 from .tasks import Task, run_tasks
 
@@ -168,15 +168,15 @@ class CvResult:
     table: list[dict] = field(default_factory=list)  # cell params, fold aucs, mean
 
 
-def _cv_cell_fold_aucs(data, scorer, cells, seeds, folds: np.ndarray, f: int) -> list[float]:
-    """Each cell's AUC on fold f, from ``scorer`` fitted to the other folds.
+def _cv_cell_fold_aucs(data, kind: str, cells, seeds, folds: np.ndarray, f: int) -> list[float]:
+    """Each cell's AUC on fold f, from its fit to the other folds.
 
-    ``scorer(train, cells, seeds, X, feature_names)`` fits the cells (one
-    share group, so possibly one fit) and returns each cell's scores on X.
+    ``cells`` is one share group, so ``score_cells`` may score them all
+    from one fit.
     """
     val = folds == f
     train = data.take(np.flatnonzero(~val))
-    scores = scorer(train, cells, seeds, data.X[val], data.feature_names)
+    scores = score_cells(kind, train, cells, seeds, data.X[val], data.feature_names)
     return [auc(s, data.y[val]) for s in scores]
 
 
@@ -190,22 +190,19 @@ def cv_tasks(data, kind: str, grid, k: int = 10, seed: int = 0) -> list:
     the deepest cap, then the most rounds (boosting, which draws no
     random numbers) or trees (forests; no cap is deepest).
     """
-    from .learners.artifact import score_cells, share_groups  # lazy: avoids import cycle
-
     y = data.require_training_labels()
     counts = np.bincount(y, minlength=2)
     if counts.min() < k:
         raise ValueError(f"per-class count {counts.min()} < {k} folds; fold AUC undefined")
     folds = stratified_folds(y, k, substream(seed, NS_FOLDS, 0))
     cells = grid.cells(kind)
-    scorer = partial(score_cells, kind)
     tasks = []
     for group in share_groups(kind, cells):
         members = [cells[i] for i in group]
         for f in range(k):
             seeds = [child_seed(seed, NS_CV, i, f) for i in group]
             key = ("cv", kind, k, json.dumps(members, sort_keys=True), tuple(seeds))
-            tasks.append(Task(key, _cv_cell_fold_aucs, (data, scorer, members, seeds, folds, f)))
+            tasks.append(Task(key, _cv_cell_fold_aucs, (data, kind, members, seeds, folds, f)))
     return tasks
 
 
@@ -218,8 +215,6 @@ def cv_tune(data, kind: str, grid, k: int = 10, seed: int = 0, pool=None) -> CvR
     None); results reduce in cell order, so the outcome is independent
     of scheduling.
     """
-    from .learners.artifact import share_groups  # lazy: avoids import cycle
-
     results = iter(run_tasks(pool, cv_tasks(data, kind, grid, k, seed)))
     cells = grid.cells(kind)
     per_cell = [[0.0] * k for _ in cells]
@@ -261,8 +256,6 @@ def permutation_importance(model, data, repeats: int = 5, seed: int = 0) -> Impo
     raw importance is exactly 0. Percentile scale is 100 * rank / d with
     maximal ranks for ties, so the top feature always scores 100.
     """
-    from .learners.artifact import predict_proba  # lazy: avoids import cycle
-
     y = data.require_training_labels()
     baseline = auc(predict_proba(model, data.X, data.feature_names), y)
     d = data.X.shape[1]

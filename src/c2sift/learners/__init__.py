@@ -1,8 +1,6 @@
 """The six base classifiers plus the shared model-artifact machinery."""
 from .artifact import (
     ARTIFACT_VERSION,
-    FITTERS,
-    PREDICTORS,
     ModelArtifact,
     fit_model,
     load_model,
@@ -11,30 +9,19 @@ from .artifact import (
     save_model,
     sigmoid,
 )
-from .boosting import GBMParams, fit_gbm, fit_gbm2
+from .boosting import fit_gbm, fit_gbm2
 from .data import LabeledDataset, load_feature_matrix
-from .forest import PcaTransform, RFParams, fit_pca, fit_pca_rf, fit_random_forest
-from .grids import HyperGrid, default_grid
-from .linear import GLMParams, LassoParams, fit_glm, fit_lasso, lambda_max
-from .tree import Tree, TreeParams, fit_tree, fit_tree_second_order, tree_predict
+from .forest import fit_pca, fit_pca_rf, fit_random_forest
+from .grids import default_grid
+from .linear import fit_glm, fit_lasso, lambda_max
 
 BASE_KINDS = ("rf", "pca_rf", "gbm", "gbm2", "glm", "lasso")
 
 __all__ = [
     "ARTIFACT_VERSION",
     "BASE_KINDS",
-    "FITTERS",
-    "PREDICTORS",
-    "GBMParams",
-    "GLMParams",
-    "HyperGrid",
     "LabeledDataset",
-    "LassoParams",
     "ModelArtifact",
-    "PcaTransform",
-    "RFParams",
-    "Tree",
-    "TreeParams",
     "default_grid",
     "fit_gbm",
     "fit_gbm2",
@@ -44,8 +31,6 @@ __all__ = [
     "fit_pca",
     "fit_pca_rf",
     "fit_random_forest",
-    "fit_tree",
-    "fit_tree_second_order",
     "lambda_max",
     "load_feature_matrix",
     "load_model",
@@ -53,5 +38,4 @@ __all__ = [
     "register_kind",
     "save_model",
     "sigmoid",
-    "tree_predict",
 ]

@@ -8,7 +8,8 @@ A staged kind also registers a tuple of stage parameters and a group
 scorer: cells that differ only in those parameters form one group, and
 the scorer scores every cell of a group from one fit (the lasso's
 longest penalty path; boosting's or a forest's deepest and largest cell,
-whose trees the shallower and smaller cells reuse).
+whose trees the shallower and smaller cells reuse). Only group scorers
+score prefixes of a fit; a predictor scores the whole saved model.
 
 Serialization is JSON with a version tag; floats round-trip exactly via
 repr, so a reloaded model scores a probe matrix bit-for-bit identically.
@@ -42,7 +43,7 @@ class ModelArtifact:
 Fitter = Callable[[LabeledDataset, Mapping, int], ModelArtifact]
 Predictor = Callable[[ModelArtifact, np.ndarray], np.ndarray]
 Reviver = Callable[[dict], dict]
-GroupScorer = Callable[[LabeledDataset, Sequence[Mapping], Sequence[int], np.ndarray, tuple | None], list]
+GroupScorer = Callable[[LabeledDataset, Sequence[Mapping], Sequence[int], np.ndarray], list]
 
 FITTERS: dict[str, Fitter] = {}
 PREDICTORS: dict[str, Predictor] = {}
@@ -104,7 +105,7 @@ def score_cells(
     if len(cells) == 1:
         return [predict_proba(fit_model(kind, data, cells[0], seeds[0]), X, feature_names)]
     X = _model_inputs(kind, data.feature_names, X, feature_names)
-    return [np.clip(p, 0.0, 1.0) for p in STAGED[kind][1](data, cells, seeds, X, data.feature_names)]
+    return [np.clip(p, 0.0, 1.0) for p in STAGED[kind][1](data, cells, seeds, X)]
 
 
 def predict_proba(artifact: ModelArtifact, X: np.ndarray, feature_names: tuple[str, ...] | None = None) -> np.ndarray:

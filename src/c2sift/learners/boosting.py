@@ -15,28 +15,29 @@ kept only when
 is positive.
 
 Boosting draws no random numbers, so the first n rounds of a longer fit
-are exactly the n-round fit: one fit scores every round count up to its
-own (staged prediction). Depth caps nest too: given the same F, a tree
-whose deepest node is at depth at most c is exactly the tree a fit capped
-at c grows, since every node the cap turns into a leaf was a leaf
-already. So a fit capped at c shares every round of a deeper fit before
-that fit's first tree with depth > c. (Forests cut at >= c: an uncapped
-forest node at depth c draws columns from its rng before it becomes a
-leaf; a boosted tree draws nothing.) Cross-validation uses both facts to
-score a grid's ``n_rounds`` and ``max_depth`` cells from one fit per
-learning rate and fold (``_score_boosted_group``).
+are exactly the n-round fit: one running sum over a fit's rounds
+(``prefix_sums``) scores every round count up to its own (staged
+prediction). Depth caps nest too: given the same F, a tree whose deepest
+node is at depth at most c is exactly the tree a fit capped at c grows,
+since every node the cap turns into a leaf was a leaf already. So a fit
+capped at c shares every round of a deeper fit before that fit's first
+tree with depth > c. (Forests cut at >= c: an uncapped forest node at
+depth c draws columns from its rng before it becomes a leaf; a boosted
+tree draws nothing.) Cross-validation uses both facts to score a grid's
+``n_rounds`` and ``max_depth`` cells from one fit per learning rate and
+fold (``_score_boosted_group``); a saved model sums all of its rounds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .artifact import ModelArtifact, log_loss, register_kind, sigmoid
 from .data import LabeledDataset
-from .tree import Presort, Tree, TreeParams, fit_tree, fit_tree_second_order, presort, tree_predict
+from .tree import Presort, Tree, TreeParams, fit_tree, fit_tree_second_order, prefix_sums, presort, tree_predict
 
 
 @dataclass(frozen=True)
@@ -108,39 +109,31 @@ def _fit_boosted(data: LabeledDataset, params: GBMParams, seed: int, second_orde
     )
 
 
-def fit_gbm(data: LabeledDataset, params: Mapping | GBMParams, seed: int = 0) -> ModelArtifact:
-    gp = params if isinstance(params, GBMParams) else GBMParams.from_mapping(params)
-    return _fit_boosted(data, gp, seed, second_order=False)
+def fit_gbm(data: LabeledDataset, params: Mapping, seed: int = 0) -> ModelArtifact:
+    return _fit_boosted(data, GBMParams.from_mapping(params), seed, second_order=False)
 
 
-def fit_gbm2(data: LabeledDataset, params: Mapping | GBMParams, seed: int = 0) -> ModelArtifact:
-    gp = params if isinstance(params, GBMParams) else GBMParams.from_mapping(params)
-    return _fit_boosted(data, gp, seed, second_order=True)
+def fit_gbm2(data: LabeledDataset, params: Mapping, seed: int = 0) -> ModelArtifact:
+    return _fit_boosted(data, GBMParams.from_mapping(params), seed, second_order=True)
 
 
-def _predict_boosted_stages(artifact: ModelArtifact, X: np.ndarray, stages: Sequence[int]) -> list[np.ndarray]:
-    """Probabilities after each of ``stages`` rounds, from one pass over the trees."""
-    trees = artifact.parameters["trees"]
-    if not all(0 <= s <= len(trees) for s in stages):
-        raise ValueError(f"stages {list(stages)} outside 0..{len(trees)} rounds")
-    F = np.full(X.shape[0], float(artifact.parameters["f0"]))
+def _predict_boosted(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
+    """The sigmoid of f0 plus every round's step, added in round order."""
     eta = float(artifact.parameters["learning_rate"])
-    snapshots = {0: sigmoid(F)} if 0 in stages else {}
-    for t, tree in enumerate(trees[: max(stages)], start=1):
-        F += eta * tree_predict(tree, X)
-        if t in stages:
-            snapshots[t] = sigmoid(F)
-    return [snapshots[s] for s in stages]
+    F0 = np.full(X.shape[0], float(artifact.parameters["f0"]))
+    return sigmoid(sum((eta * tree_predict(tree, X) for tree in artifact.parameters["trees"]), F0))
 
 
-def _score_boosted_group(kind: str, data: LabeledDataset, cells, seeds, X: np.ndarray, feature_names) -> list[np.ndarray]:
+def _score_boosted_group(kind: str, data: LabeledDataset, cells, seeds, X: np.ndarray) -> list[np.ndarray]:
     """Each cell's scores on X, from one boosted fit per depth cap that shares a deeper cap's rounds.
 
     Caps are fitted deepest first. A cap takes the rounds of the last
     deeper cap's fit up to its first tree deeper than the cap (module
     docstring), rebuilds F over them with the fit's own steps, and boosts
-    on from there. A cell scores its cap's first ``n_rounds`` rounds.
-    Boosting draws no random numbers, so the seeds only name the models.
+    on from there. Each round's step on X is predicted once, when the
+    round is fitted, and kept beside it; a cell sums its cap's first
+    ``n_rounds`` steps. Boosting draws no random numbers, so the seeds
+    go unused.
     """
     second_order = kind == "gbm2"
     y = data.require_training_labels().astype(float)
@@ -148,24 +141,23 @@ def _score_boosted_group(kind: str, data: LabeledDataset, cells, seeds, X: np.nd
     f0 = _base_log_odds(y)
     gps = [GBMParams.from_mapping(cell) for cell in cells]
     trees: list[Tree] = []  # the rounds of the shallowest cap fitted so far
+    steps: list[np.ndarray] = []  # learning_rate * tree_predict(trees[t], X)
     scores: list = [None] * len(cells)
     for cap in sorted({gp.max_depth for gp in gps}, reverse=True):
         members = [i for i, gp in enumerate(gps) if gp.max_depth == cap]
         params = replace(gps[members[0]], n_rounds=max(gps[i].n_rounds for i in members))
-        del trees[next((t for t, tree in enumerate(trees) if tree.depth > cap), len(trees)) :]
+        shared = next((t for t, tree in enumerate(trees) if tree.depth > cap), len(trees))
+        del trees[shared:], steps[shared:]
         if len(trees) < params.n_rounds:
             F = np.full(data.n_rows, f0)
             for tree in trees:
                 F = F + params.learning_rate * tree_predict(tree, sorted_X.X)
             _boost(sorted_X, y, F, trees, params, second_order)
-        model = ModelArtifact(kind, {"f0": f0, "learning_rate": params.learning_rate, "trees": trees}, seeds[0], feature_names)
-        for i, p in zip(members, _predict_boosted_stages(model, X, [gps[i].n_rounds for i in members])):
-            scores[i] = p
+            steps += [params.learning_rate * tree_predict(tree, X) for tree in trees[shared:]]
+        F0 = np.full(X.shape[0], f0)
+        for i, F in zip(members, prefix_sums(F0, steps, [gps[i].n_rounds for i in members])):
+            scores[i] = sigmoid(F)
     return scores
-
-
-def _predict_boosted(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
-    return _predict_boosted_stages(artifact, X, [len(artifact.parameters["trees"])])[0]
 
 
 def _revive_boosted(parameters: dict) -> dict:

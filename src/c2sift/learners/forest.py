@@ -8,12 +8,13 @@ result.
 
 Because tree b depends only on the seed and b, under one seed a B-tree
 forest is the first B trees of any larger one (Breiman 2001), and one
-staged pass over a forest's trees scores every prefix of it. A depth cap
-c changes tree b only if the uncapped fit grew a node at depth >= c: a
-tree whose every node lies above depth c drew all its columns above the
-cap, so the capped fit of the same substream is the same tree. Cross-
-validation uses both facts to score a grid's ``n_trees`` and
-``max_depth`` cells from one forest per fold (``_score_forest_group``).
+running sum over a forest's trees (``prefix_sums``) scores every prefix
+of it. A depth cap c changes tree b only if the uncapped fit grew a node
+at depth >= c: a tree whose every node lies above depth c drew all its
+columns above the cap, so the capped fit of the same substream is the
+same tree. Cross-validation uses both facts to score a grid's
+``n_trees`` and ``max_depth`` cells from one forest per fold
+(``_score_forest_group``); a saved forest averages all of its trees.
 
 The PCA front end centers and unit-scales columns (constant columns are
 scaled by 1), rotates onto the eigenvectors of the correlation-scale
@@ -25,14 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from ..rng import NS_FOREST, substream
 from .artifact import ModelArtifact, register_kind
 from .data import LabeledDataset
-from .tree import Tree, TreeParams, fit_tree, tree_predict
+from .tree import Tree, TreeParams, fit_tree, prefix_sums, tree_predict
 
 
 @dataclass(frozen=True)
@@ -87,34 +88,22 @@ def fit_random_forest(data: LabeledDataset, params: Mapping, seed: int) -> Model
     )
 
 
-def _forest_proba(trees, X: np.ndarray, stages: Sequence[int]) -> list[np.ndarray]:
-    """Mean leaf probability over the first s trees for each s in ``stages``, from one pass in tree order."""
-    if not all(0 < s <= len(trees) for s in stages):
-        raise ValueError(f"stages {list(stages)} outside 1..{len(trees)} trees")
-    return _prefix_means((tree_predict(tree, X) for tree in trees[: max(stages)]), X.shape[0], stages)
-
-
-def _prefix_means(leaf_probs: Iterable[np.ndarray], n_rows: int, stages: Sequence[int]) -> list[np.ndarray]:
-    """Mean of the first s of ``leaf_probs`` for each s in ``stages``, summed in order."""
-    total = np.zeros(n_rows)
-    snapshots = {}
-    for t, p in enumerate(leaf_probs, start=1):
-        total += p
-        if t in stages:
-            snapshots[t] = total / t
-    return [snapshots[s] for s in stages]
+def _forest_proba(trees, X: np.ndarray) -> np.ndarray:
+    """Mean leaf probability over the trees, summed in tree order."""
+    if not trees:
+        raise ValueError("a forest needs at least one tree")
+    return sum((tree_predict(tree, X) for tree in trees), np.zeros(X.shape[0])) / len(trees)
 
 
 def _predict_rf(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
-    trees = artifact.parameters["trees"]
-    return _forest_proba(trees, X, [len(trees)])[0]
+    return _forest_proba(artifact.parameters["trees"], X)
 
 
 def _deepest_first(cap: int | None) -> float:
     return -math.inf if cap is None else -cap
 
 
-def _score_forest_group(kind: str, data: LabeledDataset, cells, seeds, X: np.ndarray, feature_names) -> list[np.ndarray]:
+def _score_forest_group(kind: str, data: LabeledDataset, cells, seeds, X: np.ndarray) -> list[np.ndarray]:
     """Each cell's scores on X, fitted under its group leader's seed, from one forest per depth cap.
 
     The leader is the first cell with the deepest cap (None is deepest),
@@ -142,8 +131,9 @@ def _score_forest_group(kind: str, data: LabeledDataset, cells, seeds, X: np.nda
                 latest[b] = _forest_tree(data.X, y, rfs[members[0]], seeds[leader], b)
                 leaf_probs[b] = tree_predict(latest[b], X)
         stages = [rfs[i].n_trees for i in members]
-        for i, p in zip(members, _prefix_means((leaf_probs[b] for b in range(n_trees)), X.shape[0], stages)):
-            scores[i] = p
+        sums = prefix_sums(np.zeros(X.shape[0]), [leaf_probs[b] for b in range(n_trees)], stages)
+        for i, total, n in zip(members, sums, stages):
+            scores[i] = total / n
     return scores
 
 
@@ -241,8 +231,7 @@ def _predict_pca_rf(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
         eigenvalues=np.asarray(p["eigenvalues"], dtype=float),
         k=int(p["k"]),
     )
-    trees = artifact.parameters["trees"]
-    return _forest_proba(trees, pca.transform(X), [len(trees)])[0]
+    return _forest_proba(artifact.parameters["trees"], pca.transform(X))
 
 
 def _revive_pca_rf(parameters: dict) -> dict:

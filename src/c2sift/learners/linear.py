@@ -167,14 +167,16 @@ def _cd_quadratic(
     intercept: float,
     lam: float,
     tol: float,
-) -> tuple[np.ndarray, float, np.ndarray]:
+) -> tuple[np.ndarray, float, bool]:
     """Cyclic coordinate descent on the weighted quadratic with L1 penalty.
 
     ``wresid`` tracks w * (working response - intercept - Z beta); keeping
     the weighted residual avoids a division, so the first sweep from zero
     sees exactly the same float gradients that defined lambda_max and
     slopes at lambda >= lambda_max stay exactly zero. Full sweeps
-    alternate with cheap sweeps over the active set.
+    alternate with cheap sweeps over the active set. Returns (beta,
+    intercept, converged): converged is False when none of the 50 full
+    sweeps moved every coefficient by less than ``tol``.
     """
     n, d = Z.shape
     w_sum = float(w.sum())
@@ -207,13 +209,13 @@ def _cd_quadratic(
 
     for _ in range(50):
         if sweep(range(d)) < tol:
-            break
+            return beta, intercept, True
         active = np.flatnonzero(beta)
         if len(active):
             for _ in range(200):
                 if sweep(active) < tol:
                     break
-    return beta, intercept, wresid
+    return beta, intercept, False
 
 
 def _lasso_path(
@@ -226,7 +228,8 @@ def _lasso_path(
     later penalties inherit the stop-point solution. Chasing the exact
     solution on quasi-separated data is expensive and never CV-optimal.
     ``converged`` is False when a computed penalty used up ``max_outer``
-    IRLS steps without meeting the outer tolerance.
+    IRLS steps without meeting the outer tolerance, or a coordinate-descent
+    solve used up its full sweeps without meeting ``tol``.
 
     Returns (betas (L, d), intercepts (L,), means, scales, n_computed, converged).
     """
@@ -252,7 +255,8 @@ def _lasso_path(
             wresid = y - p  # w * working residual at the expansion point, exactly
             prev_beta = beta.copy()
             prev_intercept = intercept
-            beta, intercept, _ = _cd_quadratic(Z, Z_sq, w, wresid, beta, intercept, lam, params.tol)
+            beta, intercept, solved = _cd_quadratic(Z, Z_sq, w, wresid, beta, intercept, lam, params.tol)
+            converged = converged and solved
             change = max(
                 float(np.max(np.abs(beta - prev_beta), initial=0.0)), abs(intercept - prev_intercept)
             )
@@ -315,7 +319,7 @@ def lasso_cells(data: LabeledDataset, cell: Mapping) -> list[dict]:
     return [{**rest, "lambda_path": path[: s + 1]} for s in range(len(path))]
 
 
-def _score_lambda_path(data: LabeledDataset, cells, seeds, X: np.ndarray, feature_names) -> list[np.ndarray]:
+def _score_lambda_path(data: LabeledDataset, cells, seeds, X: np.ndarray) -> list[np.ndarray]:
     """Each cell's scores on X from one warm-started path down the longest cell's penalties.
 
     A path is deterministic, so its fit at a cell's last penalty is that

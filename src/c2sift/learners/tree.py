@@ -48,6 +48,7 @@ sampled columns of the node's rows there and go through the same scorer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -399,3 +400,15 @@ def tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
         go_left = X[rows, feats[rows]] <= tree.threshold[at]
         pos[rows] = np.where(go_left, tree.left[at], tree.right[at])
     return tree.value[pos]
+
+
+def prefix_sums(start: np.ndarray, terms: Sequence[np.ndarray], stages: Sequence[int]) -> list[np.ndarray]:
+    """``start`` plus the first s of ``terms`` for each s in ``stages``.
+
+    Terms are added one at a time in order, as a whole ensemble sums its
+    trees, so the sum at stage s is bit for bit that of the s-tree model.
+    """
+    sums = [start]
+    for term in terms[: max(stages)]:
+        sums.append(sums[-1] + term)
+    return [sums[s] for s in stages]

@@ -11,7 +11,6 @@ from c2sift.learners import (
 )
 from c2sift.learners import boosting, fit_model
 from c2sift.learners.artifact import score_cells, share_groups
-from c2sift.learners.boosting import _predict_boosted_stages
 from c2sift.learners.tree import TreeParams
 
 from conftest import make_dataset
@@ -92,13 +91,6 @@ def test_staged_probabilities_equal_separate_fits_bitwise(fitter):
     assert np.array_equal(staged[-1], predict_proba(longest, probe, data.feature_names))
 
 
-def test_stages_beyond_the_fit_rejected():
-    data = make_dataset(n=60, d=3, seed=7)
-    model = fit_gbm(data, {"n_rounds": 5})
-    with pytest.raises(ValueError, match="outside"):
-        _predict_boosted_stages(model, data.X, [6])
-
-
 class TestBoostingGroupScorer:
     @pytest.mark.parametrize("kind", ["gbm", "gbm2"])
     def test_each_cell_equals_its_own_fit(self, monkeypatch, kind):
@@ -125,14 +117,25 @@ class TestBoostingGroupScorer:
 
         one_round = "fit_tree_second_order" if kind == "gbm2" else "fit_tree"
         original = getattr(boosting, one_round)
-        fitted = []
+        fitted, grown, predicted = [], [], []
 
         def record(*args, **kwargs):
             fitted.append(next(a for a in args if isinstance(a, TreeParams)).max_depth)
-            return original(*args, **kwargs)
+            grown.append(original(*args, **kwargs))
+            return grown[-1]
+
+        original_predict = boosting.tree_predict
+
+        def record_predict(tree, X):
+            if X.shape[0] == len(val):
+                predicted.append(tree)
+            return original_predict(tree, X)
 
         monkeypatch.setattr(boosting, one_round, record)
+        monkeypatch.setattr(boosting, "tree_predict", record_predict)
         shared = score_cells(kind, train, cells, seeds, val, data.feature_names)
+        # each fitted round is predicted on X once, however many caps reuse it
+        assert [id(tree) for tree in predicted] == [id(tree) for tree in grown]
 
         for model, scores in zip(separate, shared):
             assert np.array_equal(scores, predict_proba(model, val, data.feature_names))

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import c2sift.cli as cli
+from c2sift.flows import CANONICAL_FIELDS
 from c2sift.learners import fit_model, load_feature_matrix, save_model
 from c2sift.learners.grids import HyperGrid
 
@@ -78,6 +79,10 @@ def test_featurize_matrix(features):
 
 def test_featurize_ablation(tmp_path, dataset):
     out = tmp_path / "ablated"
+    feature_config = tmp_path / "features.cfg"
+    feature_config.write_text("beacon_tolerance = 0.2\n", encoding="utf-8")
+    schema = tmp_path / "schema.cfg"
+    schema.write_text("".join(f"{name} = {name}\n" for name in CANONICAL_FIELDS), encoding="utf-8")
     assert (
         run(
             [
@@ -86,6 +91,8 @@ def test_featurize_ablation(tmp_path, dataset):
                 "--internal-space", dataset / "internal_space.txt",
                 "--out", out,
                 "--ablate-distributional",
+                "--feature-config", feature_config,
+                "--schema", schema,
             ]
         )
         == 0
@@ -93,6 +100,13 @@ def test_featurize_ablation(tmp_path, dataset):
     data = load_feature_matrix(out / "features.csv")
     assert len(data.feature_names) == 31
     assert data.y is None
+    # the manifest names every input file and the feature config it used
+    manifest = cli.read_manifest(out)
+    assert manifest["inputs"]["feature_config"] == str(feature_config)
+    assert manifest["inputs"]["schema"] == str(schema)
+    assert manifest["inputs"]["labels"] is None
+    assert manifest["params"]["config"]["beacon_tolerance"] == 0.2
+    assert manifest["params"]["ablate_distributional"] is True
 
 
 def test_existing_output_rejected(tmp_path, dataset, capsys):
@@ -253,6 +267,26 @@ def test_truncated_model_file_named(tmp_path, features, capsys):
     assert not (tmp_path / "eval").exists()
 
 
+def test_model_dir_refuses_two_models_of_one_kind(tmp_path, features, capsys):
+    data = load_feature_matrix(features)
+    models = tmp_path / "models"
+    models.mkdir()
+    glm = fit_model("glm", data, {}, seed=1)
+    save_model(glm, models / "glm.json")
+    save_model(glm, models / "glm_old.json")
+    args = ["evaluate", "--features", features, "--model-dir", models, "--out", tmp_path / "eval", "--bootstrap", "5"]
+    args += ["--importance-kind", "glm", "--importance-repeats", "1"]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert "glm.json" in err and "glm_old.json" in err
+    # a model file it cannot decode is named too
+    payload = json.loads((models / "glm_old.json").read_text())
+    (models / "glm_old.json").write_text(json.dumps({**payload, "version": 99}))
+    assert run(args) == 2
+    assert "glm_old.json: artifact version 99" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize("cells", [("1", "0.5", "abc"), ("yes", "0.5", "0.25")], ids=["feature", "label"])
 def test_bad_feature_matrix_cell_named(tmp_path, capsys, cells):
     path = tmp_path / "features.csv"
@@ -322,6 +356,9 @@ def test_pipeline_dirs_have_one_manifest_each(tmp_path, tiny_grid):
     assert (out / "run_manifest.json").is_file()
     top = cli.read_manifest(out)
     assert not any(path.endswith("run_manifest.json") for path in top["output_checksums"])
+    # every pipeline setting is recorded
+    assert set(top["params"]) == set(inspect.signature(cli.run_pipeline).parameters) - {"out"}
+    assert top["params"]["importance_repeats"] == 1
 
 
 def test_jobs_flag_matches_serial(tmp_path, features, tiny_grid):

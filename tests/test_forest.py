@@ -61,6 +61,14 @@ def test_forest_probability_in_tree_hull():
     assert np.all(mean <= per_tree.max(axis=0) + 1e-12)
 
 
+def test_empty_forest_rejected():
+    data = make_dataset(n=40, d=3, seed=4)
+    for fitter in (fit_random_forest, fit_pca_rf):
+        model = fitter(data, {"n_trees": 0}, seed=1)
+        with pytest.raises(ValueError, match="at least one tree"):
+            predict_proba(model, data.X)
+
+
 def recorded(monkeypatch, name, record):
     """Replace ``forest.<name>`` with a wrapper that appends ``record(*args)`` to the returned list."""
     calls = []
@@ -131,13 +139,11 @@ class TestForestGroupScorer:
     def test_staged_probabilities_are_prefix_forests(self):
         data = make_dataset(n=80, d=5, seed=6)
         probe = np.random.default_rng(3).normal(size=(20, 5))
-        trees = fit_random_forest(data, {"n_trees": 9}, seed=4).parameters["trees"]
-        staged = forest._forest_proba(trees, probe, [9, 2, 5])
-        for stage, scores in zip([9, 2, 5], staged):
-            prefix = fit_random_forest(data, {"n_trees": stage}, seed=4)
+        cells = [{"n_trees": n} for n in (9, 2, 5)]
+        staged = score_cells("rf", data, cells, [4, 4, 4], probe)
+        for cell, scores in zip(cells, staged):
+            prefix = fit_random_forest(data, cell, seed=4)
             assert np.array_equal(scores, predict_proba(prefix, probe))
-        with pytest.raises(ValueError, match="outside"):
-            forest._forest_proba(trees, probe, [10])
 
 
 def test_tree_depth_reads_the_deepest_node():

@@ -171,6 +171,11 @@ class TestLasso:
         assert fit_lasso(data, lambda_path=path).training_meta["converged"] is True
         # one IRLS step cannot meet the outer tolerance once slopes move
         assert fit_lasso(data, lambda_path=path, params={"max_outer": 1}).training_meta["converged"] is False
+        # no coordinate-descent sweep moves every coefficient by less than tol=0, so each
+        # solve uses up its full sweeps; above lambda_max only the intercept moves, and the
+        # IRLS steps still meet the outer tolerance
+        above = [2.0 * lambda_max(data.X, data.y.astype(float))]
+        assert fit_lasso(data, lambda_path=above, params={"tol": 0.0}).training_meta["converged"] is False
 
 
 def serial_lasso(data, k, seed, params=LassoParams()):
