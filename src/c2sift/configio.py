@@ -1,7 +1,12 @@
-"""Shared parsing for the small key=value config files used by the CLI."""
+"""Shared parsing for the small key=value config files used by the CLI,
+and the one reader that turns a mapping into a settings dataclass."""
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
+from typing import Mapping, TypeVar
+
+T = TypeVar("T")
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
@@ -23,3 +28,34 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         out[key] = value
     return out
+
+
+def _cast(default, value):
+    if default is None:
+        return value
+    if isinstance(default, tuple):  # each item cast like the default's items
+        return tuple(type(default[0])(item) for item in value)
+    return type(default)(value)
+
+
+def read_settings(cls: type[T], values: Mapping, source: str) -> T:
+    """The dataclass ``cls`` with ``values`` over its defaults.
+
+    Each value is cast to the type of its field's default; a field whose
+    default is None takes the value as is. An unknown key, a value that
+    does not cast, or a value ``cls`` refuses raises ValueError naming
+    ``source`` and the key.
+    """
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in values.items():
+        if key not in defaults:
+            raise ValueError(f"{source}: unknown key {key!r} (known: {', '.join(defaults)})")
+        try:
+            kwargs[key] = _cast(defaults[key], value)
+        except (TypeError, ValueError):
+            raise ValueError(f"{source}: {key} = {value!r} is not a valid {type(defaults[key]).__name__}") from None
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None

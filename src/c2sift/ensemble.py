@@ -131,7 +131,7 @@ def fit_stack(
         feature_names=_meta_names(base_specs),
         row_keys=data.row_keys,
     )
-    meta = fit_glm(meta_data, seed=child_seed(seed, NS_STACK, len(base_specs), 0))
+    meta = fit_glm(meta_data, {}, child_seed(seed, NS_STACK, len(base_specs), 0))
     return ModelArtifact(
         kind="stack",
         parameters={

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .aggregate import HostDays
-from .configio import parse_kv_file
+from .configio import parse_kv_file, read_settings
 
 # Guard for rates and coefficients of variation when a denominator is 0.
 EPS_SECONDS = 1e-3
@@ -61,19 +61,11 @@ class FeatureConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FeatureConfig":
-        raw = parse_kv_file(path)
-        kwargs = {}
-        if "n_quantiles" in raw:
-            kwargs["n_quantiles"] = int(raw["n_quantiles"])
+        """The config in a ``key = value`` file; ``tracked_ports`` is comma-separated."""
+        raw: dict = parse_kv_file(path)
         if "tracked_ports" in raw:
-            kwargs["tracked_ports"] = tuple(int(p) for p in raw["tracked_ports"].split(",") if p.strip())
-        if "beacon_tolerance" in raw:
-            kwargs["beacon_tolerance"] = float(raw["beacon_tolerance"])
-        known = {"n_quantiles", "tracked_ports", "beacon_tolerance"}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ValueError(f"{path}: unknown feature config key(s): {', '.join(unknown)}")
-        return cls(**kwargs)
+            raw["tracked_ports"] = [port for port in raw["tracked_ports"].split(",") if port.strip()]
+        return read_settings(cls, raw, str(path))
 
 
 @dataclass(frozen=True)

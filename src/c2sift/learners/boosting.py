@@ -35,9 +35,20 @@ from typing import Mapping
 
 import numpy as np
 
+from ..configio import read_settings
 from .artifact import ModelArtifact, log_loss, register_kind, sigmoid
 from .data import LabeledDataset
-from .tree import Presort, Tree, TreeParams, fit_tree, fit_tree_second_order, prefix_sums, presort, tree_predict
+from .tree import (
+    Presort,
+    Tree,
+    TreeParams,
+    fit_tree,
+    fit_tree_second_order,
+    prefix_sums,
+    presort,
+    revive_trees,
+    tree_predict,
+)
 
 
 @dataclass(frozen=True)
@@ -48,17 +59,6 @@ class GBMParams:
     min_leaf: int = 1
     lam: float = 1.0
     gamma: float = 0.0
-
-    @classmethod
-    def from_mapping(cls, params: Mapping) -> "GBMParams":
-        return cls(
-            n_rounds=int(params.get("n_rounds", 100)),
-            learning_rate=float(params.get("learning_rate", 0.1)),
-            max_depth=int(params.get("max_depth", 3)),
-            min_leaf=int(params.get("min_leaf", 1)),
-            lam=float(params.get("lam", 1.0)),
-            gamma=float(params.get("gamma", 0.0)),
-        )
 
 
 def _base_log_odds(y: np.ndarray) -> float:
@@ -84,37 +84,38 @@ def _boost(
             loss_path.append(log_loss(y, sigmoid(F)))
 
 
-def _fit_boosted(data: LabeledDataset, params: GBMParams, seed: int, second_order: bool) -> ModelArtifact:
+def _fit_boosted(data: LabeledDataset, params: Mapping, seed: int, second_order: bool) -> ModelArtifact:
+    kind = "gbm2" if second_order else "gbm"
+    gp = read_settings(GBMParams, params, kind)
     y = data.require_training_labels().astype(float)
     f0 = _base_log_odds(y)
     F = np.full(data.n_rows, f0)
     trees: list[Tree] = []
     loss_path = [log_loss(y, sigmoid(F))]
     # every round searches the same rows; only the targets change
-    _boost(presort(data.X), y, F, trees, params, second_order, loss_path)
-    kind = "gbm2" if second_order else "gbm"
+    _boost(presort(data.X), y, F, trees, gp, second_order, loss_path)
     return ModelArtifact(
         kind=kind,
-        parameters={"f0": f0, "learning_rate": params.learning_rate, "trees": trees},
+        parameters={"f0": f0, "learning_rate": gp.learning_rate, "trees": trees},
         seed=seed,
         feature_names=data.feature_names,
         training_meta={
-            "n_rounds": params.n_rounds,
-            "learning_rate": params.learning_rate,
-            "max_depth": params.max_depth,
-            "min_leaf": params.min_leaf,
-            **({"lam": params.lam, "gamma": params.gamma} if second_order else {}),
+            "n_rounds": gp.n_rounds,
+            "learning_rate": gp.learning_rate,
+            "max_depth": gp.max_depth,
+            "min_leaf": gp.min_leaf,
+            **({"lam": gp.lam, "gamma": gp.gamma} if second_order else {}),
             "loss_path": loss_path,
         },
     )
 
 
 def fit_gbm(data: LabeledDataset, params: Mapping, seed: int = 0) -> ModelArtifact:
-    return _fit_boosted(data, GBMParams.from_mapping(params), seed, second_order=False)
+    return _fit_boosted(data, params, seed, second_order=False)
 
 
 def fit_gbm2(data: LabeledDataset, params: Mapping, seed: int = 0) -> ModelArtifact:
-    return _fit_boosted(data, GBMParams.from_mapping(params), seed, second_order=True)
+    return _fit_boosted(data, params, seed, second_order=True)
 
 
 def _predict_boosted(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
@@ -139,7 +140,7 @@ def _score_boosted_group(kind: str, data: LabeledDataset, cells, seeds, X: np.nd
     y = data.require_training_labels().astype(float)
     sorted_X = presort(data.X)
     f0 = _base_log_odds(y)
-    gps = [GBMParams.from_mapping(cell) for cell in cells]
+    gps = [read_settings(GBMParams, cell, kind) for cell in cells]
     trees: list[Tree] = []  # the rounds of the shallowest cap fitted so far
     steps: list[np.ndarray] = []  # learning_rate * tree_predict(trees[t], X)
     scores: list = [None] * len(cells)
@@ -160,14 +161,6 @@ def _score_boosted_group(kind: str, data: LabeledDataset, cells, seeds, X: np.nd
     return scores
 
 
-def _revive_boosted(parameters: dict) -> dict:
-    return {
-        "f0": parameters["f0"],
-        "learning_rate": parameters["learning_rate"],
-        "trees": [Tree.from_jsonable(t) for t in parameters["trees"]],
-    }
-
-
 _STAGES = ("n_rounds", "max_depth")
-register_kind("gbm", fit_gbm, _predict_boosted, _revive_boosted, (_STAGES, partial(_score_boosted_group, "gbm")))
-register_kind("gbm2", fit_gbm2, _predict_boosted, _revive_boosted, (_STAGES, partial(_score_boosted_group, "gbm2")))
+register_kind("gbm", fit_gbm, _predict_boosted, revive_trees, (_STAGES, partial(_score_boosted_group, "gbm")))
+register_kind("gbm2", fit_gbm2, _predict_boosted, revive_trees, (_STAGES, partial(_score_boosted_group, "gbm2")))

@@ -24,16 +24,19 @@ number of components reaching the requested variance fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Mapping
 
 import numpy as np
 
+from ..configio import read_settings
 from ..rng import NS_FOREST, substream
 from .artifact import ModelArtifact, register_kind
 from .data import LabeledDataset
-from .tree import Tree, TreeParams, fit_tree, prefix_sums, tree_predict
+from .tree import Tree, TreeParams, fit_tree, prefix_sums, revive_trees, tree_predict
+
+VARIANCE_RETAINED = 0.95  # pca_rf's default share of standardized variance kept by its PCA
 
 
 @dataclass(frozen=True)
@@ -45,19 +48,13 @@ class RFParams:
     bootstrap: bool = True
 
     @classmethod
-    def from_mapping(cls, params: Mapping, d: int) -> "RFParams":
+    def from_mapping(cls, params: Mapping, d: int, kind: str) -> "RFParams":
         mtry = params.get("mtry")
         if mtry is None or mtry == "sqrt":
             mtry = max(1, round(d**0.5))
         elif mtry == "third":
             mtry = max(1, d // 3)
-        return cls(
-            n_trees=int(params.get("n_trees", 300)),
-            mtry=mtry,
-            max_depth=params.get("max_depth"),
-            min_leaf=int(params.get("min_leaf", 1)),
-            bootstrap=bool(params.get("bootstrap", True)),
-        )
+        return read_settings(cls, {**params, "mtry": mtry}, kind)
 
 
 def _forest_tree(X: np.ndarray, y: np.ndarray, rf: RFParams, seed: int, b: int) -> Tree:
@@ -69,22 +66,19 @@ def _forest_tree(X: np.ndarray, y: np.ndarray, rf: RFParams, seed: int, b: int) 
     return fit_tree(X[idx], y[idx], tree_params, rng, criterion="gini")
 
 
-def fit_random_forest(data: LabeledDataset, params: Mapping, seed: int) -> ModelArtifact:
+def _fit_forest(data: LabeledDataset, rf: RFParams, seed: int) -> list[Tree]:
     y = data.require_training_labels()
-    rf = RFParams.from_mapping(params, data.X.shape[1])
-    trees = [_forest_tree(data.X, y, rf, seed, b) for b in range(rf.n_trees)]
+    return [_forest_tree(data.X, y, rf, seed, b) for b in range(rf.n_trees)]
+
+
+def fit_random_forest(data: LabeledDataset, params: Mapping, seed: int) -> ModelArtifact:
+    rf = RFParams.from_mapping(params, data.X.shape[1], "rf")
     return ModelArtifact(
         kind="rf",
-        parameters={"trees": trees},
+        parameters={"trees": _fit_forest(data, rf, seed)},
         seed=seed,
         feature_names=data.feature_names,
-        training_meta={
-            "n_trees": rf.n_trees,
-            "mtry": rf.mtry,
-            "max_depth": rf.max_depth,
-            "min_leaf": rf.min_leaf,
-            "bootstrap": rf.bootstrap,
-        },
+        training_meta=asdict(rf),
     )
 
 
@@ -115,10 +109,12 @@ def _score_forest_group(kind: str, data: LabeledDataset, cells, seeds, X: np.nda
     for the whole group.
     """
     if kind == "pca_rf":
-        pca, data = _pca_inputs(data, float(cells[0].get("variance_retained", 0.95)))
+        splits = [_pca_split(cell) for cell in cells]
+        pca, data = _pca_inputs(data, splits[0][0])
         X = pca.transform(X)
+        cells = [rest for _, rest in splits]
     y = data.require_training_labels()
-    rfs = [RFParams.from_mapping(cell, data.X.shape[1]) for cell in cells]
+    rfs = [RFParams.from_mapping(cell, data.X.shape[1], kind) for cell in cells]
     leader = min(range(len(cells)), key=lambda i: (_deepest_first(rfs[i].max_depth), -rfs[i].n_trees))
     latest: dict[int, Tree] = {}  # tree b of the shallowest cap fitted so far that grew one
     leaf_probs: dict[int, np.ndarray] = {}  # tree_predict(latest[b], X)
@@ -137,10 +133,6 @@ def _score_forest_group(kind: str, data: LabeledDataset, cells, seeds, X: np.nda
     return scores
 
 
-def _revive_rf(parameters: dict) -> dict:
-    return {"trees": [Tree.from_jsonable(t) for t in parameters["trees"]]}
-
-
 @dataclass(frozen=True)
 class PcaTransform:
     """Standardize-then-rotate transform retaining k leading components."""
@@ -157,7 +149,7 @@ class PcaTransform:
         return Z @ self.rotation[:, :k]
 
 
-def fit_pca(X: np.ndarray, variance_retained: float = 0.95) -> PcaTransform:
+def fit_pca(X: np.ndarray, variance_retained: float = VARIANCE_RETAINED) -> PcaTransform:
     """Eigendecomposition of the standardized covariance matrix.
 
     k is the smallest component count whose eigenvalue mass reaches
@@ -200,10 +192,16 @@ def _pca_inputs(data: LabeledDataset, variance_retained: float) -> tuple[PcaTran
     return pca, inner
 
 
+def _pca_split(params: Mapping) -> tuple[float, dict]:
+    """pca_rf's ``variance_retained``, and the rest of its params, which are the forest's."""
+    rest = dict(params)
+    return rest.pop("variance_retained", VARIANCE_RETAINED), rest
+
+
 def fit_pca_rf(data: LabeledDataset, params: Mapping, seed: int) -> ModelArtifact:
-    variance_retained = float(params.get("variance_retained", 0.95))
+    variance_retained, rest = _pca_split(params)
     pca, inner = _pca_inputs(data, variance_retained)
-    forest = fit_random_forest(inner, params, seed)
+    rf = RFParams.from_mapping(rest, inner.X.shape[1], "pca_rf")
     return ModelArtifact(
         kind="pca_rf",
         parameters={
@@ -214,11 +212,11 @@ def fit_pca_rf(data: LabeledDataset, params: Mapping, seed: int) -> ModelArtifac
                 "eigenvalues": pca.eigenvalues,
                 "k": pca.k,
             },
-            "trees": forest.parameters["trees"],
+            "trees": _fit_forest(inner, rf, seed),
         },
         seed=seed,
         feature_names=data.feature_names,
-        training_meta={**forest.training_meta, "variance_retained": variance_retained, "k": pca.k},
+        training_meta={**asdict(rf), "variance_retained": variance_retained, "k": pca.k},
     )
 
 
@@ -234,13 +232,6 @@ def _predict_pca_rf(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
     return _forest_proba(artifact.parameters["trees"], pca.transform(X))
 
 
-def _revive_pca_rf(parameters: dict) -> dict:
-    return {
-        "pca": parameters["pca"],
-        "trees": [Tree.from_jsonable(t) for t in parameters["trees"]],
-    }
-
-
 _STAGES = ("n_trees", "max_depth")
-register_kind("rf", fit_random_forest, _predict_rf, _revive_rf, (_STAGES, partial(_score_forest_group, "rf")))
-register_kind("pca_rf", fit_pca_rf, _predict_pca_rf, _revive_pca_rf, (_STAGES, partial(_score_forest_group, "pca_rf")))
+register_kind("rf", fit_random_forest, _predict_rf, revive_trees, (_STAGES, partial(_score_forest_group, "rf")))
+register_kind("pca_rf", fit_pca_rf, _predict_pca_rf, revive_trees, (_STAGES, partial(_score_forest_group, "pca_rf")))

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .forest import VARIANCE_RETAINED
+
 
 def _rf_cells(extra: dict | None = None) -> list[dict]:
     cells = []
@@ -38,7 +40,7 @@ class HyperGrid:
     """Candidate cells per model kind; every kind must stay non-empty."""
 
     rf: tuple = field(default_factory=lambda: tuple(_rf_cells()))
-    pca_rf: tuple = field(default_factory=lambda: tuple(_rf_cells({"variance_retained": 0.95})))
+    pca_rf: tuple = field(default_factory=lambda: tuple(_rf_cells({"variance_retained": VARIANCE_RETAINED})))
     gbm: tuple = field(default_factory=lambda: tuple(_gbm_cells(False)))
     gbm2: tuple = field(default_factory=lambda: tuple(_gbm_cells(True)))
     glm: tuple = ({},)

@@ -20,10 +20,12 @@ like any other staged parameter (Friedman, Hastie & Tibshirani 2010).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from ..configio import read_settings
 from .artifact import ModelArtifact, register_kind, sigmoid
 from .data import LabeledDataset
 
@@ -37,10 +39,6 @@ class GLMParams:
     max_iter: int = 100
     tol: float = 1e-8
 
-    @classmethod
-    def from_mapping(cls, params: Mapping) -> "GLMParams":
-        return cls(max_iter=int(params.get("max_iter", 100)), tol=float(params.get("tol", 1e-8)))
-
 
 @dataclass(frozen=True)
 class LassoParams:
@@ -48,15 +46,6 @@ class LassoParams:
     lambda_min_ratio: float = 1e-3
     max_outer: int = 30
     tol: float = 1e-5
-
-    @classmethod
-    def from_mapping(cls, params: Mapping) -> "LassoParams":
-        return cls(
-            n_lambdas=int(params.get("n_lambdas", 20)),
-            lambda_min_ratio=float(params.get("lambda_min_ratio", 1e-3)),
-            max_outer=int(params.get("max_outer", 30)),
-            tol=float(params.get("tol", 1e-5)),
-        )
 
 
 def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -134,9 +123,9 @@ def _linear_parameters(beta, intercept, means, scales) -> dict:
     }
 
 
-def fit_glm(data: LabeledDataset, params: Mapping | GLMParams = GLMParams(), seed: int = 0) -> ModelArtifact:
+def fit_glm(data: LabeledDataset, params: Mapping = MappingProxyType({}), seed: int = 0) -> ModelArtifact:
+    gp = read_settings(GLMParams, params, "glm")
     y = data.require_training_labels().astype(float)
-    gp = params if isinstance(params, GLMParams) else GLMParams.from_mapping(params)
     Z, means, scales = _standardize(data.X)
     beta, intercept, converged, hit_cap = _newton_fit(Z, y, 0.0, gp.max_iter, gp.tol)
     separation = False
@@ -312,7 +301,7 @@ def lasso_cells(data: LabeledDataset, cell: Mapping) -> list[dict]:
     times it. Cell s runs the first s + 1 penalties, so one path fit
     scores every cell. The cell's other settings ride along in each one.
     """
-    lp = LassoParams.from_mapping(cell)
+    lp = read_settings(LassoParams, cell, "lasso")
     lmax = lambda_max(data.X, data.require_training_labels().astype(float))
     path = [float(l) for l in np.geomspace(lmax, lmax * lp.lambda_min_ratio, lp.n_lambdas)]
     rest = {name: value for name, value in cell.items() if name not in ("n_lambdas", "lambda_min_ratio")}
@@ -326,11 +315,12 @@ def _score_lambda_path(data: LabeledDataset, cells, seeds, X: np.ndarray) -> lis
     cell's own fit, bit for bit, early stop included.
     """
     paths = [[float(l) for l in cell["lambda_path"]] for cell in cells]
+    lp = read_settings(LassoParams, _without_path(cells[0]), "lasso")
     longest = max(paths, key=len)
     if any(path != longest[: len(path)] for path in paths):
         raise ValueError("lasso cells that share a fit must be prefixes of one penalty path")
     y = data.require_training_labels().astype(float)
-    betas, intercepts, means, scales, _, _ = _lasso_path(data.X, y, longest, LassoParams.from_mapping(cells[0]))
+    betas, intercepts, means, scales, _, _ = _lasso_path(data.X, y, longest, lp)
     Z = (X - means) / scales
     return [sigmoid(intercepts[len(path) - 1] + Z @ betas[len(path) - 1]) for path in paths]
 
@@ -338,12 +328,12 @@ def _score_lambda_path(data: LabeledDataset, cells, seeds, X: np.ndarray) -> lis
 def fit_lasso(
     data: LabeledDataset,
     lambda_path: Sequence[float],
-    params: Mapping | LassoParams = LassoParams(),
+    params: Mapping = MappingProxyType({}),
     seed: int = 0,
 ) -> ModelArtifact:
     """The lasso at the last penalty of ``lambda_path``, fitted down the path with warm starts."""
+    lp = read_settings(LassoParams, params, "lasso")
     y = data.require_training_labels().astype(float)
-    lp = params if isinstance(params, LassoParams) else LassoParams.from_mapping(params)
     lambdas = [float(l) for l in lambda_path]
     betas, intercepts, means, scales, computed, converged = _lasso_path(data.X, y, lambdas, lp)
     beta = betas[-1]
@@ -364,8 +354,12 @@ def fit_lasso(
     )
 
 
+def _without_path(cell: Mapping) -> dict:
+    return {name: value for name, value in cell.items() if name != "lambda_path"}
+
+
 def _fit_lasso_registry(data: LabeledDataset, params: Mapping, seed: int) -> ModelArtifact:
-    return fit_lasso(data, lambda_path=params["lambda_path"], params=params, seed=seed)
+    return fit_lasso(data, lambda_path=params["lambda_path"], params=_without_path(params), seed=seed)
 
 
 register_kind("glm", fit_glm, _predict_linear)

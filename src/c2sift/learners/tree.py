@@ -108,6 +108,11 @@ class Tree:
         )
 
 
+def revive_trees(parameters: dict) -> dict:
+    """A tree ensemble's saved parameters with each of its ``trees`` revived."""
+    return {**parameters, "trees": [Tree.from_jsonable(t) for t in parameters["trees"]]}
+
+
 class _Builder:
     def __init__(self):
         self.feature: list[int] = []

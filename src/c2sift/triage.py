@@ -3,7 +3,7 @@
 Flagged hosts are checked against curated IP lists first (deny, allow,
 CDN/cloud, sinkhole), then the survivors go through rule review. Outcome
 precedence is known_malicious > suppressed_* > candidate; a host is a
-candidate only when every enabled rule passes. Hosts failing rule review
+candidate only when every rule passes. Hosts failing rule review
 get the suppressed_rules outcome so every flagged host receives exactly
 one decision.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .configio import parse_kv_file
+from .configio import parse_kv_file, read_settings
 
 LIST_KINDS = ("deny", "allow", "cdn_cloud", "sinkhole")
 
@@ -100,7 +100,6 @@ class Rule:
 
     name: str
     predicate: Callable[[Mapping[str, float], float], bool]
-    enabled: bool = True
 
 
 @dataclass(frozen=True)
@@ -111,19 +110,7 @@ class TriageConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TriageConfig":
-        raw = parse_kv_file(path)
-        known = {"threshold", "min_devices", "min_periodicity"}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ValueError(f"{path}: unknown triage config key(s): {', '.join(unknown)}")
-        kwargs = {}
-        if "threshold" in raw:
-            kwargs["threshold"] = float(raw["threshold"])
-        if "min_devices" in raw:
-            kwargs["min_devices"] = int(raw["min_devices"])
-        if "min_periodicity" in raw:
-            kwargs["min_periodicity"] = float(raw["min_periodicity"])
-        return cls(**kwargs)
+        return read_settings(cls, parse_kv_file(path), str(path))
 
 
 def build_rules(cfg: TriageConfig) -> tuple[Rule, ...]:
@@ -164,7 +151,7 @@ def triage(
     """Decide each flagged (host_ip, window_date, score) exactly once.
 
     Rules run only on hosts that survive list suppression; a candidate
-    must pass every enabled rule and records the rules it matched.
+    must pass every rule and records the rules it matched.
     """
     decisions: list[TriageDecision] = []
     for host_ip, window_date, score in flagged:
@@ -180,8 +167,6 @@ def triage(
         matched = []
         all_pass = True
         for rule in rules:
-            if not rule.enabled:
-                continue
             if rule.predicate(row, score):
                 matched.append(rule.name)
             else:

@@ -108,3 +108,28 @@ def test_unknown_kind_fit_rejected():
 
     with pytest.raises(ValueError, match="unknown model kind"):
         fit_model("nope", make_dataset(n=20, d=2), {}, 0)
+
+
+@pytest.mark.parametrize(
+    "kind, params, key",
+    [
+        ("rf", {"n_tree": 5}, "n_tree"),
+        ("pca_rf", {"n_trees": 5, "variance": 0.9}, "variance"),
+        ("gbm", {"n_round": 5}, "n_round"),
+        ("gbm2", {"lamda": 2.0}, "lamda"),
+        ("glm", {"max_iters": 5}, "max_iters"),
+        ("lasso", {"lambda_path": [0.1], "n_lambda": 5}, "n_lambda"),
+    ],
+)
+def test_unknown_param_refused_by_name(kind, params, key):
+    from c2sift.learners import fit_model
+
+    with pytest.raises(ValueError, match=f"{kind}: unknown key '{key}'"):
+        fit_model(kind, make_dataset(n=40, d=3), params, 0)
+
+
+def test_uncastable_param_refused_by_name():
+    from c2sift.learners import fit_model
+
+    with pytest.raises(ValueError, match="gbm: n_rounds = 'many' is not a valid int"):
+        fit_model("gbm", make_dataset(n=40, d=3), {"n_rounds": "many"}, 0)

@@ -182,6 +182,40 @@ def test_failure_inside_staging_leaves_nothing(tmp_path, dataset, capsys):
     assert not list(tmp_path.glob("*.staging"))
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [("n_quantiles = x\n", "n_quantiles = 'x'"), ("n_quantile = 4\n", "unknown key 'n_quantile'")],
+)
+def test_bad_feature_config_names_file_and_key(tmp_path, dataset, capsys, text, named):
+    config = tmp_path / "features.cfg"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "feat"
+    args = ["--flows", dataset / "flows.csv", "--internal-space", dataset / "internal_space.txt"]
+    assert run(["featurize", *args, "--feature-config", config, "--out", out]) == 2
+    assert f"{config}: {named}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.staging"))
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [("min_devices = two\n", "min_devices = 'two'"), ("treshold = 0.7\n", "unknown key 'treshold'")],
+)
+def test_bad_triage_config_names_file_and_key(tmp_path, dataset, features, capsys, text, named):
+    config = tmp_path / "triage.cfg"
+    config.write_text(text, encoding="utf-8")
+    predictions = tmp_path / "predictions.csv"
+    data = load_feature_matrix(features)
+    rows = [f"{host},{day},0.9" for host, day in data.row_keys]
+    predictions.write_text("\n".join(["host_ip,window_date,score", *rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "triage"
+    args = ["--predictions", predictions, "--features", features, "--triage-config", config, "--out", out]
+    assert run(["triage", *args]) == 2
+    assert f"{config}: {named}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.staging"))
+
+
 def test_train_evaluate_predict_triage(tmp_path, dataset, features, tiny_grid):
     models = tmp_path / "models"
     assert run(["train", "--features", features, "--out", models, "--seed", "5", "--folds", "4"]) == 0

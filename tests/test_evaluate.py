@@ -197,9 +197,10 @@ class TestCvTune:
 
     def test_tie_breaks_to_first_cell(self):
         data = make_dataset(n=80, d=4, seed=2)
-        grid = HyperGrid(glm=({"marker": 1}, {"marker": 2}))  # marker is ignored by the fitter
+        grid = HyperGrid(glm=({"max_iter": 100}, {"max_iter": 101}))  # both converge well within 100 steps
         result = cv_tune(data, "glm", grid, k=4, seed=0)
-        assert result.best_params == {"marker": 1}
+        assert result.table[0]["fold_aucs"] == result.table[1]["fold_aucs"]
+        assert result.best_params == {"max_iter": 100}
 
     def test_lasso_cells_are_prefixes_of_one_path(self):
         data = make_dataset(n=80, d=4, seed=2)

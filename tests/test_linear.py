@@ -13,7 +13,7 @@ from c2sift.learners import (
 )
 from c2sift.evaluate import auc, cv_tasks, cv_tune, stratified_folds
 from c2sift.learners.grids import HyperGrid
-from c2sift.learners.linear import GLMParams, LassoParams, _lasso_path, _standardize, lasso_cells
+from c2sift.learners.linear import LassoParams, _lasso_path, _standardize, lasso_cells
 from c2sift.rng import NS_FOLDS, substream
 from c2sift.tasks import TaskPool
 
@@ -53,12 +53,11 @@ class TestGlm:
 
     def test_gradient_at_optimum_below_tol(self):
         data = logistic_data(500, [0.8, -0.5], seed=3)
-        params = GLMParams(tol=1e-8)
-        model = fit_glm(data, params)
+        model = fit_glm(data, {"tol": 1e-8})
         Z, _, _ = _standardize(data.X)
         p = sigmoid(model.parameters["intercept"] + Z @ np.asarray(model.parameters["coef"]))
         grad = np.concatenate([[np.mean(p - data.y)], Z.T @ (p - data.y) / len(data.y)])
-        assert np.max(np.abs(grad)) < params.tol
+        assert np.max(np.abs(grad)) < 1e-8
 
     def test_finite_difference_gradient(self):
         rng = np.random.default_rng(4)

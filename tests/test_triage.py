@@ -11,7 +11,6 @@ from c2sift.triage import (
     OUTCOME_SUPPRESSED_CDN,
     OUTCOME_SUPPRESSED_RULES,
     OUTCOME_SUPPRESSED_SINKHOLE,
-    Rule,
     TriageConfig,
     build_rules,
     load_ip_list,
@@ -186,12 +185,6 @@ class TestTriage:
         decisions = triage(flagged, lists, RULES, rows_for(flagged))
         assert len(decisions) == len(flagged)
         assert {d.host_ip for d in decisions} == set(hosts)
-
-    def test_disabled_rule_skipped(self):
-        rules = (Rule("always_no", lambda row, score: False, enabled=False),)
-        flagged = [("198.18.1.1", "2022-01-10", 0.9)]
-        decisions = triage(flagged, [], rules, rows_for(flagged))
-        assert decisions[0].outcome == OUTCOME_CANDIDATE
 
 
 def test_config_from_file(tmp_path):
