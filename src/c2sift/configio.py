@@ -34,16 +34,23 @@ def _cast(default, value):
     if default is None:
         return value
     if isinstance(default, tuple):  # each item cast like the default's items
-        return tuple(type(default[0])(item) for item in value)
-    return type(default)(value)
+        return tuple(_cast(default[0], item) for item in value)
+    if isinstance(default, bool) and value in ("true", "false"):
+        return value == "true"
+    cast = type(default)(value)
+    if isinstance(default, bool) != isinstance(value, bool) or (not isinstance(value, str) and cast != value):
+        raise ValueError  # a lossy cast: 2.7 or True for an int, 0 or "no" for a bool
+    return cast
 
 
 def read_settings(cls: type[T], values: Mapping, source: str) -> T:
     """The dataclass ``cls`` with ``values`` over its defaults.
 
     Each value is cast to the type of its field's default; a field whose
-    default is None takes the value as is. An unknown key, a value that
-    does not cast, or a value ``cls`` refuses raises ValueError naming
+    default is None takes the value as is, and a bool field also reads the
+    text "true" or "false". An unknown key, a value that does not cast, a
+    bool for a non-bool field, a non-text value its cast would change (2.7
+    for an int), or a value ``cls`` refuses raises ValueError naming
     ``source`` and the key.
     """
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}

@@ -1,5 +1,6 @@
-"""Logistic regression by damped Newton and L1-penalized logistic regression
-by cyclic coordinate descent on the IRLS quadratic approximation.
+"""Logistic regression by damped Newton, and L1-penalized logistic regression
+on the IRLS quadratic: full coordinate-descent sweeps, the KKT check (Tibshirani
+et al. 2012), each followed by a direct solve of the active set.
 
 Both models standardize features internally and store the means/scales in
 the artifact, so prediction-time inputs are raw features. Coefficients are
@@ -147,6 +148,20 @@ def _predict_linear(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
     return sigmoid(float(p["intercept"]) + Z @ np.asarray(p["coef"], dtype=float))
 
 
+def _restricted_step(Z_a, w, wresid, beta_a, lam: float) -> np.ndarray | None:
+    """The step to the weighted quadratic's minimum over the intercept (first) and the
+    active slopes ``beta_a``, signs held; None if the solve fails or a sign would change."""
+    signs = np.sign(beta_a)
+    Z1 = np.column_stack([np.ones(len(w)), Z_a])
+    rhs = Z1.T @ wresid - len(w) * lam * np.concatenate([[0.0], signs])
+    try:
+        step = np.linalg.solve((Z1.T * w) @ Z1, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    keeps_signs = np.all(np.isfinite(step)) and np.array_equal(np.sign(beta_a + step[1:]), signs)
+    return step if keeps_signs else None
+
+
 def _cd_quadratic(
     Z: np.ndarray,
     Z_sq: np.ndarray,
@@ -157,13 +172,14 @@ def _cd_quadratic(
     lam: float,
     tol: float,
 ) -> tuple[np.ndarray, float, bool]:
-    """Cyclic coordinate descent on the weighted quadratic with L1 penalty.
+    """The weighted quadratic with L1 penalty, by sweeps and active-set solves.
 
     ``wresid`` tracks w * (working response - intercept - Z beta); keeping
     the weighted residual avoids a division, so the first sweep from zero
     sees exactly the same float gradients that defined lambda_max and
-    slopes at lambda >= lambda_max stay exactly zero. Full sweeps
-    alternate with cheap sweeps over the active set. Returns (beta,
+    slopes at lambda >= lambda_max stay exactly zero. A full sweep is the
+    KKT check and the convergence test. Where ``_restricted_step`` refuses,
+    up to 200 sweeps over the active set run instead. Returns (beta,
     intercept, converged): converged is False when none of the 50 full
     sweeps moved every coefficient by less than ``tol``.
     """
@@ -200,10 +216,17 @@ def _cd_quadratic(
         if sweep(range(d)) < tol:
             return beta, intercept, True
         active = np.flatnonzero(beta)
-        if len(active):
+        if not len(active):
+            continue
+        step = _restricted_step(Z[:, active], w, wresid, beta[active], lam)
+        if step is None:
             for _ in range(200):
                 if sweep(active) < tol:
                     break
+        else:
+            beta[active] += step[1:]
+            intercept += float(step[0])
+            wresid -= w * (step[0] + Z[:, active] @ step[1:])
     return beta, intercept, False
 
 

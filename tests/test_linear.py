@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+import lasso_oracle
+from c2sift.cli import run_featurize, run_generate
 from c2sift.learners import (
     LabeledDataset,
     fit_glm,
     fit_lasso,
     lambda_max,
+    linear,
+    load_feature_matrix,
     load_model,
     predict_proba,
     save_model,
@@ -13,7 +17,7 @@ from c2sift.learners import (
 )
 from c2sift.evaluate import auc, cv_tasks, cv_tune, stratified_folds
 from c2sift.learners.grids import HyperGrid
-from c2sift.learners.linear import LassoParams, _lasso_path, _standardize, lasso_cells
+from c2sift.learners.linear import LassoParams, _lasso_path, _restricted_step, _standardize, lasso_cells
 from c2sift.rng import NS_FOLDS, substream
 from c2sift.tasks import TaskPool
 
@@ -175,6 +179,82 @@ class TestLasso:
         # IRLS steps still meet the outer tolerance
         above = [2.0 * lambda_max(data.X, data.y.astype(float))]
         assert fit_lasso(data, lambda_path=above, params={"tol": 0.0}).training_meta["converged"] is False
+
+
+@pytest.fixture(scope="module")
+def cli_features(tmp_path_factory):
+    """tests/test_cli.py's training matrix: 40 host-days x 97 features, 8 positives,
+    quasi-separated, where sweeps alone creep."""
+    out = tmp_path_factory.mktemp("cli_features")
+    run_generate(out / "data", seed=3, c2_hosts=8, benign_hosts=32)
+    day = out / "data"
+    run_featurize(day / "flows.csv", day / "internal_space.txt", out / "features", labels=day / "labels.csv")
+    data = load_feature_matrix(out / "features" / "features.csv")
+    return data.X, data.y.astype(float)
+
+
+@pytest.fixture(scope="module")
+def nearly_separable():
+    data = logistic_data(400, [6.0, -5.0], seed=16, noise_cols=6)
+    return data.X, data.y.astype(float)
+
+
+def full_path(X, y):
+    lmax = lambda_max(X, y)
+    return [float(l) for l in np.geomspace(lmax, lmax * LassoParams().lambda_min_ratio, LassoParams().n_lambdas)]
+
+
+def kkt_residual(X, y, lam, beta, intercept):
+    """The largest violation of the logistic lasso's optimality conditions at
+    (intercept, beta), relative to lam: |z_j'(y-p)/n - lam sign b_j| for active j,
+    (|z_j'(y-p)/n| - lam)+ for inactive j, and |mean(y-p)|."""
+    Z, _, _ = _standardize(X)
+    resid = y - sigmoid(intercept + Z @ beta)
+    grad = Z.T @ resid / len(y)
+    active = beta != 0.0
+    return max(
+        float(np.max(np.abs(grad[active] - lam * np.sign(beta[active])), initial=0.0)),
+        float(np.max(np.abs(grad[~active]) - lam, initial=0.0)),
+        abs(float(np.mean(resid))),
+    ) / lam
+
+
+class TestLassoSolver:
+    @pytest.mark.parametrize("dataset", ["cli_features", "nearly_separable"])
+    def test_path_matches_the_sweep_oracle(self, dataset, request, monkeypatch):
+        X, y = request.getfixturevalue(dataset)
+        lambdas = full_path(X, y)
+        betas, intercepts, _, _, computed, converged = _lasso_path(X, y, lambdas, LassoParams())
+        monkeypatch.setattr(linear, "_cd_quadratic", lasso_oracle.cd_quadratic)
+        oracle_betas, oracle_intercepts, _, _, oracle_computed, _ = _lasso_path(X, y, lambdas, LassoParams())
+        assert converged
+        assert computed == oracle_computed
+        for i in range(computed):
+            assert np.array_equal(betas[i] != 0.0, oracle_betas[i] != 0.0)
+            assert kkt_residual(X, y, lambdas[i], betas[i], intercepts[i]) <= 1e-4
+            assert kkt_residual(X, y, lambdas[i], oracle_betas[i], oracle_intercepts[i]) <= 1e-4
+
+    def test_sign_flip_falls_back_to_active_sweeps(self, cli_features, monkeypatch):
+        X, y = cli_features
+        flips = []
+
+        def spy(Z_a, w, wresid, beta_a, lam):
+            step = _restricted_step(Z_a, w, wresid, beta_a, lam)
+            if step is None:  # [[sum w, w'Z], [Z'w, Z'WZ]] step = [sum wresid, Z'wresid - n lam sign]
+                wz = w @ Z_a
+                H = np.block([[np.array([[w.sum()]]), wz[None, :]], [wz[:, None], (Z_a.T * w) @ Z_a]])
+                rhs = np.concatenate([[wresid.sum()], Z_a.T @ wresid - len(w) * lam * np.sign(beta_a)])
+                free = np.linalg.solve(H, rhs)
+                flips.append(not np.array_equal(np.sign(beta_a + free[1:]), np.sign(beta_a)))
+            return step
+
+        monkeypatch.setattr(linear, "_restricted_step", spy)
+        lambdas = full_path(X, y)
+        betas, intercepts, _, _, computed, converged = _lasso_path(X, y, lambdas, LassoParams())
+        assert flips and all(flips)
+        assert converged
+        for i in range(computed):
+            assert kkt_residual(X, y, lambdas[i], betas[i], intercepts[i]) <= 1e-4
 
 
 def serial_lasso(data, k, seed, params=LassoParams()):
