@@ -26,6 +26,7 @@ from .aggregate import InternalSpace, group_daily
 from .ensemble import fit_stack, stack_tasks
 from .evaluate import (
     CvResult,
+    bootstrap_indices,
     cv_tasks,
     cv_tune,
     evaluate_scores,
@@ -352,19 +353,21 @@ def run_evaluate(
         if data.y is None:
             raise PipelineError(f"feature matrix {features} has no label column; evaluation needs labels")
         models = _load_model_dir(model_dir)
+        if importance_kind and importance_kind not in models:
+            raise PipelineError(f"importance model {importance_kind!r} not in {model_dir}")
         reports = []
         timings = extra["timings"]
-        timings.update(bootstrap_s=0.0, importance_s=0.0)
+        boot_seed = child_seed(seed, NS_PIPELINE, 20)
+        clock = perf_counter()
+        resamples = bootstrap_indices(data.y, bootstrap, boot_seed)  # one draw, shared by every model
+        timings.update(bootstrap_s=perf_counter() - clock, importance_s=0.0)
         for kind in sorted(models):
             scores = predict_proba(models[kind], data.X, data.feature_names)
             clock = perf_counter()
-            reports.append(
-                evaluate_scores(kind, scores, data.y, B=bootstrap, seed=child_seed(seed, NS_PIPELINE, 20), threshold=threshold)
-            )
+            reports.append(evaluate_scores(kind, scores, data.y, bootstrap, boot_seed, threshold, resamples))
             timings["bootstrap_s"] += perf_counter() - clock
+        del resamples  # free the resample matrix before importance allocates its own blocks
         if importance_kind:
-            if importance_kind not in models:
-                raise PipelineError(f"importance model {importance_kind!r} not in {model_dir}")
             clock = perf_counter()
             importance = permutation_importance(
                 models[importance_kind], data, repeats=importance_repeats, seed=child_seed(seed, NS_PIPELINE, 21)

@@ -21,6 +21,7 @@ from .learners.artifact import (
     decode_model,
     fit_model,
     predict_proba,
+    read_columns,
     register_kind,
 )
 from .learners.data import LabeledDataset
@@ -160,4 +161,10 @@ def _revive_stack(parameters: dict) -> dict:
     }
 
 
-register_kind("stack", None, predict_stack, _revive_stack)
+def _stack_columns(stack: ModelArtifact) -> list[int]:
+    """The columns that any base reads; the meta GLM reads only the bases' scores."""
+    read = {base.feature_names[j] for base in stack.parameters["base_models"] for j in read_columns(base)}
+    return [i for i, name in enumerate(stack.feature_names) if name in read]
+
+
+register_kind("stack", None, predict_stack, _revive_stack, reader=_stack_columns)

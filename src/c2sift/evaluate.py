@@ -5,7 +5,9 @@ and percentile-scaled permutation variable importance.
 AUC uses the rank-sum (Mann-Whitney) formulation with midranks for ties,
 which equals P(score+ > score-) + 0.5 * P(tie) and matches the pairwise
 count exactly: midranks are half-integers, so the rank sum is computed
-without rounding error at test-set sizes.
+without rounding error at test-set sizes. ``auc_rows`` scores a block of
+rows at once with the bits of one row at a time; ``auc`` is its one-row
+case. An evaluation draws its B resamples once (``bootstrap_indices``).
 """
 from __future__ import annotations
 
@@ -13,35 +15,42 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .learners.artifact import predict_proba, score_cells, share_groups
+from .learners.artifact import predict_proba, read_columns, score_cells, share_groups
 from .rng import NS_BOOTSTRAP, NS_CV, NS_FOLDS, NS_IMPORTANCE, child_seed, substream
 from .tasks import Task, run_tasks
 
 
-def _midranks(sorted_scores: np.ndarray) -> np.ndarray:
-    """1-based ranks of sorted scores, each tie group at its mean rank."""
-    # tie groups are runs of equal scores, from position first to last
-    first = np.flatnonzero(np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1])))
-    last = np.append(first[1:], len(sorted_scores)) - 1
-    return np.repeat((first + last + 2) / 2.0, last - first + 1)
+_BLOCK_CELLS = 1 << 13  # score cells per block of rows: bounds the kernels' memory, not their results
+
+
+def auc_rows(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The AUC of each row of ``scores`` (R, n) against its row of ``labels`` (R, n), or one shared (n,) row.
+
+    A tie run at sorted positions first..last has midrank (first + last + 2) / 2.
+    """
+    labels = np.broadcast_to(labels, scores.shape)
+    n_pos, n_neg = np.sum(labels == 1, axis=1), np.sum(labels == 0, axis=1)
+    if not (n_pos.all() and n_neg.all()):
+        raise ValueError("AUC needs at least one positive and one negative")
+    order = np.argsort(scores, axis=1, kind="stable")
+    sorted_scores = np.take_along_axis(scores, order, axis=1)
+    starts = np.ones(scores.shape, dtype=bool)
+    np.not_equal(sorted_scores[:, 1:], sorted_scores[:, :-1], out=starts[:, 1:])
+    ends = np.roll(starts, -1, axis=1)  # a run ends where the next one starts, or at the last position
+    at = np.arange(scores.shape[1])
+    first = np.maximum.accumulate(np.where(starts, at, 0), axis=1)
+    last = np.minimum.accumulate(np.where(ends, at, at[-1])[:, ::-1], axis=1)[:, ::-1]
+    twice = np.sum(np.where(np.take_along_axis(labels, order, axis=1) == 1, first + last + 2, 0), axis=1)
+    return (twice / 2.0 - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Area under the ROC curve; both classes must be present."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    n_pos = int(np.sum(labels == 1))
-    n_neg = int(np.sum(labels == 0))
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC needs at least one positive and one negative")
-    order = np.argsort(scores, kind="stable")
-    ranks = _midranks(scores[order])
-    rank_sum_pos = float(ranks[labels[order] == 1].sum())
-    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return float(auc_rows(np.asarray(scores, dtype=float)[None], np.asarray(labels)[None])[0])
 
 
 def sensitivity(scores: np.ndarray, labels: np.ndarray, threshold: float) -> float:
@@ -76,21 +85,10 @@ def stratified_folds(y: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     return folds
 
 
-def bootstrap_metrics(
-    scores: np.ndarray,
-    labels: np.ndarray,
-    B: int,
-    seed: int,
-    threshold: float = 0.5,
-    _index_hook: Callable[[int], np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-resample (AUC, sensitivity) over B class-stratified resamples.
-
-    Each resample draws with replacement within each class so both classes
-    are always present. ``_index_hook(b) -> row indices`` overrides the
-    resampler, used by tests to force the identity resample.
-    """
-    scores = np.asarray(scores, dtype=float)
+def bootstrap_indices(labels: np.ndarray, B: int, seed: int) -> np.ndarray:
+    """(B, rows) indices of B class-stratified resamples: row b draws the
+    positives, then the negatives, with replacement from substream
+    (NS_BOOTSTRAP, b), so both classes are always present."""
     labels = np.asarray(labels)
     if B < 1:
         raise ValueError("B must be >= 1")
@@ -98,21 +96,39 @@ def bootstrap_metrics(
     neg_idx = np.flatnonzero(labels == 0)
     if len(pos_idx) == 0 or len(neg_idx) == 0:
         raise ValueError("bootstrap needs both classes present")
-    aucs = np.empty(B)
-    sens = np.empty(B)
+    indices = np.empty((B, len(pos_idx) + len(neg_idx)), dtype=np.min_scalar_type(len(labels)))
     for b in range(B):
-        if _index_hook is not None:
-            idx = np.asarray(_index_hook(b))
-        else:
-            rng = substream(seed, NS_BOOTSTRAP, b)
-            idx = np.concatenate(
-                [
-                    pos_idx[rng.integers(0, len(pos_idx), size=len(pos_idx))],
-                    neg_idx[rng.integers(0, len(neg_idx), size=len(neg_idx))],
-                ]
-            )
-        aucs[b] = auc(scores[idx], labels[idx])
-        sens[b] = sensitivity(scores[idx], labels[idx], threshold)
+        rng = substream(seed, NS_BOOTSTRAP, b)
+        indices[b] = np.concatenate([idx[rng.integers(0, len(idx), size=len(idx))] for idx in (pos_idx, neg_idx)])
+    return indices
+
+
+def bootstrap_metrics(
+    scores: np.ndarray,
+    labels: np.ndarray,
+    B: int,
+    seed: int,
+    threshold: float = 0.5,
+    indices: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-resample (AUC, sensitivity) over B class-stratified resamples, scored in blocks.
+
+    ``indices`` is the (B, rows) resample matrix, by default
+    ``bootstrap_indices(labels, B, seed)``: a caller that scores several
+    models on one label vector draws it once and passes it to each.
+    """
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    indices = bootstrap_indices(labels, B, seed) if indices is None else np.asarray(indices)
+    if indices.ndim != 2 or len(indices) != B:
+        raise ValueError(f"indices must have B={B} rows")
+    aucs, sens = np.empty(B), np.empty(B)
+    step = max(1, _BLOCK_CELLS // max(indices.shape[1], 1))
+    for lo in range(0, B, step):
+        block_scores, block_labels = scores[indices[lo : lo + step]], labels[indices[lo : lo + step]]
+        aucs[lo : lo + step] = auc_rows(block_scores, block_labels)
+        positives = block_labels == 1
+        sens[lo : lo + step] = np.sum(positives & (block_scores >= threshold), axis=1) / np.sum(positives, axis=1)
     return aucs, sens
 
 
@@ -147,8 +163,9 @@ def evaluate_scores(
     B: int,
     seed: int,
     threshold: float = 0.5,
+    indices: np.ndarray | None = None,
 ) -> EvaluationReport:
-    aucs, sens = bootstrap_metrics(scores, labels, B, seed, threshold)
+    aucs, sens = bootstrap_metrics(scores, labels, B, seed, threshold, indices)
     return EvaluationReport(
         model_kind=model_kind,
         point_auc=auc(scores, labels),
@@ -252,23 +269,24 @@ class ImportanceReport:
 def permutation_importance(model, data, repeats: int = 5, seed: int = 0) -> ImportanceReport:
     """Mean drop in held-out AUC when one column is shuffled.
 
-    A feature the model never reads leaves predictions unchanged, so its
-    raw importance is exactly 0. Percentile scale is 100 * rank / d with
-    maximal ranks for ties, so the top feature always scores 100.
+    A column the model never reads (``read_columns``) leaves predictions
+    unchanged, so its raw importance is exactly 0, set without predicting;
+    a read column's ``repeats`` shuffles are predicted and scored as one
+    block. Percentile scale is 100 * rank / d with maximal ranks for ties,
+    so the top feature always scores 100.
     """
     y = data.require_training_labels()
     baseline = auc(predict_proba(model, data.X, data.feature_names), y)
-    d = data.X.shape[1]
+    n, d = data.X.shape
     raw = np.zeros(d)
-    X_model = data.X[:, [data.feature_names.index(n) for n in model.feature_names]]
-    for j, name in enumerate(model.feature_names):
-        drops = []
+    X_model = data.X[:, [data.feature_names.index(name) for name in model.feature_names]]
+    shuffled = np.repeat(X_model[None], repeats, axis=0)  # (repeats, n, model columns)
+    for j in map(int, read_columns(model)):
         for r in range(repeats):
-            rng = substream(seed, NS_IMPORTANCE, j, r)
-            Xp = X_model.copy()
-            Xp[:, j] = Xp[rng.permutation(len(y)), j]
-            drops.append(baseline - auc(predict_proba(model, Xp, model.feature_names), y))
-        raw[data.feature_names.index(name)] = float(np.mean(drops))
+            shuffled[r, :, j] = X_model[substream(seed, NS_IMPORTANCE, j, r).permutation(n), j]
+        scores = predict_proba(model, shuffled.reshape(repeats * n, -1)).reshape(repeats, n)
+        raw[data.feature_names.index(model.feature_names[j])] = float(np.mean(baseline - auc_rows(scores, y)))
+        shuffled[:, :, j] = X_model[:, j]
     ranks = np.array([np.sum(raw <= raw[j]) for j in range(d)], dtype=float)
     percentile = 100.0 * ranks / d
     return ImportanceReport(

@@ -9,7 +9,9 @@ scorer: cells that differ only in those parameters form one group, and
 the scorer scores every cell of a group from one fit (the lasso's
 longest penalty path; boosting's or a forest's deepest and largest cell,
 whose trees the shallower and smaller cells reuse). Only group scorers
-score prefixes of a fit; a predictor scores the whole saved model.
+score prefixes of a fit; a predictor scores the whole saved model. A kind
+may also register which of a saved model's columns its predictions read
+(``read_columns``), so that permutation importance skips the others.
 
 Serialization is JSON with a version tag; floats round-trip exactly via
 repr, so a reloaded model scores a probe matrix bit-for-bit identically.
@@ -44,11 +46,13 @@ Fitter = Callable[[LabeledDataset, Mapping, int], ModelArtifact]
 Predictor = Callable[[ModelArtifact, np.ndarray], np.ndarray]
 Reviver = Callable[[dict], dict]
 GroupScorer = Callable[[LabeledDataset, Sequence[Mapping], Sequence[int], np.ndarray], list]
+Reader = Callable[[ModelArtifact], Sequence[int]]
 
 FITTERS: dict[str, Fitter] = {}
 PREDICTORS: dict[str, Predictor] = {}
 REVIVERS: dict[str, Reviver] = {}
 STAGED: dict[str, tuple[tuple[str, ...], GroupScorer]] = {}  # kind -> (stage parameters, group scorer)
+READERS: dict[str, Reader] = {}
 
 
 def register_kind(
@@ -57,6 +61,7 @@ def register_kind(
     predictor: Predictor,
     reviver: Reviver | None = None,
     staged: tuple[tuple[str, ...], GroupScorer] | None = None,
+    reader: Reader | None = None,
 ) -> None:
     if fitter is not None:
         FITTERS[kind] = fitter
@@ -65,6 +70,14 @@ def register_kind(
         REVIVERS[kind] = reviver
     if staged is not None:
         STAGED[kind] = staged
+    if reader is not None:
+        READERS[kind] = reader
+
+
+def read_columns(artifact: ModelArtifact) -> Sequence[int]:
+    """Indices into ``artifact.feature_names`` of the columns its predictions read; all without a reader."""
+    reader = READERS.get(artifact.kind)
+    return range(len(artifact.feature_names)) if reader is None else reader(artifact)
 
 
 def fit_model(kind: str, data: LabeledDataset, params: Mapping, seed: int) -> ModelArtifact:

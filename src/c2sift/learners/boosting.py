@@ -25,7 +25,8 @@ tree with depth > c. (Forests cut at >= c: an uncapped forest node at
 depth c draws columns from its rng before it becomes a leaf; a boosted
 tree draws nothing.) Cross-validation uses both facts to score a grid's
 ``n_rounds`` and ``max_depth`` cells from one fit per learning rate and
-fold (``_score_boosted_group``); a saved model sums all of its rounds.
+fold (``_score_boosted_group``); a saved model sums all of its rounds,
+routing a whole block of rounds per pass (``tree.route_trees``).
 """
 from __future__ import annotations
 
@@ -47,6 +48,9 @@ from .tree import (
     prefix_sums,
     presort,
     revive_trees,
+    route_blocks,
+    route_trees,
+    split_columns,
     tree_predict,
 )
 
@@ -122,7 +126,8 @@ def _predict_boosted(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
     """The sigmoid of f0 plus every round's step, added in round order."""
     eta = float(artifact.parameters["learning_rate"])
     F0 = np.full(X.shape[0], float(artifact.parameters["f0"]))
-    return sigmoid(sum((eta * tree_predict(tree, X) for tree in artifact.parameters["trees"]), F0))
+    leaves = (leaf for block in route_blocks(artifact.parameters["trees"], X) for leaf in block)
+    return sigmoid(sum((eta * leaf for leaf in leaves), F0))
 
 
 def _score_boosted_group(kind: str, data: LabeledDataset, cells, seeds, X: np.ndarray) -> list[np.ndarray]:
@@ -131,8 +136,8 @@ def _score_boosted_group(kind: str, data: LabeledDataset, cells, seeds, X: np.nd
     Caps are fitted deepest first. A cap takes the rounds of the last
     deeper cap's fit up to its first tree deeper than the cap (module
     docstring), rebuilds F over them with the fit's own steps, and boosts
-    on from there. Each round's step on X is predicted once, when the
-    round is fitted, and kept beside it; a cell sums its cap's first
+    on from there. Each cap's new rounds are routed on X in one pass, and
+    each step is kept beside its round; a cell sums its cap's first
     ``n_rounds`` steps. Boosting draws no random numbers, so the seeds
     go unused.
     """
@@ -142,7 +147,7 @@ def _score_boosted_group(kind: str, data: LabeledDataset, cells, seeds, X: np.nd
     f0 = _base_log_odds(y)
     gps = [read_settings(GBMParams, cell, kind) for cell in cells]
     trees: list[Tree] = []  # the rounds of the shallowest cap fitted so far
-    steps: list[np.ndarray] = []  # learning_rate * tree_predict(trees[t], X)
+    steps: list[np.ndarray] = []  # learning_rate * trees[t]'s leaf values on X
     scores: list = [None] * len(cells)
     for cap in sorted({gp.max_depth for gp in gps}, reverse=True):
         members = [i for i, gp in enumerate(gps) if gp.max_depth == cap]
@@ -150,11 +155,9 @@ def _score_boosted_group(kind: str, data: LabeledDataset, cells, seeds, X: np.nd
         shared = next((t for t, tree in enumerate(trees) if tree.depth > cap), len(trees))
         del trees[shared:], steps[shared:]
         if len(trees) < params.n_rounds:
-            F = np.full(data.n_rows, f0)
-            for tree in trees:
-                F = F + params.learning_rate * tree_predict(tree, sorted_X.X)
+            F = sum(params.learning_rate * route_trees(trees, sorted_X.X), np.full(data.n_rows, f0))
             _boost(sorted_X, y, F, trees, params, second_order)
-            steps += [params.learning_rate * tree_predict(tree, X) for tree in trees[shared:]]
+            steps += list(params.learning_rate * route_trees(trees[shared:], X))
         F0 = np.full(X.shape[0], f0)
         for i, F in zip(members, prefix_sums(F0, steps, [gps[i].n_rounds for i in members])):
             scores[i] = sigmoid(F)
@@ -162,5 +165,5 @@ def _score_boosted_group(kind: str, data: LabeledDataset, cells, seeds, X: np.nd
 
 
 _STAGES = ("n_rounds", "max_depth")
-register_kind("gbm", fit_gbm, _predict_boosted, revive_trees, (_STAGES, partial(_score_boosted_group, "gbm")))
-register_kind("gbm2", fit_gbm2, _predict_boosted, revive_trees, (_STAGES, partial(_score_boosted_group, "gbm2")))
+register_kind("gbm", fit_gbm, _predict_boosted, revive_trees, (_STAGES, partial(_score_boosted_group, "gbm")), split_columns)
+register_kind("gbm2", fit_gbm2, _predict_boosted, revive_trees, (_STAGES, partial(_score_boosted_group, "gbm2")), split_columns)

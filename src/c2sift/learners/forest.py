@@ -15,6 +15,7 @@ columns above the cap, so the capped fit of the same substream is the
 same tree. Cross-validation uses both facts to score a grid's
 ``n_trees`` and ``max_depth`` cells from one forest per fold
 (``_score_forest_group``); a saved forest averages all of its trees.
+Both route a whole block of trees per pass (``tree.route_trees``).
 
 The PCA front end centers and unit-scales columns (constant columns are
 scaled by 1), rotates onto the eigenvectors of the correlation-scale
@@ -34,7 +35,8 @@ from ..configio import read_settings
 from ..rng import NS_FOREST, substream
 from .artifact import ModelArtifact, register_kind
 from .data import LabeledDataset
-from .tree import Tree, TreeParams, fit_tree, prefix_sums, revive_trees, tree_predict
+from .tree import Tree, TreeParams, fit_tree, prefix_sums, revive_trees, route_blocks, route_trees, split_columns
+from .tree import tree_predict  # noqa: F401  perfbench/tracing.py wraps forest.tree_predict by name
 
 VARIANCE_RETAINED = 0.95  # pca_rf's default share of standardized variance kept by its PCA
 
@@ -86,7 +88,7 @@ def _forest_proba(trees, X: np.ndarray) -> np.ndarray:
     """Mean leaf probability over the trees, summed in tree order."""
     if not trees:
         raise ValueError("a forest needs at least one tree")
-    return sum((tree_predict(tree, X) for tree in trees), np.zeros(X.shape[0])) / len(trees)
+    return sum((leaf for block in route_blocks(trees, X) for leaf in block), np.zeros(X.shape[0])) / len(trees)
 
 
 def _predict_rf(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
@@ -105,7 +107,8 @@ def _score_forest_group(kind: str, data: LabeledDataset, cells, seeds, X: np.nda
     is tree b of the last deeper cap that grew one when that tree has no
     node at depth >= cap (module docstring); otherwise it is fitted from
     its substream. A cell scores the mean of its cap's first ``n_trees``
-    trees; each distinct tree is predicted once. pca_rf fits its PCA once
+    trees; each cap's refitted trees are routed on X in one pass, so each
+    distinct tree is predicted once. pca_rf fits its PCA once
     for the whole group.
     """
     if kind == "pca_rf":
@@ -117,15 +120,15 @@ def _score_forest_group(kind: str, data: LabeledDataset, cells, seeds, X: np.nda
     rfs = [RFParams.from_mapping(cell, data.X.shape[1], kind) for cell in cells]
     leader = min(range(len(cells)), key=lambda i: (_deepest_first(rfs[i].max_depth), -rfs[i].n_trees))
     latest: dict[int, Tree] = {}  # tree b of the shallowest cap fitted so far that grew one
-    leaf_probs: dict[int, np.ndarray] = {}  # tree_predict(latest[b], X)
+    leaf_probs: dict[int, np.ndarray] = {}  # latest[b]'s leaf probabilities on X
     scores: list = [None] * len(cells)
     for cap in sorted({rf.max_depth for rf in rfs}, key=_deepest_first):
         members = [i for i, rf in enumerate(rfs) if rf.max_depth == cap]
         n_trees = max(rfs[i].n_trees for i in members)
-        for b in range(n_trees):
-            if b not in latest or latest[b].depth >= cap:
-                latest[b] = _forest_tree(data.X, y, rfs[members[0]], seeds[leader], b)
-                leaf_probs[b] = tree_predict(latest[b], X)
+        refit = [b for b in range(n_trees) if b not in latest or latest[b].depth >= cap]
+        for b in refit:
+            latest[b] = _forest_tree(data.X, y, rfs[members[0]], seeds[leader], b)
+        leaf_probs.update(zip(refit, route_trees([latest[b] for b in refit], X)))
         stages = [rfs[i].n_trees for i in members]
         sums = prefix_sums(np.zeros(X.shape[0]), [leaf_probs[b] for b in range(n_trees)], stages)
         for i, total, n in zip(members, sums, stages):
@@ -233,5 +236,5 @@ def _predict_pca_rf(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
 
 
 _STAGES = ("n_trees", "max_depth")
-register_kind("rf", fit_random_forest, _predict_rf, revive_trees, (_STAGES, partial(_score_forest_group, "rf")))
+register_kind("rf", fit_random_forest, _predict_rf, revive_trees, (_STAGES, partial(_score_forest_group, "rf")), split_columns)
 register_kind("pca_rf", fit_pca_rf, _predict_pca_rf, revive_trees, (_STAGES, partial(_score_forest_group, "pca_rf")))

@@ -385,5 +385,9 @@ def _fit_lasso_registry(data: LabeledDataset, params: Mapping, seed: int) -> Mod
     return fit_lasso(data, lambda_path=params["lambda_path"], params=_without_path(params), seed=seed)
 
 
-register_kind("glm", fit_glm, _predict_linear)
-register_kind("lasso", _fit_lasso_registry, _predict_linear, staged=(("lambda_path",), _score_lambda_path))
+def _nonzero_columns(artifact: ModelArtifact) -> np.ndarray:
+    return np.flatnonzero(artifact.parameters["coef"])
+
+
+register_kind("glm", fit_glm, _predict_linear, reader=_nonzero_columns)
+register_kind("lasso", _fit_lasso_registry, _predict_linear, staged=(("lambda_path",), _score_lambda_path), reader=_nonzero_columns)

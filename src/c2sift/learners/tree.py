@@ -44,11 +44,16 @@ within an ulp.
 Feature-subsampled fits (``mtry`` below the column count, as in random
 forests) draw a fresh column sample at each node, so they sort just the
 sampled columns of the node's rows there and go through the same scorer.
+
+Routing. ``route_trees`` concatenates a block of trees' node arrays,
+shifting child indices by each tree's offset, and routes every (tree, row)
+pair of the block in one pass; a block holds as many trees as fit a fixed
+pair budget, so routing memory does not grow with the number of trees.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -405,6 +410,42 @@ def tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
         go_left = X[rows, feats[rows]] <= tree.threshold[at]
         pos[rows] = np.where(go_left, tree.left[at], tree.right[at])
     return tree.value[pos]
+
+
+_ROUTE_PAIRS = 1 << 13  # (tree, row) pairs per routing pass: bounds its memory, not its result
+
+
+def route_blocks(trees: Sequence[Tree], X: np.ndarray) -> Iterator[np.ndarray]:
+    """The rows of ``route_trees(trees, X)``, one block of consecutive trees at a time."""
+    n = X.shape[0]
+    step = max(1, _ROUTE_PAIRS // max(n, 1))
+    for lo in range(0, len(trees), step):
+        block = trees[lo : lo + step]
+        sizes = [tree.n_nodes for tree in block]
+        offsets = np.cumsum([0] + sizes[:-1])
+        feature, threshold, left, right, value = (
+            np.concatenate([getattr(tree, name) for tree in block])
+            for name in ("feature", "threshold", "left", "right", "value")
+        )
+        left, right = left + np.repeat(offsets, sizes), right + np.repeat(offsets, sizes)
+        pos = np.repeat(offsets, n)  # pair p routes row p % n down the block's tree p // n
+        pairs = np.flatnonzero(feature[pos] >= 0)
+        while pairs.size:
+            at = pos[pairs]
+            pos[pairs] = to = np.where(X[pairs % n, feature[at]] <= threshold[at], left[at], right[at])
+            pairs = pairs[feature[to] >= 0]
+        yield value[pos].reshape(len(block), n)
+
+
+def route_trees(trees: Sequence[Tree], X: np.ndarray) -> np.ndarray:
+    """(trees, rows) leaf values; row t is bit for bit ``tree_predict(trees[t], X)``."""
+    return np.concatenate([np.empty((0, X.shape[0])), *route_blocks(trees, X)])
+
+
+def split_columns(model) -> np.ndarray:
+    """The columns that a split node of a tree ensemble's ``trees`` reads, ascending."""
+    features = np.concatenate([np.empty(0, dtype=np.int32), *(tree.feature for tree in model.parameters["trees"])])
+    return np.unique(features[features >= 0])
 
 
 def prefix_sums(start: np.ndarray, terms: Sequence[np.ndarray], stages: Sequence[int]) -> list[np.ndarray]:

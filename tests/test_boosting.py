@@ -124,17 +124,17 @@ class TestBoostingGroupScorer:
             grown.append(original(*args, **kwargs))
             return grown[-1]
 
-        original_predict = boosting.tree_predict
+        original_route = boosting.route_trees
 
-        def record_predict(tree, X):
+        def record_route(trees, X):
             if X.shape[0] == len(val):
-                predicted.append(tree)
-            return original_predict(tree, X)
+                predicted.extend(trees)
+            return original_route(trees, X)
 
         monkeypatch.setattr(boosting, one_round, record)
-        monkeypatch.setattr(boosting, "tree_predict", record_predict)
+        monkeypatch.setattr(boosting, "route_trees", record_route)
         shared = score_cells(kind, train, cells, seeds, val, data.feature_names)
-        # each fitted round is predicted on X once, however many caps reuse it
+        # each fitted round is routed on X once, however many caps reuse it
         assert [id(tree) for tree in predicted] == [id(tree) for tree in grown]
 
         for model, scores in zip(separate, shared):

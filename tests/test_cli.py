@@ -6,9 +6,11 @@ import json
 import pytest
 
 import c2sift.cli as cli
+import c2sift.evaluate as evaluate
 from c2sift.flows import CANONICAL_FIELDS
 from c2sift.learners import fit_model, load_feature_matrix, save_model
 from c2sift.learners.grids import HyperGrid
+from c2sift.rng import NS_BOOTSTRAP
 
 
 def lasso_cv_rows(models):
@@ -319,6 +321,47 @@ def test_model_dir_refuses_two_models_of_one_kind(tmp_path, features, capsys):
     assert run(args) == 2
     assert "glm_old.json: artifact version 99" in capsys.readouterr().err
     assert not (tmp_path / "eval").exists()
+
+
+def small_model_dir(tmp_path, features):
+    data = load_feature_matrix(features)
+    models = tmp_path / "models"
+    models.mkdir()
+    save_model(fit_model("glm", data, {}, seed=1), models / "glm.json")
+    save_model(fit_model("rf", data, {"n_trees": 4, "max_depth": 3, "mtry": "sqrt"}, seed=1), models / "rf.json")
+    save_model(fit_model("gbm", data, {"n_rounds": 3, "max_depth": 2}, seed=1), models / "gbm.json")
+    return models
+
+
+def test_unknown_importance_kind_fails_before_any_prediction(tmp_path, features, monkeypatch, capsys):
+    models = small_model_dir(tmp_path, features)
+
+    def never(*args, **kwargs):
+        raise AssertionError("called before the importance kind was checked")
+
+    monkeypatch.setattr(cli, "predict_proba", never)
+    monkeypatch.setattr(evaluate, "bootstrap_metrics", never)
+    args = ["evaluate", "--features", features, "--model-dir", models, "--out", tmp_path / "eval", "--bootstrap", "5"]
+    assert run(args + ["--importance-kind", "lasso"]) == 2
+    assert "importance model 'lasso'" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_evaluate_draws_each_resample_once_for_all_models(tmp_path, features, monkeypatch):
+    models = small_model_dir(tmp_path, features)
+    keys = []
+    original = evaluate.substream
+
+    def counting(seed, *key):
+        keys.append(key)
+        return original(seed, *key)
+
+    monkeypatch.setattr(evaluate, "substream", counting)
+    args = ["evaluate", "--features", features, "--model-dir", models, "--out", tmp_path / "eval", "--bootstrap", "9"]
+    assert run(args + ["--importance-kind", "glm", "--importance-repeats", "1"]) == 0
+    assert [key for key in keys if key[0] == NS_BOOTSTRAP] == [(NS_BOOTSTRAP, b) for b in range(9)]
+    with (tmp_path / "eval" / "bootstrap_metrics.csv").open(encoding="utf-8") as handle:
+        assert sum(1 for _ in handle) == 1 + 3 * 9
 
 
 @pytest.mark.parametrize("cells", [("1", "0.5", "abc"), ("yes", "0.5", "0.25")], ids=["feature", "label"])

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import c2sift.evaluate as evaluate
+import evaluate_oracle as oracle
 from c2sift.evaluate import (
-    _midranks,
     auc,
+    auc_rows,
+    bootstrap_indices,
     bootstrap_metrics,
     cv_tune,
     evaluate_scores,
@@ -17,7 +20,8 @@ from c2sift.evaluate import (
     stratified_folds,
 )
 from c2sift.learners import fit_glm, fit_model, fit_random_forest, lambda_max, predict_proba
-from c2sift.learners.artifact import score_cells, share_groups
+from c2sift.ensemble import fit_stack
+from c2sift.learners.artifact import read_columns, score_cells, share_groups
 from c2sift.learners.grids import HyperGrid, default_grid
 from c2sift.learners.linear import lasso_cells
 from c2sift.rng import NS_CV, NS_FOLDS, child_seed, substream
@@ -76,7 +80,7 @@ class TestAuc:
     @given(scores=st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0]), min_size=1, max_size=60))
     def test_tie_heavy_midranks_match_loop_exactly(self, scores):
         sorted_scores = np.sort(np.asarray(scores, dtype=float))
-        assert np.array_equal(_midranks(sorted_scores), loop_midranks(sorted_scores))
+        assert np.array_equal(oracle.midranks(sorted_scores), loop_midranks(sorted_scores))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -131,11 +135,23 @@ class TestBootstrap:
         scores = rng.random(40)
         labels = rng.integers(0, 2, size=40)
         labels[:2] = [0, 1]
-        aucs, sens = bootstrap_metrics(
-            scores, labels, B=1, seed=0, threshold=0.5, _index_hook=lambda b: np.arange(40)
-        )
+        aucs, sens = bootstrap_metrics(scores, labels, B=1, seed=0, threshold=0.5, indices=np.arange(40)[None])
         assert aucs[0] == auc(scores, labels)
         assert sens[0] == sensitivity(scores, labels, 0.5)
+
+    @pytest.mark.parametrize("cells", [None, 7 * 30 + 5])
+    def test_blocks_equal_the_per_resample_loop_bitwise(self, rng, monkeypatch, cells):
+        # tie-heavy scores; 61 resamples are no whole number of 7-row blocks
+        scores = rng.choice([0.0, 0.25, 0.5, 0.5000000000000001, 1.0], size=30)
+        labels = rng.integers(0, 2, size=30)
+        labels[:2] = [0, 1]
+        if cells is not None:
+            monkeypatch.setattr(evaluate, "_BLOCK_CELLS", cells)
+        aucs, sens = bootstrap_metrics(scores, labels, B=61, seed=4, threshold=0.5)
+        loop_aucs, loop_sens = oracle.bootstrap_metrics(scores, labels, B=61, seed=4, threshold=0.5)
+        assert aucs.tobytes() == loop_aucs.tobytes() and sens.tobytes() == loop_sens.tobytes()
+        indices = bootstrap_indices(labels, 61, 4)
+        assert all(auc_rows(scores[indices], labels[indices]) == aucs)
 
     def test_perfect_separation_invariant(self):
         scores = np.concatenate([np.full(10, 0.9), np.full(30, 0.1)])
@@ -336,6 +352,27 @@ class TestImportance:
         report = permutation_importance(model, data, repeats=3, seed=0)
         assert report.feature_names[int(np.argmax(report.raw_importance))] == "c"
         assert report.percentile_importance[2] == 100.0
+
+    @pytest.mark.parametrize("kind", ["rf", "pca_rf", "gbm", "gbm2", "glm", "lasso", "stack"])
+    def test_skipping_unread_columns_equals_the_per_column_loop(self, kind):
+        data = make_dataset(n=90, d=7, seed=11)
+        held_out = make_dataset(n=60, d=7, seed=12)
+        stumps = {"n_trees": 6, "max_depth": 1, "mtry": 2}
+        early_lasso = lasso_cells(data, {"n_lambdas": 8})[2]  # high penalties: most coefficients are 0
+        if kind == "stack":
+            specs = [("rf", stumps), ("lasso", early_lasso)]
+            bases = [fit_model(k, data, params, 3) for k, params in specs]
+            model = fit_stack(data, specs, bases, k=3, seed=3)
+        else:
+            rounds = {"n_rounds": 4, "max_depth": 1}
+            params = {"rf": stumps, "pca_rf": stumps, "gbm": rounds, "gbm2": rounds, "glm": {}, "lasso": early_lasso}
+            model = fit_model(kind, data, params[kind], 3)
+        read = read_columns(model)
+        if kind in ("rf", "lasso", "stack"):
+            assert 0 < len(read) < 7
+        report = permutation_importance(model, held_out, repeats=3, seed=4)
+        assert report.raw_importance.tobytes() == oracle.permutation_importance(model, held_out, 3, 4).tobytes()
+        assert np.all(np.delete(report.raw_importance, read) == 0.0)
 
     def test_percentile_is_monotone_rank_transform(self, rng):
         data = make_dataset(n=100, d=5, seed=7)

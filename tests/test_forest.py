@@ -107,9 +107,10 @@ class TestForestGroupScorer:
 
         fitted = recorded(monkeypatch, "_forest_tree", lambda X, y, rf, seed, b: (b, rf.max_depth, seed))
         pcas = recorded(monkeypatch, "fit_pca", lambda *args: None)
-        predicted = recorded(monkeypatch, "tree_predict", lambda tree, X: tree)
+        routed = recorded(monkeypatch, "route_trees", lambda trees, X: trees)
         shared = score_cells(kind, train, cells, seeds, val, data.feature_names)
-        # each distinct tree is predicted once, however many caps reuse it
+        # each distinct tree is routed once, however many caps reuse it
+        predicted = [tree for trees in routed for tree in trees]
         assert len(predicted) == len({id(tree) for tree in predicted}) == len(fitted)
 
         for model, scores in zip(separate, shared):

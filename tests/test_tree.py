@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import c2sift.learners.boosting as boosting
+import c2sift.learners.tree as tree_module
 from c2sift.learners import fit_gbm, fit_gbm2
 from c2sift.learners.tree import (
     Tree,
@@ -11,6 +14,7 @@ from c2sift.learners.tree import (
     fit_tree,
     fit_tree_second_order,
     presort,
+    route_trees,
     tree_predict,
 )
 
@@ -187,6 +191,40 @@ def test_predict_matches_recursive_walk():
     probe = rng.normal(size=(50, 5))
     slow = np.array([walk(0, row) for row in probe])
     assert np.array_equal(tree_predict(tree, probe), slow)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_trees=st.integers(0, 6),
+    rows=st.integers(0, 30),
+    d=st.integers(1, 4),
+    budget=st.sampled_from([1, 7, 40, 200, tree_module._ROUTE_PAIRS]),
+    seed=st.integers(0, 2**16),
+)
+def test_route_trees_equals_tree_predict_per_tree(n_trees, rows, d, budget, seed):
+    rng = np.random.default_rng(seed)
+    trees = []
+    for t in range(n_trees):
+        X = rng.integers(0, 4, size=(20, d)).astype(float)
+        y = rng.integers(0, 2, size=20) if t % 3 else np.zeros(20)  # every third tree is a single leaf
+        trees.append(fit_tree(X, y, TreeParams(max_depth=int(rng.integers(0, 5)))))
+    # probe values sit on the trees' thresholds as well as between them
+    thresholds = np.concatenate([np.arange(4.0)] + [tree.threshold[tree.feature >= 0] for tree in trees])
+    probe = rng.choice(thresholds, size=(rows, d))
+    with mock.patch.object(tree_module, "_ROUTE_PAIRS", budget):  # small budgets split the trees into blocks
+        routed = route_trees(trees, probe)
+    assert routed.shape == (n_trees, rows)
+    for t, tree in enumerate(trees):
+        assert routed[t].tobytes() == tree_predict(tree, probe).tobytes()
+
+
+def test_route_trees_blocks_under_the_default_budget():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(80, 3))
+    trees = [fit_tree(X, (X[:, t % 3] > 0.1 * t).astype(int), TreeParams(max_depth=3)) for t in range(5)]
+    probe = rng.normal(size=(tree_module._ROUTE_PAIRS // 2 + 1, 3))  # one tree per block
+    routed = route_trees(trees, probe)
+    assert all(np.array_equal(routed[t], tree_predict(tree, probe)) for t, tree in enumerate(trees))
 
 
 def test_tree_json_round_trip():
