@@ -3,8 +3,8 @@
 Forest probability is the mean of per-tree leaf probabilities over B
 bootstrap-sampled gini trees with per-split feature subsampling. Each tree
 draws from its own substream (stream id = tree index), so fits are
-reproducible and trees could be built in parallel without changing the
-result.
+reproducible, and a forest's trees are grown together
+(``tree.fit_gini_trees``), with the draw order kept.
 
 Because tree b depends only on the seed and b, under one seed a B-tree
 forest is the first B trees of any larger one (Breiman 2001), and one
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,8 +35,8 @@ from ..configio import read_settings
 from ..rng import NS_FOREST, substream
 from .artifact import ModelArtifact, register_kind
 from .data import LabeledDataset
-from .tree import Tree, TreeParams, fit_tree, prefix_sums, revive_trees, route_blocks, route_trees, split_columns
-from .tree import tree_predict  # noqa: F401  perfbench/tracing.py wraps forest.tree_predict by name
+from .tree import Tree, TreeParams, fit_gini_trees, prefix_sums, revive_trees, route_blocks, route_trees, split_columns
+from .tree import fit_tree, tree_predict  # noqa: F401  perfbench/tracing.py wraps both in forest by name
 
 VARIANCE_RETAINED = 0.95  # pca_rf's default share of standardized variance kept by its PCA
 
@@ -49,6 +49,16 @@ class RFParams:
     min_leaf: int = 1
     bootstrap: bool = True
 
+    def __post_init__(self):
+        if self.n_trees < 1:
+            raise ValueError(f"n_trees = {self.n_trees!r}: a forest needs at least one tree")
+        if self.mtry is not None and not _is_count(self.mtry, 1):
+            raise ValueError(f"mtry = {self.mtry!r} is not None, 'sqrt', 'third' or an int >= 1")
+        if self.max_depth is not None and not _is_count(self.max_depth, 0):
+            raise ValueError(f"max_depth = {self.max_depth!r} is not None or an int >= 0")
+        if self.min_leaf < 1:
+            raise ValueError(f"min_leaf = {self.min_leaf!r} is below 1")
+
     @classmethod
     def from_mapping(cls, params: Mapping, d: int, kind: str) -> "RFParams":
         mtry = params.get("mtry")
@@ -59,18 +69,21 @@ class RFParams:
         return read_settings(cls, {**params, "mtry": mtry}, kind)
 
 
-def _forest_tree(X: np.ndarray, y: np.ndarray, rf: RFParams, seed: int, b: int) -> Tree:
-    """Tree b of a forest: its bootstrap rows and column draws come from substream (NS_FOREST, b)."""
-    rng = substream(seed, NS_FOREST, b)
+def _is_count(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _forest_trees(X: np.ndarray, y: np.ndarray, rf: RFParams, seed: int, trees: Sequence[int]) -> list[Tree]:
+    """Trees ``trees`` of a forest, grown together: tree b's bootstrap rows
+    and then its column draws come from substream (NS_FOREST, b)."""
+    rngs = [substream(seed, NS_FOREST, b) for b in trees]
     n = len(y)
-    idx = rng.integers(0, n, size=n) if rf.bootstrap else np.arange(n)
-    tree_params = TreeParams(max_depth=rf.max_depth, min_leaf=rf.min_leaf, mtry=rf.mtry)
-    return fit_tree(X[idx], y[idx], tree_params, rng, criterion="gini")
+    rows = [rng.integers(0, n, size=n) if rf.bootstrap else np.arange(n) for rng in rngs]
+    return fit_gini_trees(X, y, rows, rngs, TreeParams(max_depth=rf.max_depth, min_leaf=rf.min_leaf), rf.mtry)
 
 
 def _fit_forest(data: LabeledDataset, rf: RFParams, seed: int) -> list[Tree]:
-    y = data.require_training_labels()
-    return [_forest_tree(data.X, y, rf, seed, b) for b in range(rf.n_trees)]
+    return _forest_trees(data.X, data.require_training_labels(), rf, seed, range(rf.n_trees))
 
 
 def fit_random_forest(data: LabeledDataset, params: Mapping, seed: int) -> ModelArtifact:
@@ -107,9 +120,9 @@ def _score_forest_group(kind: str, data: LabeledDataset, cells, seeds, X: np.nda
     is tree b of the last deeper cap that grew one when that tree has no
     node at depth >= cap (module docstring); otherwise it is fitted from
     its substream. A cell scores the mean of its cap's first ``n_trees``
-    trees; each cap's refitted trees are routed on X in one pass, so each
-    distinct tree is predicted once. pca_rf fits its PCA once
-    for the whole group.
+    trees; each cap's refitted trees are grown together and routed on X in
+    one pass, so each distinct tree is predicted once. pca_rf fits its PCA
+    once for the whole group.
     """
     if kind == "pca_rf":
         splits = [_pca_split(cell) for cell in cells]
@@ -126,8 +139,7 @@ def _score_forest_group(kind: str, data: LabeledDataset, cells, seeds, X: np.nda
         members = [i for i, rf in enumerate(rfs) if rf.max_depth == cap]
         n_trees = max(rfs[i].n_trees for i in members)
         refit = [b for b in range(n_trees) if b not in latest or latest[b].depth >= cap]
-        for b in refit:
-            latest[b] = _forest_tree(data.X, y, rfs[members[0]], seeds[leader], b)
+        latest.update(zip(refit, _forest_trees(data.X, y, rfs[members[0]], seeds[leader], refit)))
         leaf_probs.update(zip(refit, route_trees([latest[b] for b in refit], X)))
         stages = [rfs[i].n_trees for i in members]
         sums = prefix_sums(np.zeros(X.shape[0]), [leaf_probs[b] for b in range(n_trees)], stages)

@@ -13,10 +13,11 @@ Candidate thresholds are midpoints between consecutive distinct sorted
 values. Exact gain ties are broken toward the lowest feature index, then
 the lowest threshold, so refits are reproducible.
 
-Presort. A fit that searches every column sorts X once (``presort``):
-constant columns are dropped, keeping a map back to the original feature
-index, and each remaining column gets a stable argsort, stored as a
-contiguous (columns, rows) block with the sorted values beside it.
+Presort. ``fit_tree`` and ``fit_tree_second_order`` search every column
+of X, which they sort once (``presort``): constant columns are dropped,
+keeping a map back to the original feature index, and each remaining
+column gets a stable argsort, stored as a contiguous (columns, rows)
+block with the sorted values beside it.
 Boosting builds one ``Presort`` per model and passes it to every round,
 since only the targets change between rounds.
 
@@ -41,9 +42,21 @@ The stable presort fixes that order (row order within ties); any other
 sort that reorders ties may pick a different split where two scores are
 within an ulp.
 
-Feature-subsampled fits (``mtry`` below the column count, as in random
-forests) draw a fresh column sample at each node, so they sort just the
-sampled columns of the node's rows there and go through the same scorer.
+Forests. ``fit_gini_trees`` grows a list of gini trees together, each on
+its own rows (a bootstrap draw, with repeats) and with its own Generator.
+Each tree keeps a stack of pending nodes. In one step every unfinished
+tree pops nodes in depth-first preorder, making leaves of those that stop,
+until it reaches one that must be searched; only that node draws its
+``mtry`` columns (all columns when ``mtry`` covers them, with no draw), so
+each Generator advances as in a recursive fit. One vectorized search then
+scores the step's nodes in chunks of at most ``_SEARCH_CELLS`` (node,
+column, row) cells: each chunk gathers a (nodes, mtry, width) block, padded
+with +inf values and 0 targets (X is finite), sorts it along the rows and
+takes one argmin per node in (column, boundary) order. Gini sums are exact
+integers, so a node's ones, its children's, its leaf value ``ones / count``
+(bit for bit the mean of its 0/1 targets) and every score are those of a
+recursive fit whatever order tied rows sort in. A child's rows are copied
+out of the sorted block, so no chunk outlives its step.
 
 Routing. ``route_trees`` concatenates a block of trees' node arrays,
 shifting child indices by each tree's offset, and routes every (tree, row)
@@ -62,7 +75,6 @@ import numpy as np
 class TreeParams:
     max_depth: int | None = None
     min_leaf: int = 1
-    mtry: int | None = None
 
 
 @dataclass
@@ -245,17 +257,14 @@ def _fit(
     X: np.ndarray | Presort,
     targets: tuple[np.ndarray, ...],
     params: TreeParams,
-    rng: np.random.Generator | None,
     criterion: str,
     lam: float = 0.0,
     gamma: float = 0.0,
 ) -> Tree:
-    raw = X.X if isinstance(X, Presort) else np.asarray(X, dtype=float)
-    n, d = raw.shape
-    mtry = params.mtry if params.mtry is not None else d
-    mtry = max(1, min(mtry, d))
-    if mtry < d and rng is None:
-        raise ValueError("feature subsampling requires an rng")
+    """The recursive builder of ``fit_tree`` and ``fit_tree_second_order``:
+    every node searches all columns, partitioning the presort (Partition)."""
+    sorted_X = X if isinstance(X, Presort) else presort(X)
+    n = sorted_X.X.shape[0]
     if n == 0:
         raise ValueError("cannot fit a tree on an empty dataset")
     builder = _Builder()
@@ -263,21 +272,7 @@ def _fit(
 
     # A node's block: (original column of each block row, sorted values,
     # global row ids in that order, valid boundary positions).
-    if mtry < d:
-        Xt = np.ascontiguousarray(raw.T)
-
-        def sample_block(idx: np.ndarray) -> tuple:
-            columns = np.sort(rng.choice(d, size=mtry, replace=False))
-            values = Xt[np.ix_(columns, idx)]
-            local = np.argsort(values, axis=1)
-            sorted_vals = np.take_along_axis(values, local, axis=1)
-            return columns, sorted_vals, idx[local], _valid_positions(sorted_vals, min_leaf)
-
-        root_block = None
-    else:
-        sorted_X = X if isinstance(X, Presort) else presort(raw)
-        sample_block = None
-        root_block = (sorted_X.columns, sorted_X.sorted_vals, sorted_X.order, sorted_X.root_positions(min_leaf))
+    root_block = (sorted_X.columns, sorted_X.sorted_vals, sorted_X.order, sorted_X.root_positions(min_leaf))
 
     def leaf_value(idx: np.ndarray) -> float:
         if criterion == "second_order":
@@ -310,12 +305,10 @@ def _fit(
 
     def grow(idx: np.ndarray, depth: int, block: tuple | None) -> int:
         """Grow the subtree on rows ``idx`` (in row order); ``block`` is
-        None when the node must sample its own columns."""
+        None only when the node stops."""
         count = len(idx)
         if stops(idx, depth):
             return builder.add(leaf_value(idx), count)
-        if block is None:
-            block = sample_block(idx)
         columns, sorted_vals, order, positions = block
         if positions.size == 0:
             return builder.add(leaf_value(idx), count)
@@ -346,15 +339,14 @@ def _fit(
         go_left = side[idx]
         left_idx, right_idx = idx[go_left], idx[~go_left]
         left_block = right_block = None
-        if sample_block is None:
-            grow_left = not stops(left_idx, depth + 1)
-            grow_right = not stops(right_idx, depth + 1)
-            if grow_left or grow_right:
-                in_left = side[order]
-                if grow_left:
-                    left_block = _partition(block, in_left, len(left_idx), min_leaf)
-                if grow_right:
-                    right_block = _partition(block, ~in_left, len(right_idx), min_leaf)
+        grow_left = not stops(left_idx, depth + 1)
+        grow_right = not stops(right_idx, depth + 1)
+        if grow_left or grow_right:
+            in_left = side[order]
+            if grow_left:
+                left_block = _partition(block, in_left, len(left_idx), min_leaf)
+            if grow_right:
+                right_block = _partition(block, ~in_left, len(right_idx), min_leaf)
         builder.left[node] = grow(left_idx, depth + 1, left_block)
         builder.right[node] = grow(right_idx, depth + 1, right_block)
         return node
@@ -363,11 +355,134 @@ def _fit(
     return builder.finish()
 
 
+_SEARCH_CELLS = 1 << 14  # (node, column, row) cells per batched gini search: bounds its memory, not its result
+
+
+def fit_gini_trees(
+    X: np.ndarray,
+    y: np.ndarray,
+    rows: Sequence[np.ndarray],
+    rngs: Sequence[np.random.Generator | None],
+    params: TreeParams,
+    mtry: int,
+) -> list[Tree]:
+    """Gini trees grown together (Forests): tree t on the rows ``rows[t]`` of
+    (X, y), drawing ``mtry`` columns per searched node from ``rngs[t]``.
+
+    Tree t is bit for bit the recursive fit on ``X[rows[t]]`` that draws
+    ``np.sort(rng.choice(d, mtry, replace=False))`` at each node it
+    searches, in preorder, and leaves ``rngs[t]`` in the same state.
+    """
+    X = np.asarray(X, dtype=float)
+    n, d = X.shape
+    mtry = min(mtry, d)
+    if mtry < d and any(rng is None for rng in rngs):
+        raise ValueError("feature subsampling requires an rng")
+    if any(len(idx) == 0 for idx in rows):
+        raise ValueError("cannot fit a tree on an empty dataset")
+    y = np.asarray(y, dtype=float)
+    # row n pads a search block: +inf sorts after every value of X, and its target is 0
+    Xt = np.full((d, n + 1), np.inf)
+    Xt[:, :n] = X.T
+    y_pad = np.append(y, 0.0)
+    every_column = np.arange(d)
+    builders = [_Builder() for _ in rows]
+    # a pending node: (its rows, its ones, depth, parent node, whether it is the left child)
+    stacks = [[(np.asarray(idx), float(y[idx].sum()), 0, -1, True)] for idx in rows]
+    live = list(range(len(rows)))
+    while live:
+        searched = []  # (tree, node, rows, ones, depth, columns) of each node this step searches
+        for t in live:
+            builder, stack = builders[t], stacks[t]
+            while stack:
+                idx, ones, depth, parent, is_left = stack.pop()
+                count = len(idx)
+                node = builder.add(ones / count, count)
+                if parent >= 0:
+                    (builder.left if is_left else builder.right)[parent] = node
+                if count < max(2, 2 * params.min_leaf) or ones in (0, count) or depth == params.max_depth:
+                    continue  # a leaf: too few rows, pure, or at the depth cap (no node lies below it)
+                columns = np.sort(rngs[t].choice(d, size=mtry, replace=False)) if mtry < d else every_column
+                searched.append((t, node, idx, ones, depth, columns))
+                break
+        searched.sort(key=lambda entry: -len(entry[2]))  # similar widths share a chunk
+        start = 0
+        while start < len(searched):
+            chunk = searched[start : start + max(1, _SEARCH_CELLS // (mtry * len(searched[start][2])))]
+            start += len(chunk)
+            for (t, node, _, _, depth, _), split in zip(chunk, _gini_search(Xt, y_pad, chunk, params.min_leaf)):
+                if split is None:
+                    continue
+                feature, threshold, left, right = split
+                builder = builders[t]
+                builder.feature[node], builder.threshold[node], builder.value[node] = feature, threshold, 0.0
+                stacks[t].append((*right, depth + 1, node, False))
+                stacks[t].append((*left, depth + 1, node, True))
+        live = [t for t in live if stacks[t]]
+    return [builder.finish() for builder in builders]
+
+
+def _gini_search(Xt: np.ndarray, y_pad: np.ndarray, nodes: list, min_leaf: int) -> list:
+    """Each node's best gini split, as (feature, threshold, (left rows,
+    left ones), (right rows, right ones)), or None when it stays a leaf."""
+    k = len(nodes)
+    counts = np.array([len(entry[2]) for entry in nodes])
+    ones = np.array([entry[3] for entry in nodes])
+    columns = np.array([entry[5] for entry in nodes])  # (k, mtry)
+    mtry, width = columns.shape[1], int(counts[0])
+    block_rows = np.full((k, width), Xt.shape[1] - 1)
+    for i, entry in enumerate(nodes):
+        block_rows[i, : counts[i]] = entry[2]
+    values = Xt[columns[:, :, None], block_rows[:, None, :]]  # (k, mtry, width)
+    order = values.argsort(axis=2)
+    sorted_vals = np.take_along_axis(values, order, axis=2)
+    sorted_rows = np.take_along_axis(block_rows[:, None, :], order, axis=2)
+    ones_upto = np.cumsum(y_pad[sorted_rows], axis=2)
+
+    # boundary b splits sorted positions 0..b from b+1..: valid between
+    # strictly increasing values with min_leaf rows on each side
+    step = width - 1
+    valid = sorted_vals[:, :, 1:] > sorted_vals[:, :, :-1]
+    boundary = np.arange(step)
+    valid &= ((boundary >= min_leaf - 1) & (boundary < (counts - min_leaf)[:, None]))[:, None, :]
+    flat = np.flatnonzero(valid)
+    cell = flat // step  # node * mtry + column
+    at = cell // mtry
+    n_left = (flat - cell * step + 1).astype(float)
+    n_right = counts[at] - n_left
+    ones_left = ones_upto.reshape(-1)[flat + cell]
+    ones_right = ones[at] - ones_left
+    zeros_left = n_left - ones_left
+    zeros_right = n_right - ones_right
+    score_left = n_left - (ones_left**2 + zeros_left**2) / n_left
+    score_right = n_right - (ones_right**2 + zeros_right**2) / n_right
+    scores = np.full((k, mtry * step), np.inf)
+    scores.reshape(-1)[flat] = score_left + score_right
+    best = scores.argmin(axis=1)
+    best_scores = scores[np.arange(k), best]
+    parents = counts - (ones**2 + (counts - ones) ** 2) / counts
+
+    splits = []
+    for i in range(k):
+        if not parents[i] - best_scores[i] > _GAIN_EPS:
+            splits.append(None)
+            continue
+        j, b = divmod(int(best[i]), step)
+        lo, hi = sorted_vals[i, j, b], sorted_vals[i, j, b + 1]
+        threshold = (lo + hi) / 2.0
+        if threshold >= hi:
+            threshold = lo
+        left_ones = ones_upto[i, j, b]
+        left = (sorted_rows[i, j, : b + 1].copy(), left_ones)
+        right = (sorted_rows[i, j, b + 1 : counts[i]].copy(), ones[i] - left_ones)
+        splits.append((int(columns[i, j]), float(threshold), left, right))
+    return splits
+
+
 def fit_tree(
     X: np.ndarray | Presort,
     y: np.ndarray,
     params: TreeParams,
-    rng: np.random.Generator | None = None,
     criterion: str = "gini",
 ) -> Tree:
     """Fit a classification (gini) or regression (mse) tree.
@@ -377,7 +492,7 @@ def fit_tree(
     """
     if criterion not in ("gini", "mse"):
         raise ValueError(f"unknown criterion {criterion!r}")
-    return _fit(X, (np.asarray(y, dtype=float),), params, rng, criterion)
+    return _fit(X, (np.asarray(y, dtype=float),), params, criterion)
 
 
 def fit_tree_second_order(
@@ -393,7 +508,7 @@ def fit_tree_second_order(
     X may be a ``presort`` of the training matrix, as in ``fit_tree``.
     """
     targets = (np.asarray(g, dtype=float), np.asarray(h, dtype=float))
-    return _fit(X, targets, params, None, "second_order", lam=lam, gamma=gamma)
+    return _fit(X, targets, params, "second_order", lam=lam, gamma=gamma)
 
 
 def tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:

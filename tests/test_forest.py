@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from c2sift.learners import fit_model, forest
 from c2sift.learners.artifact import score_cells, share_groups
 from c2sift.learners.grids import HyperGrid
 from c2sift.learners.tree import TreeParams, fit_tree, tree_predict
-from c2sift.rng import NS_FOREST, substream
 
 from conftest import make_dataset
 
@@ -23,7 +24,7 @@ from conftest import make_dataset
 def test_single_tree_reduction():
     data = make_dataset(n=80, d=5, seed=1)
     forest = fit_random_forest(data, {"n_trees": 1, "bootstrap": False, "mtry": None}, seed=9)
-    lone = fit_tree(data.X, data.y, TreeParams(), substream(9, NS_FOREST, 0))
+    lone = fit_tree(data.X, data.y, TreeParams())
     assert np.array_equal(predict_proba(forest, data.X, data.feature_names), tree_predict(lone, data.X))
 
 
@@ -64,9 +65,39 @@ def test_forest_probability_in_tree_hull():
 def test_empty_forest_rejected():
     data = make_dataset(n=40, d=3, seed=4)
     for fitter in (fit_random_forest, fit_pca_rf):
-        model = fitter(data, {"n_trees": 0}, seed=1)
+        with pytest.raises(ValueError, match="at least one tree"):
+            fitter(data, {"n_trees": 0}, seed=1)
+        fitted = fitter(data, {"n_trees": 1}, seed=1)
+        model = dataclasses.replace(fitted, parameters={**fitted.parameters, "trees": []})
         with pytest.raises(ValueError, match="at least one tree"):
             predict_proba(model, data.X)
+
+
+@pytest.mark.parametrize("kind", ["rf", "pca_rf"])
+@pytest.mark.parametrize(
+    "key,value,refusal",
+    [
+        ("n_trees", 0, "n_trees = 0"),
+        ("n_trees", -2, "n_trees = -2"),
+        ("mtry", 0, "mtry = 0"),
+        ("mtry", -4, "mtry = -4"),
+        ("mtry", "half", "mtry = 'half'"),
+        ("mtry", True, "mtry = True"),
+        ("mtry", 2.5, "mtry = 2.5"),
+        ("max_depth", -1, "max_depth = -1"),
+        ("min_leaf", 0, "min_leaf = 0"),
+    ],
+)
+def test_invalid_forest_settings_refused_at_read_time(kind, key, value, refusal):
+    data = make_dataset(n=40, d=3, seed=4)
+    with pytest.raises(ValueError, match=f"^{kind}: {refusal}"):
+        fit_model(kind, data, {"n_trees": 2, key: value}, seed=1)
+
+
+def test_forest_settings_at_their_bounds_are_read():
+    rf = forest.RFParams.from_mapping({"n_trees": 1, "mtry": 99, "max_depth": 0, "min_leaf": 1}, 4, "rf")
+    assert (rf.n_trees, rf.mtry, rf.max_depth, rf.min_leaf) == (1, 99, 0, 1)  # mtry above d clamps at fit time
+    assert forest.RFParams.from_mapping({"mtry": "third"}, 9, "rf").mtry == 3
 
 
 def recorded(monkeypatch, name, record):
@@ -105,10 +136,13 @@ class TestForestGroupScorer:
         separate = [fit_model(kind, train, cell, 13) for cell in cells]
         capped = [tree.depth for tree in separate[3].parameters["trees"]]
 
-        fitted = recorded(monkeypatch, "_forest_tree", lambda X, y, rf, seed, b: (b, rf.max_depth, seed))
+        batches = recorded(
+            monkeypatch, "_forest_trees", lambda X, y, rf, seed, trees: [(b, rf.max_depth, seed) for b in trees]
+        )
         pcas = recorded(monkeypatch, "fit_pca", lambda *args: None)
         routed = recorded(monkeypatch, "route_trees", lambda trees, X: trees)
         shared = score_cells(kind, train, cells, seeds, val, data.feature_names)
+        fitted = [tree for batch in batches for tree in batch]
         # each distinct tree is routed once, however many caps reuse it
         predicted = [tree for trees in routed for tree in trees]
         assert len(predicted) == len({id(tree) for tree in predicted}) == len(fitted)

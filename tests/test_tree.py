@@ -11,6 +11,7 @@ from c2sift.learners import fit_gbm, fit_gbm2
 from c2sift.learners.tree import (
     Tree,
     TreeParams,
+    fit_gini_trees,
     fit_tree,
     fit_tree_second_order,
     presort,
@@ -117,7 +118,7 @@ def test_empty_input_raises():
 
 def test_mtry_requires_rng():
     with pytest.raises(ValueError, match="rng"):
-        fit_tree(np.zeros((4, 3)), np.array([0, 1, 0, 1]), TreeParams(mtry=1))
+        fit_gini_trees(np.zeros((4, 3)), np.array([0, 1, 0, 1]), [np.arange(4)], [None], TreeParams(), mtry=1)
 
 
 def test_second_order_closed_form_leaf():
@@ -262,10 +263,73 @@ def test_gini_tie_heavy_matches_oracle(seed, n, d, levels, params, subsample):
     X = rng.integers(0, levels, size=(n, d)).astype(float)
     y = (rng.random(n) < 0.4).astype(int)
     if subsample:
-        params = TreeParams(params.max_depth, params.min_leaf, mtry=int(rng.integers(1, d + 1)))
-    fast = fit_tree(X, y, params, np.random.default_rng(seed))
-    slow = oracle_fit_tree(X, y, params, np.random.default_rng(seed))
+        mtry = int(rng.integers(1, d + 1))
+        [fast] = fit_gini_trees(X, y, [np.arange(n)], [np.random.default_rng(seed)], params, mtry)
+        slow = oracle_fit_tree(X, y, params, np.random.default_rng(seed), mtry=mtry)
+    else:
+        fast = fit_tree(X, y, params)
+        slow = oracle_fit_tree(X, y, params)
     assert tree_bytes(fast) == tree_bytes(slow)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 50),
+    d=st.integers(1, 6),
+    levels=st.integers(1, 4),
+    n_trees=st.integers(1, 5),
+    max_depth=st.sampled_from([None, 0, 1, 2, 4]),
+    min_leaf=st.integers(1, 4),
+    bootstrap=st.booleans(),
+    budget=st.sampled_from([1, 50, 400, tree_module._SEARCH_CELLS]),
+)
+def test_gini_trees_grown_together_equal_the_recursive_fits(
+    seed, n, d, levels, n_trees, max_depth, min_leaf, bootstrap, budget
+):
+    """Tree for tree, and Generator state for Generator state, the batched
+    grower equals the recursive oracle fit on each tree's own rows."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, size=(n, d)).astype(float)  # tie-heavy integer columns
+    y = (rng.random(n) < 0.4).astype(int)
+    mtry = int(rng.integers(1, d + 1))
+    params = TreeParams(max_depth=max_depth, min_leaf=min_leaf)
+
+    def draws():
+        rngs = [np.random.default_rng([seed, t]) for t in range(n_trees)]
+        return rngs, [r.integers(0, n, size=n) if bootstrap else np.arange(n) for r in rngs]
+
+    rngs, rows = draws()
+    with mock.patch.object(tree_module, "_SEARCH_CELLS", budget):  # small budgets split a step into chunks
+        grown = fit_gini_trees(X, y, rows, rngs, params, mtry)
+    oracle_rngs, oracle_rows = draws()
+    assert len(grown) == n_trees
+    for tree, rng_t, oracle_rng, idx in zip(grown, rngs, oracle_rngs, oracle_rows):
+        assert tree_bytes(tree) == tree_bytes(oracle_fit_tree(X[idx], y[idx], params, oracle_rng, mtry=mtry))
+        assert rng_t.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_gini_trees_step_spans_several_chunks(monkeypatch):
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, 6, size=(120, 8)).astype(float)
+    y = (X[:, 0] + X[:, 3] + rng.integers(0, 3, size=120) > 7).astype(int)
+    rngs = [np.random.default_rng([5, t]) for t in range(12)]
+    rows = [r.integers(0, 120, size=120) for r in rngs]
+    searched = []
+    search = tree_module._gini_search
+
+    def spy(Xt, y_pad, nodes, min_leaf):
+        searched.append(len(nodes))
+        return search(Xt, y_pad, nodes, min_leaf)
+
+    monkeypatch.setattr(tree_module, "_SEARCH_CELLS", 3 * 3 * 120)  # three roots per chunk
+    monkeypatch.setattr(tree_module, "_gini_search", spy)
+    grown = fit_gini_trees(X, y, rows, rngs, TreeParams(max_depth=5), 3)
+    assert searched[:4] == [3, 3, 3, 3]  # the first step searched the 12 roots in four chunks
+    oracle_rngs = [np.random.default_rng([5, t]) for t in range(12)]
+    for tree, r in zip(grown, oracle_rngs):
+        idx = r.integers(0, 120, size=120)
+        assert tree_bytes(tree) == tree_bytes(oracle_fit_tree(X[idx], y[idx], TreeParams(max_depth=5), r, mtry=3))
 
 
 @settings(max_examples=100, deadline=None)

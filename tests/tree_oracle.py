@@ -3,8 +3,11 @@
 This is the straightforward split search that the presorted search in
 ``c2sift.learners.tree`` replaced. For each node it gathers the node's
 rows, argsorts every candidate column, scans cumulative sums over every
-boundary and masks the invalid ones afterwards. Tests compare the trees
-of ``fit_tree`` and ``fit_tree_second_order`` with these, node for node.
+boundary and masks the invalid ones afterwards. With ``mtry`` below the
+column count it is also the recursive feature-subsampled fit that the
+batched ``fit_gini_trees`` replaced: each searched node draws its columns
+from ``rng`` in preorder. Tests compare the trees of ``fit_tree``,
+``fit_tree_second_order`` and ``fit_gini_trees`` with these, node for node.
 """
 from __future__ import annotations
 
@@ -72,11 +75,10 @@ def _pick_split(n, columns, scores, sorted_vals, min_leaf):
     return int(columns[j]), float(threshold), float(col_scores[j])
 
 
-def _fit(X, target, params, rng, criterion, lam=0.0, gamma=0.0) -> Tree:
+def _fit(X, target, params, rng, criterion, lam=0.0, gamma=0.0, mtry=None) -> Tree:
     n, d = X.shape
     builder = _Builder()
-    mtry = params.mtry if params.mtry is not None else d
-    mtry = max(1, min(mtry, d))
+    mtry = d if mtry is None else max(1, min(mtry, d))
 
     def leaf_value(idx):
         if criterion == "second_order":
@@ -153,8 +155,8 @@ def _fit(X, target, params, rng, criterion, lam=0.0, gamma=0.0) -> Tree:
     return builder.finish()
 
 
-def oracle_fit_tree(X, y, params: TreeParams, rng=None, criterion="gini") -> Tree:
-    return _fit(np.asarray(X, dtype=float), np.asarray(y, dtype=float), params, rng, criterion)
+def oracle_fit_tree(X, y, params: TreeParams, rng=None, criterion="gini", mtry=None) -> Tree:
+    return _fit(np.asarray(X, dtype=float), np.asarray(y, dtype=float), params, rng, criterion, mtry=mtry)
 
 
 def oracle_fit_tree_second_order(X, g, h, params: TreeParams, lam=1.0, gamma=0.0) -> Tree:
