@@ -1,8 +1,9 @@
 """Axis-aligned binary decision trees (CART-style), fit on numpy arrays.
 
-Three split criteria share one exact split search:
+Three split criteria, each with an exact split search:
 
-* ``gini``: classification on 0/1 labels, leaves store P(class 1);
+* ``gini``: classification on 0/1 labels, leaves store P(class 1); every
+  gini tree is grown by ``fit_gini_trees`` (Forests);
 * ``mse``: regression by squared-error reduction, leaves store the mean
   target (used for boosting residuals);
 * second-order: gain and leaf values from per-row gradient/hessian pairs
@@ -13,11 +14,12 @@ Candidate thresholds are midpoints between consecutive distinct sorted
 values. Exact gain ties are broken toward the lowest feature index, then
 the lowest threshold, so refits are reproducible.
 
-Presort. ``fit_tree`` and ``fit_tree_second_order`` search every column
-of X, which they sort once (``presort``): constant columns are dropped,
-keeping a map back to the original feature index, and each remaining
-column gets a stable argsort, stored as a contiguous (columns, rows)
-block with the sorted values beside it.
+Presort. mse and second-order trees (``fit_tree`` with ``criterion="mse"``
+and ``fit_tree_second_order``) search every column of X, which they sort
+once (``presort``): constant columns are dropped, keeping a map back to
+the original feature index, and each remaining column gets a stable
+argsort, stored as a contiguous (columns, rows) block with the sorted
+values beside it.
 Boosting builds one ``Presort`` per model and passes it to every round,
 since only the targets change between rounds.
 
@@ -34,10 +36,9 @@ scored: those between strictly increasing values with at least
 gives the lowest-feature-then-lowest-threshold tie-break.
 
 Sums at a valid boundary cover the same rows whatever order ties are in,
-but floating-point addition is not associative. For 0/1 gini targets the
-sums are exact small integers, so scores never depend on tie order. For
-mse and second-order targets a different order inside a block of tied
-values can change a cumulative sum, and so a score, in the last bit.
+but floating-point addition is not associative. For mse and second-order
+targets a different order inside a block of tied values can change a
+cumulative sum, and so a score, in the last bit.
 The stable presort fixes that order (row order within ties); any other
 sort that reorders ties may pick a different split where two scores are
 within an ulp.
@@ -208,8 +209,8 @@ def _boundary_scores(
 ) -> np.ndarray:
     """Score to minimize at each valid boundary (flat index into ``order``).
 
-    gini: n_L*gini_L + n_R*gini_R; mse: SSE_L + SSE_R; second-order: the
-    negative gain without the parent term and gamma.
+    mse: SSE_L + SSE_R; second-order: the negative gain without the parent
+    term and gamma.
     """
     m = order.shape[1]
     block_row = positions // m
@@ -229,14 +230,6 @@ def _boundary_scores(
     sorted_t = targets[0][order]
     n_left = (positions - block_row * m + 1).astype(float)
     n_right = m - n_left
-    if criterion == "gini":
-        ones_left, total = left_and_total(sorted_t)
-        ones_right = total - ones_left
-        zeros_left = n_left - ones_left
-        zeros_right = n_right - ones_right
-        score_left = n_left - (ones_left**2 + zeros_left**2) / n_left
-        score_right = n_right - (ones_right**2 + zeros_right**2) / n_right
-        return score_left + score_right
     sum_left, total = left_and_total(sorted_t)
     sq_left, total_sq = left_and_total(sorted_t**2)
     sse_left = sq_left - sum_left**2 / n_left
@@ -261,7 +254,7 @@ def _fit(
     lam: float = 0.0,
     gamma: float = 0.0,
 ) -> Tree:
-    """The recursive builder of ``fit_tree`` and ``fit_tree_second_order``:
+    """The recursive builder of mse and second-order trees (boosting's):
     every node searches all columns, partitioning the presort (Partition)."""
     sorted_X = X if isinstance(X, Presort) else presort(X)
     n = sorted_X.X.shape[0]
@@ -283,10 +276,6 @@ def _fit(
         return float(targets[0][idx].mean())
 
     def parent_score(idx: np.ndarray) -> float:
-        if criterion == "gini":
-            ones = float(targets[0][idx].sum())
-            count = len(idx)
-            return count - (ones**2 + (count - ones) ** 2) / count
         if criterion == "mse":
             t = targets[0][idx]
             return float(np.sum(t * t) - t.sum() ** 2 / len(t))
@@ -298,7 +287,7 @@ def _fit(
         count = len(idx)
         if count < 2 or count < 2 * min_leaf or (params.max_depth is not None and depth >= params.max_depth):
             return True
-        if criterion in ("gini", "mse"):
+        if criterion == "mse":
             t = targets[0][idx]
             return bool(np.all(t == t[0]))
         return False
@@ -386,6 +375,7 @@ def fit_gini_trees(
     Xt[:, :n] = X.T
     y_pad = np.append(y, 0.0)
     every_column = np.arange(d)
+    depth_cap = np.inf if params.max_depth is None else params.max_depth
     builders = [_Builder() for _ in rows]
     # a pending node: (its rows, its ones, depth, parent node, whether it is the left child)
     stacks = [[(np.asarray(idx), float(y[idx].sum()), 0, -1, True)] for idx in rows]
@@ -400,7 +390,7 @@ def fit_gini_trees(
                 node = builder.add(ones / count, count)
                 if parent >= 0:
                     (builder.left if is_left else builder.right)[parent] = node
-                if count < max(2, 2 * params.min_leaf) or ones in (0, count) or depth == params.max_depth:
+                if count < max(2, 2 * params.min_leaf) or ones in (0, count) or depth >= depth_cap:
                     continue  # a leaf: too few rows, pure, or at the depth cap (no node lies below it)
                 columns = np.sort(rngs[t].choice(d, size=mtry, replace=False)) if mtry < d else every_column
                 searched.append((t, node, idx, ones, depth, columns))
@@ -487,10 +477,14 @@ def fit_tree(
 ) -> Tree:
     """Fit a classification (gini) or regression (mse) tree.
 
-    X may be a ``presort`` of the training matrix, to share one sort
-    between fits on the same rows.
+    A gini tree is ``fit_gini_trees``' one tree on every row, searching every
+    column. X may be a ``presort`` of the training matrix, to share one sort
+    between mse fits on the same rows.
     """
-    if criterion not in ("gini", "mse"):
+    if criterion == "gini":
+        X = X.X if isinstance(X, Presort) else np.asarray(X, dtype=float)
+        return fit_gini_trees(X, y, [np.arange(X.shape[0])], [None], params, X.shape[1])[0]
+    if criterion != "mse":
         raise ValueError(f"unknown criterion {criterion!r}")
     return _fit(X, (np.asarray(y, dtype=float),), params, criterion)
 

@@ -332,6 +332,16 @@ def test_gini_trees_step_spans_several_chunks(monkeypatch):
         assert tree_bytes(tree) == tree_bytes(oracle_fit_tree(X[idx], y[idx], TreeParams(max_depth=5), r, mtry=3))
 
 
+def test_gini_trees_negative_depth_cap_gives_one_leaf():
+    """The grower stops a node at ``depth >= max_depth``, as the recursive fits do."""
+    X = np.array([[1.0], [2.0], [9.0], [10.0]])
+    y = np.array([0, 0, 1, 1])
+    params = TreeParams(max_depth=-1)
+    [tree] = fit_gini_trees(X, y, [np.arange(4)], [None], params, 1)
+    assert tree.n_nodes == 1 and tree_bytes(tree) == tree_bytes(oracle_fit_tree(X, y, params))
+    assert tree_bytes(fit_tree(presort(X), y, params)) == tree_bytes(tree)
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), d=st.integers(1, 6), params=tree_params)
 def test_mse_and_second_order_tie_free_match_oracle(seed, n, d, params):
