@@ -41,7 +41,7 @@ from .flows import identity_schema, parse_flow_file, read_schema
 from .learners import (
     BASE_KINDS,
     default_grid,
-    fit_lasso,  # noqa: F401  perfbench/tracing.py wraps cli.fit_lasso by name
+    fit_lasso,  # noqa: F401  tracer-only: perfbench/tracing.py wraps cli.fit_lasso by name
     fit_model,
     load_feature_matrix,
     load_model,
@@ -109,10 +109,6 @@ def write_manifest(out_dir: Path, command: str, inputs: dict, params: dict, star
         **extra,
     }
     _write_json(Path(out_dir) / "run_manifest.json", manifest)
-
-
-def read_manifest(out_dir: Path) -> dict:
-    return json.loads((Path(out_dir) / "run_manifest.json").read_text(encoding="utf-8"))
 
 
 @contextmanager

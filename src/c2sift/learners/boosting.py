@@ -3,7 +3,9 @@
 ``gbm`` is first-order boosting: the model starts at the base-rate
 log-odds F0 = log(pbar/(1-pbar)); each round fits a squared-error
 regression tree to the negative gradient of the logistic loss (the
-residuals y - sigmoid(F)) and updates F += eta * tree(x).
+residuals y - sigmoid(F)) and updates F += eta * tree(x). Training
+log-odds come from the fit's own leaves: each fit writes every training
+row's leaf value (``fitted``), bit for bit what routing the row gives.
 
 ``gbm2`` is second-order regularized boosting: trees are grown on
 per-row gradients g = sigmoid(F) - y and hessians h = sigmoid(F) *
@@ -51,7 +53,7 @@ from .tree import (
     route_blocks,
     route_trees,
     split_columns,
-    tree_predict,
+    tree_predict,  # noqa: F401  tracer-only: perfbench/tracing.py wraps boosting.tree_predict by name
 )
 
 
@@ -76,13 +78,14 @@ def _boost(
 ) -> None:
     """Append rounds to ``trees`` until it holds ``params.n_rounds``; F is the training log-odds after ``trees``."""
     tree_params = TreeParams(max_depth=params.max_depth, min_leaf=params.min_leaf)
+    fitted = np.empty(len(y))  # each round's leaf value at every training row, written by the fit
     while len(trees) < params.n_rounds:
         p = sigmoid(F)
         if second_order:
-            tree = fit_tree_second_order(sorted_X, p - y, p * (1.0 - p), tree_params, lam=params.lam, gamma=params.gamma)
+            tree = fit_tree_second_order(sorted_X, p - y, p * (1.0 - p), tree_params, params.lam, params.gamma, fitted)
         else:
-            tree = fit_tree(sorted_X, y - p, tree_params, criterion="mse")
-        F = F + params.learning_rate * tree_predict(tree, sorted_X.X)
+            tree = fit_tree(sorted_X, y - p, tree_params, criterion="mse", fitted=fitted)
+        F = F + params.learning_rate * fitted
         trees.append(tree)
         if loss_path is not None:
             loss_path.append(log_loss(y, sigmoid(F)))

@@ -36,7 +36,7 @@ from ..rng import NS_FOREST, substream
 from .artifact import ModelArtifact, register_kind
 from .data import LabeledDataset
 from .tree import Tree, TreeParams, fit_gini_trees, prefix_sums, revive_trees, route_blocks, route_trees, split_columns
-from .tree import fit_tree, tree_predict  # noqa: F401  perfbench/tracing.py wraps both in forest by name
+from .tree import fit_tree, tree_predict  # noqa: F401  tracer-only: perfbench/tracing.py wraps both in forest by name
 
 VARIANCE_RETAINED = 0.95  # pca_rf's default share of standardized variance kept by its PCA
 

@@ -25,9 +25,22 @@ since only the targets change between rounds.
 
 Partition. A child's per-column order is the parent's order with the rows
 that went the other way removed, so it is still sorted, with ties in row
-order, and no node below the root sorts. Each node also keeps its own
-rows in row order, so leaf values and parent scores are summed in the
-same order whatever the column orders are.
+order, and no node below the root sorts. One flat index of the kept cells
+(``np.flatnonzero``) gathers both the child's values and its order. Each
+node also keeps its own rows in row order, so leaf values and parent
+scores are summed in the same order whatever the column orders are.
+
+Stop. An mse node with constant targets is a leaf. So is a second-order
+node whose rows share one (g, h) pair when no split can pass the gain
+gate: every column's cumulative sums and scores are then bit for bit one
+constant row's, scored once over every boundary ``min_leaf`` allows. If
+no score is NaN and the minimum is refused, the search (over a subset of
+those boundaries; the gate is monotone under rounding) would refuse too.
+
+Fitted. mse and second-order fits write each leaf's value at its rows
+into ``fitted`` when given. Rows up to a split boundary hold values <= lo
+<= threshold, and the others values >= hi > threshold (``_midpoint``), so
+``fitted`` is bit for bit ``tree_predict`` on the training rows.
 
 Scoring. At a node, the targets are gathered in each column's order and
 summed cumulatively along the contiguous axis. Only valid boundaries are
@@ -242,8 +255,17 @@ def _partition(block: tuple, keep: np.ndarray, count: int, min_leaf: int) -> tup
     (a mask over the block), each column still in sorted order."""
     columns, sorted_vals, order, _ = block
     k = len(columns)
-    sorted_vals = sorted_vals[keep].reshape(k, count)
-    return columns, sorted_vals, order[keep].reshape(k, count), _valid_positions(sorted_vals, min_leaf)
+    kept = np.flatnonzero(keep)
+    sorted_vals = sorted_vals.ravel()[kept].reshape(k, count)
+    return columns, sorted_vals, order.ravel()[kept].reshape(k, count), _valid_positions(sorted_vals, min_leaf)
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    """The threshold between sorted values lo < hi: their midpoint, or lo
+    where that is not in [lo, hi) (rounded onto hi, or overflowed)."""
+    lo, hi = float(lo), float(hi)
+    threshold = (lo + hi) / 2.0  # Python floats: an overflow is inf, with no warning
+    return threshold if lo <= threshold < hi else lo
 
 
 def _fit(
@@ -253,9 +275,11 @@ def _fit(
     criterion: str,
     lam: float = 0.0,
     gamma: float = 0.0,
+    fitted: np.ndarray | None = None,
 ) -> Tree:
     """The recursive builder of mse and second-order trees (boosting's):
-    every node searches all columns, partitioning the presort (Partition)."""
+    every node searches all columns, partitioning the presort (Partition).
+    Each leaf writes its value at its rows of ``fitted``, when given."""
     sorted_X = X if isinstance(X, Presort) else presort(X)
     n = sorted_X.X.shape[0]
     if n == 0:
@@ -267,61 +291,58 @@ def _fit(
     # global row ids in that order, valid boundary positions).
     root_block = (sorted_X.columns, sorted_X.sorted_vals, sorted_X.order, sorted_X.root_positions(min_leaf))
 
-    def leaf_value(idx: np.ndarray) -> float:
+    def leaf(idx: np.ndarray) -> int:
         if criterion == "second_order":
-            g = targets[0][idx].sum()
-            h = targets[1][idx].sum()
+            g, h = targets[0][idx].sum(), targets[1][idx].sum()
             denom = h + lam
-            return -g / denom if denom > _GAIN_EPS else 0.0
-        return float(targets[0][idx].mean())
+            value = -g / denom if denom > _GAIN_EPS else 0.0
+        else:
+            value = float(targets[0][idx].mean())
+        if fitted is not None:
+            fitted[idx] = value
+        return builder.add(value, len(idx))
 
-    def parent_score(idx: np.ndarray) -> float:
+    def refused(score: float, idx: np.ndarray) -> bool:
+        """The gain gate: whether a split of score ``score`` is refused at the node of rows ``idx``."""
         if criterion == "mse":
             t = targets[0][idx]
-            return float(np.sum(t * t) - t.sum() ** 2 / len(t))
-        g = targets[0][idx].sum()
-        h = targets[1][idx].sum()
-        return -(g**2) / (h + lam)
+            return float(np.sum(t * t) - t.sum() ** 2 / len(t)) - score <= _GAIN_EPS
+        g, h = targets[0][idx].sum(), targets[1][idx].sum()
+        return 0.5 * (-score + -(g**2) / (h + lam)) - gamma <= 0.0
 
     def stops(idx: np.ndarray, depth: int) -> bool:
         count = len(idx)
         if count < 2 or count < 2 * min_leaf or (params.max_depth is not None and depth >= params.max_depth):
             return True
+        if not all(np.all(t[idx] == t[idx[0]]) for t in targets):
+            return False
         if criterion == "mse":
-            t = targets[0][idx]
-            return bool(np.all(t == t[0]))
-        return False
+            return True
+        # one (g, h) pair (Stop): a constant row's scores at every min_leaf boundary, quiet as the search may score none
+        row = tuple(np.full(count, t[idx[0]]) for t in targets)
+        boundaries = np.arange(min_leaf - 1, count - min_leaf)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            scores = _boundary_scores(criterion, row, np.arange(count)[None, :], boundaries, lam)
+            return not np.isnan(scores).any() and refused(float(scores.min()), idx)
 
     def grow(idx: np.ndarray, depth: int, block: tuple | None) -> int:
         """Grow the subtree on rows ``idx`` (in row order); ``block`` is
-        None only when the node stops."""
-        count = len(idx)
-        if stops(idx, depth):
-            return builder.add(leaf_value(idx), count)
+        None exactly when the node stops."""
+        if block is None:
+            return leaf(idx)
         columns, sorted_vals, order, positions = block
         if positions.size == 0:
-            return builder.add(leaf_value(idx), count)
+            return leaf(idx)
         scores = _boundary_scores(criterion, targets, order, positions, lam)
         best = int(np.argmin(scores))
         best_score = float(scores[best])
-        if not np.isfinite(best_score):
-            return builder.add(leaf_value(idx), count)
-        if criterion == "second_order":
-            if 0.5 * (-best_score + parent_score(idx)) - gamma <= 0.0:
-                return builder.add(leaf_value(idx), count)
-        elif parent_score(idx) - best_score <= _GAIN_EPS:
-            return builder.add(leaf_value(idx), count)
+        if not np.isfinite(best_score) or refused(best_score, idx):
+            return leaf(idx)
 
         row, boundary = divmod(int(positions[best]), order.shape[1])
-        lo = sorted_vals[row, boundary]
-        hi = sorted_vals[row, boundary + 1]
-        threshold = (lo + hi) / 2.0
-        if threshold >= hi:
-            # midpoint rounded up onto the right value; fall back to the left one
-            threshold = lo
-        node = builder.add(0.0, count)
+        node = builder.add(0.0, len(idx))
         builder.feature[node] = int(columns[row])
-        builder.threshold[node] = float(threshold)
+        builder.threshold[node] = _midpoint(sorted_vals[row, boundary], sorted_vals[row, boundary + 1])
         # the rows at or before the boundary in the split column go left
         side = np.zeros(n, dtype=bool)
         side[order[row, : boundary + 1]] = True
@@ -340,7 +361,8 @@ def _fit(
         builder.right[node] = grow(right_idx, depth + 1, right_block)
         return node
 
-    grow(np.arange(n), 0, root_block)
+    every_row = np.arange(n)
+    grow(every_row, 0, None if stops(every_row, 0) else root_block)
     return builder.finish()
 
 
@@ -458,14 +480,11 @@ def _gini_search(Xt: np.ndarray, y_pad: np.ndarray, nodes: list, min_leaf: int) 
             splits.append(None)
             continue
         j, b = divmod(int(best[i]), step)
-        lo, hi = sorted_vals[i, j, b], sorted_vals[i, j, b + 1]
-        threshold = (lo + hi) / 2.0
-        if threshold >= hi:
-            threshold = lo
+        threshold = _midpoint(sorted_vals[i, j, b], sorted_vals[i, j, b + 1])
         left_ones = ones_upto[i, j, b]
         left = (sorted_rows[i, j, : b + 1].copy(), left_ones)
         right = (sorted_rows[i, j, b + 1 : counts[i]].copy(), ones[i] - left_ones)
-        splits.append((int(columns[i, j]), float(threshold), left, right))
+        splits.append((int(columns[i, j]), threshold, left, right))
     return splits
 
 
@@ -474,19 +493,22 @@ def fit_tree(
     y: np.ndarray,
     params: TreeParams,
     criterion: str = "gini",
+    fitted: np.ndarray | None = None,
 ) -> Tree:
     """Fit a classification (gini) or regression (mse) tree.
 
     A gini tree is ``fit_gini_trees``' one tree on every row, searching every
     column. X may be a ``presort`` of the training matrix, to share one sort
-    between mse fits on the same rows.
+    between mse fits on the same rows. An mse fit writes each row's leaf value into ``fitted``.
     """
     if criterion == "gini":
+        if fitted is not None:
+            raise ValueError("fitted is written by mse and second-order fits only")
         X = X.X if isinstance(X, Presort) else np.asarray(X, dtype=float)
         return fit_gini_trees(X, y, [np.arange(X.shape[0])], [None], params, X.shape[1])[0]
     if criterion != "mse":
         raise ValueError(f"unknown criterion {criterion!r}")
-    return _fit(X, (np.asarray(y, dtype=float),), params, criterion)
+    return _fit(X, (np.asarray(y, dtype=float),), params, criterion, fitted=fitted)
 
 
 def fit_tree_second_order(
@@ -496,13 +518,15 @@ def fit_tree_second_order(
     params: TreeParams,
     lam: float = 1.0,
     gamma: float = 0.0,
+    fitted: np.ndarray | None = None,
 ) -> Tree:
     """Fit a tree on gradient/hessian pairs with regularized gain.
 
-    X may be a ``presort`` of the training matrix, as in ``fit_tree``.
+    X may be a ``presort`` of the training matrix, and ``fitted`` receives
+    each training row's leaf value, as in ``fit_tree``.
     """
     targets = (np.asarray(g, dtype=float), np.asarray(h, dtype=float))
-    return _fit(X, targets, params, "second_order", lam=lam, gamma=gamma)
+    return _fit(X, targets, params, "second_order", lam=lam, gamma=gamma, fitted=fitted)
 
 
 def tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:

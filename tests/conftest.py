@@ -1,4 +1,6 @@
 import datetime as dt
+import json
+from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -12,6 +14,11 @@ from c2sift.learners import LabeledDataset
 DAY0_MS = 1_641_772_800_000  # 2022-01-10T00:00:00Z
 DAY0 = dt.date(2022, 1, 10)
 SPACE = InternalSpace(["10.0.0.0/8"])
+
+
+def read_manifest(out_dir: Path) -> dict:
+    """The run_manifest.json that a staged command wrote into ``out_dir``."""
+    return json.loads((Path(out_dir) / "run_manifest.json").read_text(encoding="utf-8"))
 
 
 def flow_table(rows: Iterable[Sequence]) -> FlowTable:

@@ -29,6 +29,8 @@ from c2sift.learners import (
 )
 from c2sift.learners.tree import TreeParams, fit_tree_second_order
 
+from conftest import read_manifest
+
 PIPELINE_SEED = 7
 JOBS = 4
 
@@ -284,8 +286,8 @@ def test_criterion_7_no_leakage_stacking():
 
 def test_criterion_8_pipeline_determinism(pipeline_runs):
     run1, run2, _ = pipeline_runs
-    first = cli.read_manifest(run1)["output_checksums"]
-    second = cli.read_manifest(run2)["output_checksums"]
+    first = read_manifest(run1)["output_checksums"]
+    second = read_manifest(run2)["output_checksums"]
     same = first == second
     report(
         "criterion 8: pipeline --seed 7 twice gives byte-identical output checksums",

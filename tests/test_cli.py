@@ -12,6 +12,8 @@ from c2sift.learners import fit_model, load_feature_matrix, save_model
 from c2sift.learners.grids import HyperGrid
 from c2sift.rng import NS_BOOTSTRAP
 
+from conftest import read_manifest
+
 
 def lasso_cv_rows(models):
     """The lasso's rows of a train run's cv_tables.csv."""
@@ -66,7 +68,7 @@ def features(tmp_path, dataset):
 def test_generate_outputs_and_manifest(dataset):
     for name in ("flows.csv", "labels.csv", "internal_space.txt", "deny_sample.txt", "allow_sample.txt"):
         assert (dataset / name).is_file()
-    manifest = cli.read_manifest(dataset)
+    manifest = read_manifest(dataset)
     assert manifest["command"] == "generate"
     assert "flows.csv" in manifest["output_checksums"]
     assert manifest["params"]["seed"] == 3
@@ -103,7 +105,7 @@ def test_featurize_ablation(tmp_path, dataset):
     assert len(data.feature_names) == 31
     assert data.y is None
     # the manifest names every input file and the feature config it used
-    manifest = cli.read_manifest(out)
+    manifest = read_manifest(out)
     assert manifest["inputs"]["feature_config"] == str(feature_config)
     assert manifest["inputs"]["schema"] == str(schema)
     assert manifest["inputs"]["labels"] is None
@@ -387,8 +389,8 @@ def test_pipeline_determinism(tmp_path, tiny_grid):
     ]
     assert run(args + ["--out", tmp_path / "run1"]) == 0
     assert run(args + ["--out", tmp_path / "run2"]) == 0
-    first = cli.read_manifest(tmp_path / "run1")["output_checksums"]
-    second = cli.read_manifest(tmp_path / "run2")["output_checksums"]
+    first = read_manifest(tmp_path / "run1")["output_checksums"]
+    second = read_manifest(tmp_path / "run2")["output_checksums"]
     assert first == second
     assert len(first) > 10
     # timings sit in every manifest, outside the checksums
@@ -404,7 +406,7 @@ def test_pipeline_determinism(tmp_path, tiny_grid):
         "triage": {"total_s"},
     }
     for stage, keys in stage_timings.items():
-        manifest = cli.read_manifest(tmp_path / "run1" / stage)
+        manifest = read_manifest(tmp_path / "run1" / stage)
         assert set(manifest["timings"]) == keys
         assert manifest["timings"]["total_s"] >= 0.0
         assert all(seconds >= 0.0 for seconds in manifest["timings"].values() if isinstance(seconds, float))
@@ -431,7 +433,7 @@ def test_pipeline_dirs_have_one_manifest_each(tmp_path, tiny_grid):
     for sub in ("train_data", "test_data", "features_train", "features_test", "models", "evaluation", "predictions", "triage"):
         assert (out / sub / "run_manifest.json").is_file()
     assert (out / "run_manifest.json").is_file()
-    top = cli.read_manifest(out)
+    top = read_manifest(out)
     assert not any(path.endswith("run_manifest.json") for path in top["output_checksums"])
     # every pipeline setting is recorded
     assert set(top["params"]) == set(inspect.signature(cli.run_pipeline).parameters) - {"out"}
@@ -443,8 +445,8 @@ def test_jobs_flag_matches_serial(tmp_path, features, tiny_grid):
     m2 = tmp_path / "m2"
     assert run(["train", "--features", features, "--out", m1, "--seed", "5", "--folds", "4", "--jobs", "1"]) == 0
     assert run(["train", "--features", features, "--out", m2, "--seed", "5", "--folds", "4", "--jobs", "2"]) == 0
-    c1 = cli.read_manifest(m1)["output_checksums"]
-    c2 = cli.read_manifest(m2)["output_checksums"]
+    c1 = read_manifest(m1)["output_checksums"]
+    c2 = read_manifest(m2)["output_checksums"]
     assert c1 == c2
 
 
@@ -459,7 +461,7 @@ def test_stack_nests_the_saved_base_models(tmp_path, features, tiny_grid):
         assert nested == json.loads((out / f"{kind}.json").read_text()), kind
     meta = stack["parameters"]["meta"]
     assert meta["kind"] == "glm" and meta["feature_names"] == kinds
-    assert cli.read_manifest(out)["signals"]["stack_meta_glm"] == {
+    assert read_manifest(out)["signals"]["stack_meta_glm"] == {
         key: meta["training_meta"][key] for key in ("converged", "separation")
     }
     # the grid's lasso cell becomes one CV cell per penalty, tuned on --folds folds;
@@ -515,7 +517,7 @@ def test_shared_pool_matches_serial_with_n_rounds_pairs(tmp_path, features, monk
     for jobs in ("1", "2"):
         out = tmp_path / f"m{jobs}"
         assert run(["train", "--features", features, "--out", out, "--seed", "6", "--folds", "3", "--jobs", jobs]) == 0
-        sums.append(cli.read_manifest(out)["output_checksums"])
+        sums.append(read_manifest(out)["output_checksums"])
         lasso_cv = [row for row in (out / "cv_tables.csv").read_text().splitlines() if row.startswith("lasso,")]
         assert len(lasso_cv) == 20
     assert sums[0] == sums[1]
@@ -526,7 +528,7 @@ def test_shared_pool_matches_serial_with_n_rounds_pairs(tmp_path, features, monk
 def test_train_manifest_signals_and_timings(tmp_path, features, tiny_grid):
     out = tmp_path / "models"
     assert run(["train", "--features", features, "--out", out, "--seed", "2", "--folds", "3"]) == 0
-    manifest = cli.read_manifest(out)
+    manifest = read_manifest(out)
     lasso = json.loads((out / "lasso.json").read_text())["training_meta"]
     signals = manifest["signals"]
     # the lasso is tuned on --folds folds, like every kind

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import c2sift.learners.boosting as boosting
 import c2sift.learners.tree as tree_module
-from c2sift.learners import fit_gbm, fit_gbm2
+from c2sift.learners import LabeledDataset, fit_gbm, fit_gbm2
 from c2sift.learners.tree import (
     Tree,
     TreeParams,
@@ -396,3 +396,137 @@ def test_boosting_shared_presort_equals_fresh_presort(monkeypatch, fitter, tree_
     assert len(calls) == 30 and len({id(c) for c in calls}) == 1
     for a, b in zip(shared.parameters["trees"], fresh.parameters["trees"], strict=True):
         assert tree_bytes(a) == tree_bytes(b)
+
+
+def leaf_of(tree, X):
+    """The leaf that ``tree_predict`` routes each row of X to."""
+    pos = np.zeros(X.shape[0], dtype=np.int64)
+    while (tree.feature[pos] >= 0).any():
+        at = np.flatnonzero(tree.feature[pos] >= 0)
+        node = pos[at]
+        pos[at] = np.where(X[at, tree.feature[node]] <= tree.threshold[node], tree.left[node], tree.right[node])
+    return pos
+
+
+def assert_routes_own_rows(tree, X, fitted=None):
+    """Routing the training rows X puts exactly ``n_node[leaf]`` of them in
+    each leaf, and each row at the leaf value the fit wrote for it."""
+    leaves = leaf_of(tree, X)
+    assert np.array_equal(np.bincount(leaves, minlength=tree.n_nodes), np.where(tree.feature < 0, tree.n_node, 0))
+    if fitted is not None:
+        assert fitted.tobytes() == tree.value[leaves].tobytes() == tree_predict(tree, X).tobytes()
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("builder", ["gini", "mse", "second_order"])
+def test_threshold_between_huge_values_is_finite(builder, sign):
+    """lo + hi overflows to +-inf here; the threshold falls back to lo, so
+    each row is routed to the leaf that holds it."""
+    X = sign * np.array([[1.7e308], [1.7e308], [1.6e308], [1.6e308]])
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    params = TreeParams()
+    fitted = np.empty(4)
+    if builder == "gini":
+        [tree] = fit_gini_trees(X, y, [np.arange(4)], [None], params, 1)
+        oracle = oracle_fit_tree(X, y, params)
+        fitted = y
+    elif builder == "mse":
+        tree = fit_tree(X, y, params, criterion="mse", fitted=fitted)
+        oracle = oracle_fit_tree(X, y, params, criterion="mse")
+    else:
+        g, h = 0.5 - y, np.full(4, 0.25)
+        tree = fit_tree_second_order(X, g, h, params, fitted=fitted)
+        oracle = oracle_fit_tree_second_order(X, g, h, params)
+    assert tree.n_nodes == 3 and np.isfinite(tree.threshold[0])
+    assert_routes_own_rows(tree, X, fitted)
+    assert tree_bytes(tree) == tree_bytes(oracle)
+    if builder != "second_order":
+        assert np.array_equal(tree_predict(tree, X), y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), d=st.integers(1, 6), levels=st.integers(1, 4), params=tree_params
+)
+def test_fitted_equals_routing_the_training_rows(seed, n, d, levels, params):
+    """``fitted`` is byte for byte ``tree_predict`` on the training rows,
+    on tie-heavy integer columns, for mse and second-order fits."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, size=(n, d)).astype(float)
+    t, g, h = rng.normal(size=n), rng.normal(size=n), rng.random(n)
+    fitted = np.full(n, np.nan)
+    assert_routes_own_rows(fit_tree(presort(X), t, params, criterion="mse", fitted=fitted), X, fitted)
+    fitted = np.full(n, np.nan)
+    assert_routes_own_rows(fit_tree_second_order(X, g, h, params, lam=1.0, fitted=fitted), X, fitted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 60),
+    d=st.integers(1, 5),
+    pairs=st.integers(1, 3),
+    params=tree_params,
+    lam=st.sampled_from([0.0, 1e-12, 1.0]),
+    gamma=st.sampled_from([0.0, 0.1]),
+)
+def test_second_order_few_target_values_match_oracle(seed, n, d, pairs, params, lam, gamma):
+    """g and h take at most three (g, h) pairs, so many nodes hold one
+    pair, where the builder stops without searching (module docstring)."""
+    rng = np.random.default_rng(seed)
+    which = rng.integers(0, pairs, size=n)
+    g = rng.choice([-1.0, -0.5, -0.1, 0.0, 0.3, 0.8], size=pairs)[which]
+    h = rng.choice([0.05, 0.25, 1.0], size=pairs)[which]
+    X = rng.normal(size=(n, d))  # tie-free, so sort order is unique
+    X[:, 0] += which  # the first column nearly separates the pairs
+    fitted = np.empty(n)
+    tree = fit_tree_second_order(X, g, h, params, lam=lam, gamma=gamma, fitted=fitted)
+    assert tree_bytes(tree) == tree_bytes(oracle_fit_tree_second_order(X, g, h, params, lam=lam, gamma=gamma))
+    assert_routes_own_rows(tree, X, fitted)
+
+
+def test_gbm2_searches_once_per_round_on_separable_data(monkeypatch):
+    """Each stump's children hold one class, so one (g, h) pair: both stop
+    on the one-row check and only the root is searched."""
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(200, 2))
+    y = (X[:, 0] > 0.3).astype(int)
+    data = LabeledDataset(X, y, ("a", "b"), tuple((f"h{i}", "2022-01-10") for i in range(200)))
+    searched = []
+    search = tree_module._boundary_scores
+
+    def spy(criterion, targets, order, positions, lam):
+        searched.append(order.shape[0])
+        return search(criterion, targets, order, positions, lam)
+
+    monkeypatch.setattr(tree_module, "_boundary_scores", spy)
+    model = fit_gbm2(data, {"n_rounds": 6, "max_depth": 3})
+    assert all(tree.n_nodes == 3 for tree in model.parameters["trees"])
+    assert searched.count(2) == 6  # one two-column search per round: the root's
+    assert searched.count(1) == 12  # each child's one-row check, which stopped it
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 50),
+    d=st.integers(1, 6),
+    levels=st.integers(1, 4),
+    n_trees=st.integers(1, 4),
+    max_depth=st.sampled_from([None, 1, 3]),
+    min_leaf=st.integers(1, 4),
+)
+def test_gini_trees_route_their_own_rows(seed, n, d, levels, n_trees, max_depth, min_leaf):
+    """Routing ``X[rows[t]]`` through tree t puts exactly ``n_node[leaf]``
+    rows in each leaf, with bootstrap repeats and drawn columns."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, size=(n, d)).astype(float)
+    y = (rng.random(n) < 0.4).astype(int)
+    rngs = [np.random.default_rng([seed, t]) for t in range(n_trees)]
+    rows = [r.integers(0, n, size=n) for r in rngs]
+    mtry = int(rng.integers(1, d + 1))
+    for tree, idx in zip(fit_gini_trees(X, y, rows, rngs, TreeParams(max_depth, min_leaf), mtry), rows):
+        assert_routes_own_rows(tree, X[idx])
+        leaves = leaf_of(tree, X[idx])
+        ones = np.bincount(leaves, weights=y[idx], minlength=tree.n_nodes)[leaves]
+        assert np.array_equal(ones / tree.n_node[leaves], tree.value[leaves])  # each leaf's own rows, by label too

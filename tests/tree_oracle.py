@@ -67,12 +67,12 @@ def _pick_split(n, columns, scores, sorted_vals, min_leaf):
     if not np.isfinite(col_scores[j]):
         return None
     boundary = int(per_col_best[j])
-    lo = sorted_vals[boundary, j]
-    hi = sorted_vals[boundary + 1, j]
+    lo = float(sorted_vals[boundary, j])
+    hi = float(sorted_vals[boundary + 1, j])
     threshold = (lo + hi) / 2.0
-    if threshold >= hi:
+    if not lo <= threshold < hi:
         threshold = lo
-    return int(columns[j]), float(threshold), float(col_scores[j])
+    return int(columns[j]), threshold, float(col_scores[j])
 
 
 def _fit(X, target, params, rng, criterion, lam=0.0, gamma=0.0, mtry=None) -> Tree:
