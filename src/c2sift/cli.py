@@ -155,7 +155,7 @@ def _require_file(path, what: str) -> Path:
 
 def run_generate(
     out: Path,
-    seed: int,
+    seed: int = 0,
     scenario: str = "default",
     c2_hosts: int = 50,
     benign_hosts: int = 250,
@@ -240,7 +240,7 @@ def _refit(kind: str, data, params: dict, seed: int):
     return fit_model(kind, data, params, seed)
 
 
-def run_train(features: Path, out: Path, seed: int, folds: int = 10, jobs: int = 1) -> None:
+def run_train(features: Path, out: Path, seed: int = 0, folds: int = 10, jobs: int = 1) -> None:
     """Tune and fit the six bases and the stack on one pool of ``jobs`` workers.
 
     The lasso's grid becomes one cell per penalty of a path fixed from all
@@ -410,14 +410,14 @@ def run_triage(
     predictions: Path,
     features: Path,
     out: Path,
-    deny: list[Path] = (),
-    allow: list[Path] = (),
-    cdn: list[Path] = (),
-    sinkhole: list[Path] = (),
+    deny: list[Path] | None = None,
+    allow: list[Path] | None = None,
+    cdn: list[Path] | None = None,
+    sinkhole: list[Path] | None = None,
     triage_config: Path | None = None,
     threshold: float | None = None,
 ) -> None:
-    list_paths = (("deny", deny), ("allow", allow), ("cdn_cloud", cdn), ("sinkhole", sinkhole))
+    list_paths = (("deny", deny or ()), ("allow", allow or ()), ("cdn_cloud", cdn or ()), ("sinkhole", sinkhole or ()))
     inputs = {
         "predictions": str(predictions),
         "features": str(features),
@@ -448,7 +448,7 @@ def run_triage(
 
 def run_pipeline(
     out: Path,
-    seed: int,
+    seed: int = 0,
     scenario: str = "default",
     c2_hosts: int = 50,
     benign_hosts: int = 250,
@@ -602,10 +602,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("triage", help="filter predictions through lists and rules")
     p.add_argument("--predictions", required=True, type=Path)
     p.add_argument("--features", required=True, type=Path)
-    p.add_argument("--deny", type=Path, action="append", default=[])
-    p.add_argument("--allow", type=Path, action="append", default=[])
-    p.add_argument("--cdn", type=Path, action="append", default=[])
-    p.add_argument("--sinkhole", type=Path, action="append", default=[])
+    p.add_argument("--deny", type=Path, action="append")
+    p.add_argument("--allow", type=Path, action="append")
+    p.add_argument("--cdn", type=Path, action="append")
+    p.add_argument("--sinkhole", type=Path, action="append")
     p.add_argument("--triage-config", type=Path)
     p.add_argument("--threshold", type=float)
     p.add_argument("--out", required=True, type=Path)

@@ -5,16 +5,21 @@ schema config maps each canonical field name to the column header used in
 the file; files written by this package use the canonical names directly.
 Timestamps are epoch milliseconds UTC, kept at millisecond precision
 because inter-arrival features depend on it.
+
+Reads and writes go CHUNK_ROWS = 2048 rows at a time, so memory is the
+columns plus one chunk's strings; the README's Ingest section gives the
+tokenizer rule and the check order, which keep a row-by-row parse's rows,
+reasons and address order, and ``csv.writer``'s bytes.
 """
 from __future__ import annotations
 
 import csv
 import ipaddress
 import sys
-from array import array
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
@@ -43,6 +48,11 @@ INT64_MAX = np.iinfo(np.int64).max
 INT64_MIN = np.iinfo(np.int64).min
 
 DAY_MS = 86_400_000
+
+# rows per read or write: see the module docstring
+CHUNK_ROWS = 2048
+# a written row: addresses and flags as csv.writer renders them, ints as str() does
+ROW_FORMAT = ",".join(["%s"] * 2 + ["%d"] * len(INT_FIELDS) + ["%s"])
 
 
 @dataclass(frozen=True)
@@ -78,14 +88,15 @@ class IngestStats:
     records_rejected: int = 0
     reject_reasons: dict[str, int] = field(default_factory=dict)
 
-    def _reject(self, reason: str) -> None:
-        self.lines_read += 1
-        self.records_rejected += 1
-        self.reject_reasons[reason] = self.reject_reasons.get(reason, 0) + 1
+    def _reject(self, reason: str, count: int = 1) -> None:
+        if count:
+            self.lines_read += count
+            self.records_rejected += count
+            self.reject_reasons[reason] = self.reject_reasons.get(reason, 0) + count
 
-    def _accept(self) -> None:
-        self.lines_read += 1
-        self.records_accepted += 1
+    def _accept(self, count: int = 1) -> None:
+        self.lines_read += count
+        self.records_accepted += count
 
 
 class RowError(ValueError):
@@ -117,9 +128,9 @@ class _AddressCodes:
 
     def __init__(self):
         self.ips: dict[str, int] = {}  # canonical address -> code
-        self._memo: dict[str, int | None] = {}  # raw text -> code, None when invalid
+        self._memo: dict[str, int] = {}  # raw text -> code, -1 when invalid
 
-    def code(self, text: str) -> int | None:
+    def code(self, text: str) -> int:
         try:
             return self._memo[text]
         except KeyError:
@@ -127,11 +138,18 @@ class _AddressCodes:
         try:
             canonical = str(ipaddress.ip_address(text.strip()))
         except ValueError:
-            code = None
+            code = -1
         else:
             code = self.ips.setdefault(canonical, len(self.ips))
         self._memo[text] = code
         return code
+
+    def codes(self, texts: list[str]) -> np.ndarray:
+        """``code`` of each text, interning new addresses in list order."""
+        codes = np.array(list(map(self._memo.get, texts, repeat(-2))), np.int64)
+        for i in np.flatnonzero(codes == -2).tolist():
+            codes[i] = self.code(texts[i])
+        return codes
 
 
 def _check_row(row: list[str], index: tuple[int, ...], addresses: _AddressCodes) -> tuple[list[int], str]:
@@ -142,7 +160,7 @@ def _check_row(row: list[str], index: tuple[int, ...], addresses: _AddressCodes)
     """
     src = addresses.code(row[index[0]])
     dst = addresses.code(row[index[1]])
-    if src is None or dst is None:
+    if src < 0 or dst < 0:
         raise RowError("bad-address")
     try:
         ints = [int(row[i].strip()) for i in index[2:9]]
@@ -170,11 +188,99 @@ def _check_row(row: list[str], index: tuple[int, ...], addresses: _AddressCodes)
     return [src, dst, *ints], row[index[9]].strip()
 
 
+def _read_rows(handle, delimiter: str) -> tuple[list[str], np.ndarray] | None:
+    """The next CHUNK_ROWS lines' fields, row after row, and each non-blank
+    row's field count (None at the end). A line read with ``newline=""``
+    ends in its only line end, so with no quote, NUL or line over csv's
+    field limit, ``str.split`` is what ``csv.reader`` returns; else
+    ``csv.reader`` reads the chunk, and past it while a quote is open."""
+    lines = list(islice(handle, CHUNK_ROWS))
+    if not lines:
+        return None
+    rows = list(filter(None, map(str.rstrip, lines, repeat("\r\n"))))
+    text = delimiter.join(rows)
+    if '"' not in text and "\0" not in text and max(map(len, rows), default=0) <= csv.field_size_limit():
+        counts = np.fromiter(map(str.count, rows, repeat(delimiter)), np.int64, len(rows)) + 1
+        del lines, rows  # free them before the fields exist
+        return text.split(delimiter), counts
+    reader = csv.reader(chain(lines, handle), delimiter=delimiter)
+    rows = []
+    for row in reader:
+        if row:
+            rows.append(row)
+        if reader.line_num >= len(lines):
+            break
+    return list(chain.from_iterable(rows)), np.fromiter(map(len, rows), np.int64, len(rows))
+
+
+def _int_column(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``int(text.strip())`` of each field as int64, and where that fails or falls outside int64."""
+    try:
+        return np.array(list(map(int, map(str.strip, texts))), np.int64), np.zeros(len(texts), bool)
+    except (ValueError, OverflowError):
+        pass
+    values, bad = np.zeros(len(texts), np.int64), np.zeros(len(texts), bool)
+    for i, text in enumerate(texts):
+        try:
+            values[i] = int(text.strip())
+        except (ValueError, OverflowError):
+            bad[i] = True
+    return values, bad
+
+
+def _check_rows(fields, counts, width, index, addresses, stats, parts, flags) -> None:
+    """``_check_row`` on each row of a chunk, as masks: appends the accepted
+    rows' values to ``parts`` and their flags to ``flags``, counts the rest."""
+    starts = (np.cumsum(counts) - counts)[counts == width]
+    stats._reject("field-count", len(counts) - len(starts))
+    if 0 < len(starts) < len(counts):
+        fields = [field for start in starts.tolist() for field in fields[start : start + width]]
+    if not len(starts):
+        return
+    texts = [""] * (2 * len(starts))
+    texts[::2], texts[1::2] = fields[index[0] :: width], fields[index[1] :: width]
+    codes = addresses.codes(texts)
+    src, dst = codes[::2], codes[1::2]
+    ints, bad = zip(*(_int_column(fields[i::width]) for i in index[2:9]))
+    undecided = np.logical_or.reduce(bad)
+    src_port, dst_port, nbytes, packets, start_time, end_time, protocol = ints
+    masks = {  # _check_row's order; only it decides bad-integer and int64-range
+        "bad-address": (src < 0) | (dst < 0),
+        "port-range": (src_port < 0) | (src_port > 65535) | (dst_port < 0) | (dst_port > 65535),
+        "protocol-range": (protocol < 0) | (protocol > 255),
+        "portless-protocol": np.isin(protocol, list(PORTLESS_PROTOCOLS)) & ((src_port != 0) | (dst_port != 0)),
+        "negative-bytes": nbytes < 0,
+        "bad-packets": packets < 1,
+        "bytes-lt-packets": nbytes < packets,
+        "time-order": end_time < start_time,
+    }
+    reason = np.select(list(masks.values()), range(1, len(masks) + 1), 0)
+    reason[undecided] = -1
+    for k, name in enumerate(masks, start=1):
+        stats._reject(name, int(np.count_nonzero(reason == k)))
+    # a field int() refuses is bad-address or bad-integer, and a value
+    # outside int64 fails a range check or int64-range: these all raise
+    for i in np.flatnonzero(undecided).tolist():
+        try:
+            _check_row(fields[i * width : (i + 1) * width], index, addresses)
+        except RowError as exc:
+            stats._reject(exc.reason)
+    accepted = reason == 0
+    start, end = len(flags), len(flags) + int(np.count_nonzero(accepted))
+    stats._accept(end - start)
+    for k, column in enumerate((src, dst, *ints)):
+        if end > len(parts[k]):  # double, in blocks malloc maps apart from a chunk's temporaries
+            parts[k], old = np.empty(max(2 * end, 16 * CHUNK_ROWS), np.int64), parts[k]
+            parts[k][:start] = old[:start]
+        parts[k][start:end] = column[accepted]
+    flags.extend(map(sys.intern, map(str.strip, compress(fields[index[9] :: width], accepted.tolist()))))
+
+
 def parse_flow_file(
     path: str | Path,
     schema: Mapping[str, str] | None = None,
 ) -> tuple[FlowTable, IngestStats]:
-    """Stream a flow file into a FlowTable plus ingest stats.
+    """Stream a flow file into a FlowTable plus ingest stats, CHUNK_ROWS lines at a time.
 
     Malformed rows are counted per reason, never silently dropped; a row
     with more or fewer fields than the header is ``field-count``. An
@@ -191,8 +297,8 @@ def parse_flow_file(
         first = handle.readline()
         if not first:
             raise ValueError(f"{path}: empty file, header row required")
-        reader = csv.reader(chain([first], handle), delimiter="\t" if "\t" in first else ",")
-        header = next(reader)
+        delimiter = "\t" if "\t" in first else ","
+        header = next(csv.reader(chain([first], handle), delimiter=delimiter))
         index = []
         for name in CANONICAL_FIELDS:
             column = schema[name]
@@ -203,28 +309,16 @@ def parse_flow_file(
 
         addresses = _AddressCodes()
         names = ("src", "dst") + INT_FIELDS
-        columns = [array("q") for _ in names]
+        parts = [np.empty(0, np.int64) for _ in names]
         flags: list[str] = []
         stats = IngestStats()
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                stats._reject("field-count")
-                continue
-            try:
-                values, flag = _check_row(row, index, addresses)
-            except RowError as exc:
-                stats._reject(exc.reason)
-                continue
-            for column, value in zip(columns, values):
-                column.append(value)
-            flags.append(sys.intern(flag))
-            stats._accept()
+        while chunk := _read_rows(handle, delimiter):
+            _check_rows(*chunk, len(header), index, addresses, stats, parts, flags)
+            del chunk  # one chunk's fields in memory at a time
     table = FlowTable(
         ips=tuple(addresses.ips),
         flags=tuple(flags),
-        **{name: np.frombuffer(column, dtype=np.int64) for name, column in zip(names, columns)},
+        **{name: part[: len(flags)] for name, part in zip(names, parts)},
     )
     return table, stats
 
@@ -236,13 +330,24 @@ def string_ranks(strings: tuple[str, ...]) -> np.ndarray:
     return ranks
 
 
+def _csv_fields(strings) -> dict[str, str]:
+    """Each string as ``csv.writer`` writes it in a row of two fields (one
+    empty field alone is the one case it writes as ``""``)."""
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows((text, "") for text in strings)
+    return {text: line[:-2] for text, line in zip(strings, lines)}
+
+
 def write_flow_file(path: str | Path, table: FlowTable) -> int:
-    """Write a table with the canonical header; returns the row count."""
-    ips = table.ips
-    columns = [getattr(table, name).tolist() for name in INT_FIELDS]
+    """Write a table with the canonical header, CHUNK_ROWS rows per write, as csv.writer would; returns the row count."""
+    ips = list(map(_csv_fields(table.ips).__getitem__, table.ips))
+    flags = _csv_fields(set(table.flags))
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CANONICAL_FIELDS)
-        for src, dst, *ints, flags in zip(table.src.tolist(), table.dst.tolist(), *columns, table.flags):
-            writer.writerow([ips[src], ips[dst], *ints, flags])
+        csv.writer(handle, lineterminator="\n").writerow(CANONICAL_FIELDS)
+        for lo in range(0, len(table), CHUNK_ROWS):
+            chunk = slice(lo, lo + CHUNK_ROWS)
+            fields = [map(ips.__getitem__, table.src[chunk].tolist()), map(ips.__getitem__, table.dst[chunk].tolist())]
+            fields += [getattr(table, name)[chunk].tolist() for name in INT_FIELDS]
+            fields.append(map(flags.__getitem__, table.flags[chunk]))
+            handle.write("\n".join(map(ROW_FORMAT.__mod__, zip(*fields))) + "\n")
     return len(table)

@@ -4,9 +4,10 @@ This is the object path that the columnar ``FlowTable`` -> ``HostDays``
 -> ``featurize_aggregates`` flow in ``c2sift`` replaced: every row becomes
 a ``FlowRecord``, every boundary record a ``DirectedFlow``, every
 (host, day) a ``HostAggregate`` holding its flows, and the blocks are
-computed per aggregate from lists of those objects. Tests compare the
-columnar path's ingest stats, columns, host-day keys, row order and
-feature values with these, bit for bit.
+computed per aggregate from lists of those objects. ``write_flow_file``
+writes a table one ``csv.writer`` row at a time. Tests compare the
+columnar path's ingest stats, columns, host-day keys, row order, feature
+values and written bytes with these, bit for bit.
 """
 from __future__ import annotations
 
@@ -28,7 +29,17 @@ from c2sift.features import (
     feature_names,
     quantile_transform,
 )
-from c2sift.flows import CANONICAL_FIELDS, PORTLESS_PROTOCOLS, IngestStats, RowError, identity_schema
+from c2sift.flows import (
+    CANONICAL_FIELDS,
+    INT64_MAX,
+    INT64_MIN,
+    INT_FIELDS,
+    PORTLESS_PROTOCOLS,
+    FlowTable,
+    IngestStats,
+    RowError,
+    identity_schema,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,11 +100,18 @@ def build_record(values: Mapping[str, str]) -> FlowRecord:
         raise RowError("bytes-lt-packets")
     if end_time < start_time:
         raise RowError("time-order")
+    if nbytes > INT64_MAX or end_time > INT64_MAX or start_time < INT64_MIN:
+        raise RowError("int64-range")
     return FlowRecord(src_ip, dst_ip, src_port, dst_port, nbytes, packets, start_time, end_time, protocol, flags)
 
 
-def parse_flow_file(path: str | Path, schema: Mapping[str, str] | None = None) -> tuple[list[FlowRecord], IngestStats]:
-    """Whole-file parse into one FlowRecord per accepted row."""
+def _read_rows(path: str | Path, schema: Mapping[str, str] | None) -> tuple[list[list[str]], dict[str, int]]:
+    """Whole-file read: the non-blank data rows (None for a row whose field
+    count differs from the header's) and each canonical field's column.
+
+    Lines are split with ``str.splitlines``, so a quoted field may not hold
+    a line break, nor text may hold another character that splits lines.
+    """
     schema = dict(schema) if schema is not None else identity_schema()
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
@@ -105,12 +123,16 @@ def parse_flow_file(path: str | Path, schema: Mapping[str, str] | None = None) -
         if schema[name] not in header:
             raise ValueError(f"{path}: header missing mapped column {schema[name]!r} (field {name})")
         column_index[name] = header.index(schema[name])
+    return [row if len(row) == len(header) else None for row in reader if row], column_index
+
+
+def parse_flow_file(path: str | Path, schema: Mapping[str, str] | None = None) -> tuple[list[FlowRecord], IngestStats]:
+    """Whole-file parse into one FlowRecord per accepted row."""
+    rows, column_index = _read_rows(path, schema)
     records: list[FlowRecord] = []
     stats = IngestStats()
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(header):
+    for row in rows:
+        if row is None:
             stats._reject("field-count")
             continue
         try:
@@ -120,6 +142,34 @@ def parse_flow_file(path: str | Path, schema: Mapping[str, str] | None = None) -
             continue
         stats._accept()
     return records, stats
+
+
+def address_order(path: str | Path, schema: Mapping[str, str] | None = None) -> list[str]:
+    """The file's valid addresses, canonical, in the order a parse first meets
+    them: source then destination of every row of the header's width,
+    whether or not the row is accepted."""
+    rows, column_index = _read_rows(path, schema)
+    order: dict[str, None] = {}
+    for row in filter(None, rows):
+        for name in ("src_ip", "dst_ip"):
+            try:
+                order.setdefault(_canonical_ip(row[column_index[name]]))
+            except ValueError:
+                pass
+    return list(order)
+
+
+def write_flow_file(path: str | Path, table: FlowTable) -> int:
+    """Write a table with the canonical header through ``csv.writer``, one
+    row per call; returns the row count."""
+    ips = table.ips
+    columns = [getattr(table, name).tolist() for name in INT_FIELDS]
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(CANONICAL_FIELDS)
+        for src, dst, *ints, flags in zip(table.src.tolist(), table.dst.tolist(), *columns, table.flags):
+            writer.writerow([ips[src], ips[dst], *ints, flags])
+    return len(table)
 
 
 def record_to_row(record: FlowRecord) -> list[str]:

@@ -159,6 +159,23 @@ def test_each_subcommand_is_its_run_function():
         assert all(parameters[name].default is not inspect.Parameter.empty for name in api_only.get(command, ()))
 
 
+def test_each_flag_default_is_its_run_function_default():
+    """Leaving out a flag and leaving out its keyword argument mean the same
+    (predict's --model is the keyword model_kind); a required flag is a
+    parameter with no default."""
+    parser = cli.build_parser()
+    subcommands = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    for command, sub in subcommands.choices.items():
+        parameters = inspect.signature(cli.COMMANDS[command]).parameters
+        for action in sub._actions:
+            if action.dest == "help":
+                continue
+            default = parameters[action.dest].default
+            assert action.required == (default is inspect.Parameter.empty), (command, action.dest)
+            if not action.required:
+                assert action.default == default and type(action.default) is type(default), (command, action.dest)
+
+
 def test_missing_input_fails_without_partial_output(tmp_path, capsys):
     out = tmp_path / "runs" / "nope"
     assert run(["featurize", "--flows", tmp_path / "absent.csv", "--internal-space", tmp_path / "x", "--out", out]) == 2
