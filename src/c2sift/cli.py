@@ -21,10 +21,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 from time import perf_counter
 
-from . import __version__
-from .aggregate import InternalSpace, group_daily
-from .ensemble import fit_stack, stack_tasks
-from .evaluate import (
+# before numpy loads: BLAS runs single-threaded unless the environment says otherwise (--jobs is the parallelism)
+for _threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_threads, "1")
+
+from . import __version__  # noqa: E402
+from .aggregate import InternalSpace, group_daily  # noqa: E402
+from .ensemble import fit_stack, stack_tasks  # noqa: E402
+from .evaluate import (  # noqa: E402
     CvResult,
     bootstrap_indices,
     cv_tasks,
@@ -36,9 +40,9 @@ from .evaluate import (
     write_evaluation,
     write_importance,
 )
-from .features import FeatureConfig, featurize_aggregates, write_feature_matrix
-from .flows import identity_schema, parse_flow_file, read_schema
-from .learners import (
+from .features import FeatureConfig, featurize_aggregates, write_feature_matrix  # noqa: E402
+from .flows import identity_schema, parse_flow_file, read_schema  # noqa: E402
+from .learners import (  # noqa: E402
     BASE_KINDS,
     default_grid,
     fit_lasso,  # noqa: F401  tracer-only: perfbench/tracing.py wraps cli.fit_lasso by name
@@ -48,10 +52,10 @@ from .learners import (
     predict_proba,
     save_model,
 )
-from .learners.artifact import decode_model
-from .learners.linear import lasso_cells
-from .rng import NS_PIPELINE, child_seed
-from .synthgen import (
+from .learners.artifact import decode_model  # noqa: E402
+from .learners.linear import lasso_cells  # noqa: E402
+from .rng import NS_PIPELINE, child_seed  # noqa: E402
+from .synthgen import (  # noqa: E402
     DAY_MS,
     LABEL_BENIGN,
     LABEL_MALICIOUS,
@@ -60,8 +64,8 @@ from .synthgen import (
     overlap_scenario,
     read_labels,
 )
-from .tasks import Task, TaskPool
-from .triage import TriageConfig, build_rules, list_summary, load_ip_list, triage, write_decisions
+from .tasks import Task, TaskPool  # noqa: E402
+from .triage import TriageConfig, build_rules, list_summary, load_ip_list, triage, write_decisions  # noqa: E402
 
 INTERNAL_SPACE_CIDR = "10.0.0.0/8"
 KNOWN_BAD = 5  # hosts in generate's deny_sample.txt

@@ -19,7 +19,7 @@ and ``fit_tree_second_order``) search every column of X, which they sort
 once (``presort``): constant columns are dropped, keeping a map back to
 the original feature index, and each remaining column gets a stable
 argsort, stored as a contiguous (columns, rows) block with the sorted
-values beside it.
+values and the root's ``_valid_positions`` (per ``min_leaf``) beside it.
 Boosting builds one ``Presort`` per model and passes it to every round,
 since only the targets change between rounds.
 
@@ -42,11 +42,15 @@ into ``fitted`` when given. Rows up to a split boundary hold values <= lo
 <= threshold, and the others values >= hi > threshold (``_midpoint``), so
 ``fitted`` is bit for bit ``tree_predict`` on the training rows.
 
-Scoring. At a node, the targets are gathered in each column's order and
-summed cumulatively along the contiguous axis. Only valid boundaries are
-scored: those between strictly increasing values with at least
-``min_leaf`` rows on each side. One flat argmin over (column, boundary)
-gives the lowest-feature-then-lowest-threshold tie-break.
+Scoring. A fit packs each row's two summed quantities, (g, h) or
+(t, t * t), into one complex number (``_pack``). At a node they are
+gathered in each column's order and summed along the contiguous axis by
+one complex cumsum; complex addition is componentwise IEEE addition, so
+the ``.real`` and ``.imag`` lanes, the scores and their warnings are bit
+for bit those of two float64 sums. Only valid boundaries are scored:
+those between strictly increasing values with at least ``min_leaf`` rows
+on each side. One flat argmin over (column, boundary) gives the
+lowest-feature-then-lowest-threshold tie-break.
 
 Sums at a valid boundary cover the same rows whatever order ties are in,
 but floating-point addition is not associative. For mse and second-order
@@ -64,13 +68,19 @@ until it reaches one that must be searched; only that node draws its
 ``mtry`` columns (all columns when ``mtry`` covers them, with no draw), so
 each Generator advances as in a recursive fit. One vectorized search then
 scores the step's nodes in chunks of at most ``_SEARCH_CELLS`` (node,
-column, row) cells: each chunk gathers a (nodes, mtry, width) block, padded
-with +inf values and 0 targets (X is finite), sorts it along the rows and
-takes one argmin per node in (column, boundary) order. Gini sums are exact
-integers, so a node's ones, its children's, its leaf value ``ones / count``
-(bit for bit the mean of its 0/1 targets) and every score are those of a
-recursive fit whatever order tied rows sort in. A child's rows are copied
-out of the sorted block, so no chunk outlives its step.
+column, row) cells. X is coded once per call as int64 ranks into one
+table of its distinct values (``_rank_codes``), codes ordering as values
+do within a column; a pad row of target 0 codes above all. A chunk sorts
+one key ``code << s | flat (node, row) position`` per cell of its
+(nodes, mtry, width) block with ``np.sort``: the low bits give the sorted
+rows, the high bits the valid boundaries and each threshold's lo and hi
+from the table (one zero stands for both -0.0 and 0.0, which gives the
+same midpoint), and one argmin per node runs in (column, boundary)
+order. Gini sums are exact integers, so a node's ones, its children's,
+its leaf value ``ones / count`` (bit for bit the mean of its 0/1
+targets) and every score are those of a recursive fit whatever order
+tied rows sort in. A child's rows are gathered into new arrays, so no
+chunk outlives its step.
 
 Routing. ``route_trees`` concatenates a block of trees' node arrays,
 shifting child indices by each tree's offset, and routes every (tree, row)
@@ -186,7 +196,7 @@ class Presort:
     sorted_vals: np.ndarray  # (k, n) column values in that order
     _root_positions: dict = field(default_factory=dict, repr=False)
 
-    def root_positions(self, min_leaf: int) -> np.ndarray:
+    def root_positions(self, min_leaf: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if min_leaf not in self._root_positions:
             self._root_positions[min_leaf] = _valid_positions(self.sorted_vals, min_leaf)
         return self._root_positions[min_leaf]
@@ -201,53 +211,47 @@ def presort(X: np.ndarray) -> Presort:
     return Presort(X, columns, order, np.take_along_axis(block, order, axis=1))
 
 
-def _valid_positions(sorted_vals: np.ndarray, min_leaf: int) -> np.ndarray:
-    """Flat indices ``j * m + b`` of the boundaries after sorted position b
-    of block row j that may split: strictly increasing, min_leaf each side."""
+def _valid_positions(sorted_vals: np.ndarray, min_leaf: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The boundaries after sorted position b of block row j that may split
+    (strictly increasing, min_leaf each side): flat indices ``j * m + b``,
+    their rows j and their left counts b + 1 (as floats)."""
     k, m = sorted_vals.shape
     valid = np.zeros((k, m), dtype=bool)
     np.greater(sorted_vals[:, 1:], sorted_vals[:, :-1], out=valid[:, :-1])
     if min_leaf > 1:
         valid[:, : min_leaf - 1] = False
         valid[:, m - min_leaf :] = False
-    return np.flatnonzero(valid)
+    positions = np.flatnonzero(valid)
+    row = positions // m
+    return positions, row, positions - row * m + 1.0
+
+
+def _pack(criterion: str, targets: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Each row's (g, h) for second order, or (t, t * t) for mse, as one complex number (Scoring)."""
+    lanes = targets if criterion == "second_order" else (targets[0], np.square(targets[0]))
+    return np.column_stack(lanes).view(complex).ravel()
 
 
 def _boundary_scores(
     criterion: str,
-    targets: tuple[np.ndarray, ...],
+    packed: np.ndarray,
     order: np.ndarray,
-    positions: np.ndarray,
+    valid: tuple[np.ndarray, np.ndarray, np.ndarray],
     lam: float,
 ) -> np.ndarray:
-    """Score to minimize at each valid boundary (flat index into ``order``).
+    """Score to minimize at each boundary ``valid`` of the block in ``order``, from ``_pack``ed targets.
 
     mse: SSE_L + SSE_R; second-order: the negative gain without the parent
     term and gamma.
     """
-    m = order.shape[1]
-    block_row = positions // m
-
-    def left_and_total(sorted_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cum = np.cumsum(sorted_t, axis=1)
-        total = cum[:, -2] + sorted_t[:, -1]
-        return cum.ravel()[positions], total[block_row]
-
+    positions, block_row, n_left = valid
+    cum = np.cumsum(packed[order], axis=1)
+    left = cum.ravel()[positions]
+    right = cum[:, -1][block_row] - left
     if criterion == "second_order":
-        g_left, g_total = left_and_total(targets[0][order])
-        h_left, h_total = left_and_total(targets[1][order])
-        g_right = g_total - g_left
-        h_right = h_total - h_left
-        return -(g_left**2 / (h_left + lam) + g_right**2 / (h_right + lam))
-
-    sorted_t = targets[0][order]
-    n_left = (positions - block_row * m + 1).astype(float)
-    n_right = m - n_left
-    sum_left, total = left_and_total(sorted_t)
-    sq_left, total_sq = left_and_total(sorted_t**2)
-    sse_left = sq_left - sum_left**2 / n_left
-    sse_right = (total_sq - sq_left) - (total - sum_left) ** 2 / n_right
-    return sse_left + sse_right
+        return -(left.real**2 / (left.imag + lam) + right.real**2 / (right.imag + lam))
+    n_right = order.shape[1] - n_left
+    return (left.imag - left.real**2 / n_left) + (right.imag - right.real**2 / n_right)
 
 
 def _partition(block: tuple, keep: np.ndarray, count: int, min_leaf: int) -> tuple:
@@ -286,9 +290,10 @@ def _fit(
         raise ValueError("cannot fit a tree on an empty dataset")
     builder = _Builder()
     min_leaf = params.min_leaf
+    packed = _pack(criterion, targets)
 
     # A node's block: (original column of each block row, sorted values,
-    # global row ids in that order, valid boundary positions).
+    # global row ids in that order, its ``_valid_positions``).
     root_block = (sorted_X.columns, sorted_X.sorted_vals, sorted_X.order, sorted_X.root_positions(min_leaf))
 
     def leaf(idx: np.ndarray) -> int:
@@ -314,15 +319,14 @@ def _fit(
         count = len(idx)
         if count < 2 or count < 2 * min_leaf or (params.max_depth is not None and depth >= params.max_depth):
             return True
-        if not all(np.all(t[idx] == t[idx[0]]) for t in targets):
+        if not np.all(packed[idx] == packed[idx[0]]):
             return False
         if criterion == "mse":
             return True
         # one (g, h) pair (Stop): a constant row's scores at every min_leaf boundary, quiet as the search may score none
-        row = tuple(np.full(count, t[idx[0]]) for t in targets)
-        boundaries = np.arange(min_leaf - 1, count - min_leaf)
+        row, every = np.full(count, packed[idx[0]]), np.arange(count)[None, :]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            scores = _boundary_scores(criterion, row, np.arange(count)[None, :], boundaries, lam)
+            scores = _boundary_scores(criterion, row, every, _valid_positions(every, min_leaf), lam)
             return not np.isnan(scores).any() and refused(float(scores.min()), idx)
 
     def grow(idx: np.ndarray, depth: int, block: tuple | None) -> int:
@@ -330,16 +334,16 @@ def _fit(
         None exactly when the node stops."""
         if block is None:
             return leaf(idx)
-        columns, sorted_vals, order, positions = block
-        if positions.size == 0:
+        columns, sorted_vals, order, valid = block
+        if valid[0].size == 0:
             return leaf(idx)
-        scores = _boundary_scores(criterion, targets, order, positions, lam)
+        scores = _boundary_scores(criterion, packed, order, valid, lam)
         best = int(np.argmin(scores))
         best_score = float(scores[best])
         if not np.isfinite(best_score) or refused(best_score, idx):
             return leaf(idx)
 
-        row, boundary = divmod(int(positions[best]), order.shape[1])
+        row, boundary = int(valid[1][best]), int(valid[2][best]) - 1
         node = builder.add(0.0, len(idx))
         builder.feature[node] = int(columns[row])
         builder.threshold[node] = _midpoint(sorted_vals[row, boundary], sorted_vals[row, boundary + 1])
@@ -392,10 +396,8 @@ def fit_gini_trees(
     if any(len(idx) == 0 for idx in rows):
         raise ValueError("cannot fit a tree on an empty dataset")
     y = np.asarray(y, dtype=float)
-    # row n pads a search block: +inf sorts after every value of X, and its target is 0
-    Xt = np.full((d, n + 1), np.inf)
-    Xt[:, :n] = X.T
-    y_pad = np.append(y, 0.0)
+    codes, distinct = _rank_codes(X)
+    y_pad = np.append(y, 0.0)  # row n pads a search block, with target 0
     every_column = np.arange(d)
     depth_cap = np.inf if params.max_depth is None else params.max_depth
     builders = [_Builder() for _ in rows]
@@ -422,7 +424,7 @@ def fit_gini_trees(
         while start < len(searched):
             chunk = searched[start : start + max(1, _SEARCH_CELLS // (mtry * len(searched[start][2])))]
             start += len(chunk)
-            for (t, node, _, _, depth, _), split in zip(chunk, _gini_search(Xt, y_pad, chunk, params.min_leaf)):
+            for (t, node, _, _, depth, _), split in zip(chunk, _gini_search(codes, distinct, y_pad, chunk, params.min_leaf)):
                 if split is None:
                     continue
                 feature, threshold, left, right = split
@@ -434,7 +436,21 @@ def fit_gini_trees(
     return [builder.finish() for builder in builders]
 
 
-def _gini_search(Xt: np.ndarray, y_pad: np.ndarray, nodes: list, min_leaf: int) -> list:
+def _rank_codes(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, n + 1) int64 codes of X's columns, and the distinct values they index
+    (Forests): column j's dense ranks, offset by the distinct values of the
+    columns before it; pad column n codes above every value."""
+    n, d = X.shape
+    order = np.argsort(X.T, axis=1)
+    sorted_vals = np.take_along_axis(X.T, order, axis=1)
+    new = np.ones((d, n), dtype=bool)
+    np.not_equal(sorted_vals[:, 1:], sorted_vals[:, :-1], out=new[:, 1:])
+    codes = np.full((d, n + 1), new.sum())
+    np.put_along_axis(codes[:, :n], order, np.cumsum(new).reshape(d, n) - 1, axis=1)
+    return codes, sorted_vals[new]
+
+
+def _gini_search(codes: np.ndarray, distinct: np.ndarray, y_pad: np.ndarray, nodes: list, min_leaf: int) -> list:
     """Each node's best gini split, as (feature, threshold, (left rows,
     left ones), (right rows, right ones)), or None when it stays a leaf."""
     k = len(nodes)
@@ -442,19 +458,21 @@ def _gini_search(Xt: np.ndarray, y_pad: np.ndarray, nodes: list, min_leaf: int) 
     ones = np.array([entry[3] for entry in nodes])
     columns = np.array([entry[5] for entry in nodes])  # (k, mtry)
     mtry, width = columns.shape[1], int(counts[0])
-    block_rows = np.full((k, width), Xt.shape[1] - 1)
+    block_rows = np.full((k, width), codes.shape[1] - 1)
     for i, entry in enumerate(nodes):
         block_rows[i, : counts[i]] = entry[2]
-    values = Xt[columns[:, :, None], block_rows[:, None, :]]  # (k, mtry, width)
-    order = values.argsort(axis=2)
-    sorted_vals = np.take_along_axis(values, order, axis=2)
-    sorted_rows = np.take_along_axis(block_rows[:, None, :], order, axis=2)
-    ones_upto = np.cumsum(y_pad[sorted_rows], axis=2)
+    shift = (k * width - 1).bit_length()  # a cell's key: its code above its flat (node, row) position
+    keys = np.take(codes, columns[:, :, None] * codes.shape[1] + block_rows[:, None, :]) << shift  # (k, mtry, width)
+    keys |= np.arange(k * width).reshape(k, 1, width)
+    keys.sort(axis=2)
+    pos = keys & ((1 << shift) - 1)  # each sorted cell's flat position in block_rows
+    keys >>= shift  # the sorted codes
+    ones_upto = np.cumsum(np.take(y_pad[block_rows], pos), axis=2)
 
     # boundary b splits sorted positions 0..b from b+1..: valid between
     # strictly increasing values with min_leaf rows on each side
     step = width - 1
-    valid = sorted_vals[:, :, 1:] > sorted_vals[:, :, :-1]
+    valid = keys[:, :, 1:] > keys[:, :, :-1]
     boundary = np.arange(step)
     valid &= ((boundary >= min_leaf - 1) & (boundary < (counts - min_leaf)[:, None]))[:, None, :]
     flat = np.flatnonzero(valid)
@@ -480,10 +498,10 @@ def _gini_search(Xt: np.ndarray, y_pad: np.ndarray, nodes: list, min_leaf: int) 
             splits.append(None)
             continue
         j, b = divmod(int(best[i]), step)
-        threshold = _midpoint(sorted_vals[i, j, b], sorted_vals[i, j, b + 1])
+        threshold = _midpoint(distinct[keys[i, j, b]], distinct[keys[i, j, b + 1]])
         left_ones = ones_upto[i, j, b]
-        left = (sorted_rows[i, j, : b + 1].copy(), left_ones)
-        right = (sorted_rows[i, j, b + 1 : counts[i]].copy(), ones[i] - left_ones)
+        left = (block_rows.ravel()[pos[i, j, : b + 1]], left_ones)
+        right = (block_rows.ravel()[pos[i, j, b + 1 : counts[i]]], ones[i] - left_ones)
         splits.append((int(columns[i, j]), threshold, left, right))
     return splits
 

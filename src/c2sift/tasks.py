@@ -18,6 +18,8 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Task:
@@ -28,8 +30,13 @@ class Task:
 
 class TaskPool:
     def __init__(self, jobs: int = 1):
+        """Freeing one untouched 8 MB array (RSS does not move) raises glibc's
+        mmap threshold to 8 MB, here and in workers forked from here, so work
+        arrays above its initial 128 KB reuse freed heap instead of faulting
+        in freshly mapped pages on every use."""
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
+        np.empty(1 << 20)
         self._executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
         self._futures: dict[tuple, Future] = {}
 

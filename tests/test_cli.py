@@ -2,6 +2,10 @@ import argparse
 import csv
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -562,3 +566,20 @@ def test_train_manifest_signals_and_timings(tmp_path, features, tiny_grid):
     assert set(timings["cv_done_s"]) == {"rf", "pca_rf", "gbm", "gbm2", "glm", "lasso"}
     assert max(timings["cv_done_s"].values()) <= timings["stack_done_s"] <= timings["total_s"]
     assert "run_manifest.json" not in manifest["output_checksums"]
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
+def test_cli_runs_blas_single_threaded_unless_preset(preset, expected):
+    """Importing the CLI, in a fresh process, defaults each BLAS thread count
+    to 1 before numpy loads, and keeps a value the environment already set."""
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_THREADS}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    if preset is not None:
+        env.update(dict.fromkeys(BLAS_THREADS, preset))
+    code = "import os, sys, c2sift.cli; print(*(os.environ[name] for name in sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, *BLAS_THREADS], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [expected] * len(BLAS_THREADS)

@@ -318,9 +318,9 @@ def test_gini_trees_step_spans_several_chunks(monkeypatch):
     searched = []
     search = tree_module._gini_search
 
-    def spy(Xt, y_pad, nodes, min_leaf):
+    def spy(codes, distinct, y_pad, nodes, min_leaf):
         searched.append(len(nodes))
-        return search(Xt, y_pad, nodes, min_leaf)
+        return search(codes, distinct, y_pad, nodes, min_leaf)
 
     monkeypatch.setattr(tree_module, "_SEARCH_CELLS", 3 * 3 * 120)  # three roots per chunk
     monkeypatch.setattr(tree_module, "_gini_search", spy)
@@ -495,9 +495,9 @@ def test_gbm2_searches_once_per_round_on_separable_data(monkeypatch):
     searched = []
     search = tree_module._boundary_scores
 
-    def spy(criterion, targets, order, positions, lam):
+    def spy(criterion, packed, order, valid, lam):
         searched.append(order.shape[0])
-        return search(criterion, targets, order, positions, lam)
+        return search(criterion, packed, order, valid, lam)
 
     monkeypatch.setattr(tree_module, "_boundary_scores", spy)
     model = fit_gbm2(data, {"n_rounds": 6, "max_depth": 3})

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from c2sift.learners.tree import Tree, TreeParams, _Builder
+from c2sift.learners.tree import Tree, TreeParams, _Builder, _midpoint
 
 _GAIN_EPS = 1e-12
 
@@ -162,3 +162,95 @@ def oracle_fit_tree(X, y, params: TreeParams, rng=None, criterion="gini", mtry=N
 def oracle_fit_tree_second_order(X, g, h, params: TreeParams, lam=1.0, gamma=0.0) -> Tree:
     target = np.column_stack([np.asarray(g, dtype=float), np.asarray(h, dtype=float)])
     return _fit(np.asarray(X, dtype=float), target, params, None, "second_order", lam=lam, gamma=gamma)
+
+
+def oracle_valid_positions(sorted_vals: np.ndarray, min_leaf: int) -> np.ndarray:
+    """Flat indices ``j * m + b`` of the boundaries after sorted position b
+    of block row j that may split: strictly increasing, min_leaf each side."""
+    k, m = sorted_vals.shape
+    valid = np.zeros((k, m), dtype=bool)
+    np.greater(sorted_vals[:, 1:], sorted_vals[:, :-1], out=valid[:, :-1])
+    if min_leaf > 1:
+        valid[:, : min_leaf - 1] = False
+        valid[:, m - min_leaf :] = False
+    return np.flatnonzero(valid)
+
+
+def oracle_boundary_scores(criterion, targets, order, positions, lam) -> np.ndarray:
+    """Score to minimize at each valid boundary (flat index into ``order``),
+    gathering and summing each target (and, for mse, its square) separately."""
+    m = order.shape[1]
+    block_row = positions // m
+
+    def left_and_total(sorted_t):
+        cum = np.cumsum(sorted_t, axis=1)
+        total = cum[:, -2] + sorted_t[:, -1]
+        return cum.ravel()[positions], total[block_row]
+
+    if criterion == "second_order":
+        g_left, g_total = left_and_total(targets[0][order])
+        h_left, h_total = left_and_total(targets[1][order])
+        g_right = g_total - g_left
+        h_right = h_total - h_left
+        return -(g_left**2 / (h_left + lam) + g_right**2 / (h_right + lam))
+
+    sorted_t = targets[0][order]
+    n_left = (positions - block_row * m + 1).astype(float)
+    n_right = m - n_left
+    sum_left, total = left_and_total(sorted_t)
+    sq_left, total_sq = left_and_total(sorted_t**2)
+    sse_left = sq_left - sum_left**2 / n_left
+    sse_right = (total_sq - sq_left) - (total - sum_left) ** 2 / n_right
+    return sse_left + sse_right
+
+
+def oracle_gini_search(Xt: np.ndarray, y_pad: np.ndarray, nodes: list, min_leaf: int) -> list:
+    """Each node's best gini split on the float block ``Xt`` (X transposed,
+    with a column of +inf padding), as ``tree._gini_search`` returns it."""
+    k = len(nodes)
+    counts = np.array([len(entry[2]) for entry in nodes])
+    ones = np.array([entry[3] for entry in nodes])
+    columns = np.array([entry[5] for entry in nodes])
+    mtry, width = columns.shape[1], int(counts[0])
+    block_rows = np.full((k, width), Xt.shape[1] - 1)
+    for i, entry in enumerate(nodes):
+        block_rows[i, : counts[i]] = entry[2]
+    values = Xt[columns[:, :, None], block_rows[:, None, :]]
+    order = values.argsort(axis=2)
+    sorted_vals = np.take_along_axis(values, order, axis=2)
+    sorted_rows = np.take_along_axis(block_rows[:, None, :], order, axis=2)
+    ones_upto = np.cumsum(y_pad[sorted_rows], axis=2)
+
+    step = width - 1
+    valid = sorted_vals[:, :, 1:] > sorted_vals[:, :, :-1]
+    boundary = np.arange(step)
+    valid &= ((boundary >= min_leaf - 1) & (boundary < (counts - min_leaf)[:, None]))[:, None, :]
+    flat = np.flatnonzero(valid)
+    cell = flat // step
+    at = cell // mtry
+    n_left = (flat - cell * step + 1).astype(float)
+    n_right = counts[at] - n_left
+    ones_left = ones_upto.reshape(-1)[flat + cell]
+    ones_right = ones[at] - ones_left
+    zeros_left = n_left - ones_left
+    zeros_right = n_right - ones_right
+    score_left = n_left - (ones_left**2 + zeros_left**2) / n_left
+    score_right = n_right - (ones_right**2 + zeros_right**2) / n_right
+    scores = np.full((k, mtry * step), np.inf)
+    scores.reshape(-1)[flat] = score_left + score_right
+    best = scores.argmin(axis=1)
+    best_scores = scores[np.arange(k), best]
+    parents = counts - (ones**2 + (counts - ones) ** 2) / counts
+
+    splits = []
+    for i in range(k):
+        if not parents[i] - best_scores[i] > _GAIN_EPS:
+            splits.append(None)
+            continue
+        j, b = divmod(int(best[i]), step)
+        threshold = _midpoint(sorted_vals[i, j, b], sorted_vals[i, j, b + 1])
+        left_ones = ones_upto[i, j, b]
+        left = (sorted_rows[i, j, : b + 1].copy(), left_ones)
+        right = (sorted_rows[i, j, b + 1 : counts[i]].copy(), ones[i] - left_ones)
+        splits.append((int(columns[i, j]), threshold, left, right))
+    return splits
