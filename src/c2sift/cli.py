@@ -12,10 +12,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import shutil
 import sys
+import typing
 from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
 from pathlib import Path
@@ -70,6 +72,7 @@ from .triage import TriageConfig, build_rules, list_summary, load_ip_list, triag
 INTERNAL_SPACE_CIDR = "10.0.0.0/8"
 KNOWN_BAD = 5  # hosts in generate's deny_sample.txt
 KNOWN_BENIGN = 3  # hosts in generate's allow_sample.txt
+SCENARIOS = {"default": default_scenario, "overlap": overlap_scenario}  # --scenario's choices
 
 
 class PipelineError(Exception):
@@ -150,6 +153,11 @@ def stage(out: Path, command: str, inputs: dict, params: dict):
     os.replace(staging, out)
 
 
+def _params(arguments: dict, *inputs: str) -> dict:
+    """A run_* function's ``locals()`` at entry, less ``out`` and its ``inputs``: the manifest's params."""
+    return {name: value for name, value in arguments.items() if name not in ("out", *inputs)}
+
+
 def _require_file(path, what: str) -> Path:
     path = Path(path)
     if not path.is_file():
@@ -165,11 +173,11 @@ def run_generate(
     benign_hosts: int = 250,
     day_start_ms: int | None = None,
 ) -> None:
-    params = {"seed": seed, "scenario": scenario, "c2_hosts": c2_hosts, "benign_hosts": benign_hosts}
+    params = _params(locals())
     with stage(out, "generate", {}, params) as (tmp, _):
-        factory = {"default": default_scenario, "overlap": overlap_scenario}.get(scenario)
+        factory = SCENARIOS.get(scenario)
         if factory is None:
-            raise PipelineError(f"unknown scenario {scenario!r} (default, overlap)")
+            raise PipelineError(f"unknown scenario {scenario!r} ({', '.join(SCENARIOS)})")
         cfg = factory(seed=seed, n_c2=c2_hosts, n_benign=benign_hosts)
         if day_start_ms is not None:
             cfg = dataclasses.replace(cfg, day_start_ms=day_start_ms)
@@ -340,14 +348,8 @@ def run_evaluate(
     importance_kind: str = "rf",
     importance_repeats: int = 5,
 ) -> None:
+    params = _params(locals(), "features", "model_dir")
     inputs = {"features": str(features), "model_dir": str(model_dir)}
-    params = {
-        "bootstrap": bootstrap,
-        "threshold": threshold,
-        "seed": seed,
-        "importance_kind": importance_kind,
-        "importance_repeats": importance_repeats,
-    }
     with stage(out, "evaluate", inputs, params) as (tmp, extra):
         data = load_feature_matrix(_require_file(features, "feature matrix"))
         if data.y is None:
@@ -469,6 +471,7 @@ def run_pipeline(
     stages inputs under ``out``'s staging path, and their manifests would
     record those paths.
     """
+    params = _params(locals())
     started, clock = _now(), perf_counter()
     out = Path(out)
     if out.exists():
@@ -527,18 +530,7 @@ def run_pipeline(
         out,
         "pipeline",
         inputs={},
-        params={
-            "seed": seed,
-            "scenario": scenario,
-            "c2_hosts": c2_hosts,
-            "benign_hosts": benign_hosts,
-            "folds": folds,
-            "bootstrap": bootstrap,
-            "threshold": threshold,
-            "jobs": jobs,
-            "ablate_distributional": ablate_distributional,
-            "importance_repeats": importance_repeats,
-        },
+        params=params,
         started=started,
         timings={"total_s": perf_counter() - clock},
     )
@@ -559,73 +551,65 @@ def _int_at_least(k: int):
     return parse
 
 
+def _probability(text: str) -> float:
+    """An argparse type for a finite float in [0, 1], the range of a score threshold; NaN and inf fail."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a probability in [0, 1], got {text!r}")
+    return value
+
+
+_HELP = {
+    "generate": "write a labeled synthetic scenario",
+    "featurize": "flows -> per-host feature matrix",
+    "train": "tune and fit the six bases plus the stack",
+    "evaluate": "bootstrap metrics and importance on held-out data",
+    "predict": "score a feature matrix with a trained model",
+    "triage": "filter predictions through lists and rules",
+    "pipeline": "full synthetic run: generate through triage",
+}
+# What a run_* signature cannot say, by parameter name: argparse settings over the derived ones.
+_FLAG_OVERRIDES = {
+    "scenario": {"choices": tuple(SCENARIOS)},
+    "folds": {"type": _int_at_least(2)},
+    "jobs": {"type": _int_at_least(1), "help": "worker processes for all of train (default 1)"},
+    "bootstrap": {"type": _int_at_least(1)},
+    "importance_repeats": {"type": _int_at_least(1)},
+    "threshold": {"type": _probability},
+}
+_FLAG_NAMES = {"model_kind": "--model", "day_start_ms": None}  # None: no flag; pipeline and API callers set it
+
+
+def _flag_settings(hint, default) -> dict:
+    """add_argument's settings for a parameter of type ``hint``: a parameter with no default is a required flag."""
+    settings = {"required": True} if default is inspect.Parameter.empty else {"default": default}
+    if type(None) in typing.get_args(hint):  # X | None -> X
+        hint = next(arg for arg in typing.get_args(hint) if arg is not type(None))
+    if hint is bool:
+        settings["action"] = "store_true"
+    elif typing.get_origin(hint) is list:
+        settings.update(action="append", type=typing.get_args(hint)[0])
+    elif hint is not str:
+        settings["type"] = hint
+    return settings
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per ``COMMANDS`` entry, one flag per parameter of its run_* function."""
     parser = argparse.ArgumentParser(prog="c2sift", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="write a labeled synthetic scenario")
-    p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scenario", choices=("default", "overlap"), default="default")
-    p.add_argument("--c2-hosts", type=int, default=50)
-    p.add_argument("--benign-hosts", type=int, default=250)
-
-    p = sub.add_parser("featurize", help="flows -> per-host feature matrix")
-    p.add_argument("--flows", required=True, type=Path)
-    p.add_argument("--internal-space", required=True, type=Path)
-    p.add_argument("--labels", type=Path)
-    p.add_argument("--feature-config", type=Path)
-    p.add_argument("--schema", type=Path)
-    p.add_argument("--ablate-distributional", action="store_true")
-    p.add_argument("--out", required=True, type=Path)
-
-    p = sub.add_parser("train", help="tune and fit the six bases plus the stack")
-    p.add_argument("--features", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--folds", type=_int_at_least(2), default=10)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker processes for all of train (default 1)")
-
-    p = sub.add_parser("evaluate", help="bootstrap metrics and importance on held-out data")
-    p.add_argument("--features", required=True, type=Path)
-    p.add_argument("--model-dir", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--bootstrap", type=_int_at_least(1), default=1000)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--importance-kind", default="rf")
-    p.add_argument("--importance-repeats", type=_int_at_least(1), default=5)
-
-    p = sub.add_parser("predict", help="score a feature matrix with a trained model")
-    p.add_argument("--features", required=True, type=Path)
-    p.add_argument("--model-dir", required=True, type=Path)
-    p.add_argument("--model", dest="model_kind", default="stack")
-    p.add_argument("--out", required=True, type=Path)
-
-    p = sub.add_parser("triage", help="filter predictions through lists and rules")
-    p.add_argument("--predictions", required=True, type=Path)
-    p.add_argument("--features", required=True, type=Path)
-    p.add_argument("--deny", type=Path, action="append")
-    p.add_argument("--allow", type=Path, action="append")
-    p.add_argument("--cdn", type=Path, action="append")
-    p.add_argument("--sinkhole", type=Path, action="append")
-    p.add_argument("--triage-config", type=Path)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--out", required=True, type=Path)
-
-    p = sub.add_parser("pipeline", help="full synthetic run: generate through triage")
-    p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scenario", choices=("default", "overlap"), default="default")
-    p.add_argument("--c2-hosts", type=int, default=50)
-    p.add_argument("--benign-hosts", type=int, default=250)
-    p.add_argument("--folds", type=_int_at_least(2), default=10)
-    p.add_argument("--bootstrap", type=_int_at_least(1), default=1000)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker processes for all of train (default 1)")
-    p.add_argument("--ablate-distributional", action="store_true")
-    p.add_argument("--importance-repeats", type=_int_at_least(1), default=5)
+    for command, run in COMMANDS.items():
+        p = sub.add_parser(command, help=_HELP[command])
+        hints = typing.get_type_hints(run)
+        for name, parameter in inspect.signature(run).parameters.items():
+            flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+            if flag is not None:
+                settings = _flag_settings(hints[name], parameter.default)
+                p.add_argument(flag, dest=name, **{**settings, **_FLAG_OVERRIDES.get(name, {})})
     return parser
 
 

@@ -84,7 +84,7 @@ def _boost(
         if second_order:
             tree = fit_tree_second_order(sorted_X, p - y, p * (1.0 - p), tree_params, params.lam, params.gamma, fitted)
         else:
-            tree = fit_tree(sorted_X, y - p, tree_params, criterion="mse", fitted=fitted)
+            tree = fit_tree(sorted_X, y - p, tree_params, fitted=fitted)
         F = F + params.learning_rate * fitted
         trees.append(tree)
         if loss_path is not None:

@@ -14,8 +14,8 @@ Candidate thresholds are midpoints between consecutive distinct sorted
 values. Exact gain ties are broken toward the lowest feature index, then
 the lowest threshold, so refits are reproducible.
 
-Presort. mse and second-order trees (``fit_tree`` with ``criterion="mse"``
-and ``fit_tree_second_order``) search every column of X, which they sort
+Presort. mse and second-order trees (``fit_tree`` and
+``fit_tree_second_order``) search every column of X, which they sort
 once (``presort``): constant columns are dropped, keeping a map back to
 the original feature index, and each remaining column gets a stable
 argsort, stored as a contiguous (columns, rows) block with the sorted
@@ -506,27 +506,13 @@ def _gini_search(codes: np.ndarray, distinct: np.ndarray, y_pad: np.ndarray, nod
     return splits
 
 
-def fit_tree(
-    X: np.ndarray | Presort,
-    y: np.ndarray,
-    params: TreeParams,
-    criterion: str = "gini",
-    fitted: np.ndarray | None = None,
-) -> Tree:
-    """Fit a classification (gini) or regression (mse) tree.
+def fit_tree(X: np.ndarray | Presort, y: np.ndarray, params: TreeParams, fitted: np.ndarray | None = None) -> Tree:
+    """Fit a regression (mse) tree; each training row's leaf value goes into ``fitted``.
 
-    A gini tree is ``fit_gini_trees``' one tree on every row, searching every
-    column. X may be a ``presort`` of the training matrix, to share one sort
-    between mse fits on the same rows. An mse fit writes each row's leaf value into ``fitted``.
+    X may be a ``presort`` of the training matrix, to share one sort
+    between fits on the same rows.
     """
-    if criterion == "gini":
-        if fitted is not None:
-            raise ValueError("fitted is written by mse and second-order fits only")
-        X = X.X if isinstance(X, Presort) else np.asarray(X, dtype=float)
-        return fit_gini_trees(X, y, [np.arange(X.shape[0])], [None], params, X.shape[1])[0]
-    if criterion != "mse":
-        raise ValueError(f"unknown criterion {criterion!r}")
-    return _fit(X, (np.asarray(y, dtype=float),), params, criterion, fitted=fitted)
+    return _fit(X, (np.asarray(y, dtype=float),), params, "mse", fitted=fitted)
 
 
 def fit_tree_second_order(

@@ -108,6 +108,10 @@ class TriageConfig:
     min_devices: int = 1
     min_periodicity: float = 0.0
 
+    def __post_init__(self):
+        if not 0.0 <= self.threshold <= 1.0:  # NaN too: no score passes a NaN threshold
+            raise ValueError(f"threshold = {self.threshold!r} is not a probability in [0, 1]")
+
     @classmethod
     def from_file(cls, path: str | Path) -> "TriageConfig":
         return read_settings(cls, parse_kv_file(path), str(path))

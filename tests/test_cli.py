@@ -224,7 +224,12 @@ def test_bad_feature_config_names_file_and_key(tmp_path, dataset, capsys, text, 
 
 @pytest.mark.parametrize(
     "text, named",
-    [("min_devices = two\n", "min_devices = 'two'"), ("treshold = 0.7\n", "unknown key 'treshold'")],
+    [
+        ("min_devices = two\n", "min_devices = 'two'"),
+        ("treshold = 0.7\n", "unknown key 'treshold'"),
+        ("threshold = nan\n", "threshold = nan"),
+        ("threshold = 1.5\n", "threshold = 1.5"),
+    ],
 )
 def test_bad_triage_config_names_file_and_key(tmp_path, dataset, features, capsys, text, named):
     config = tmp_path / "triage.cfg"
@@ -527,6 +532,63 @@ def test_jobs_below_one_rejected_at_the_edge(tmp_path, capsys, value):
     assert not (tmp_path / "never").exists()
     args = cli.build_parser().parse_args(["pipeline", "--out", "x", "--folds", "2", "--bootstrap", "1", "--importance-repeats", "1"])
     assert (args.folds, args.bootstrap, args.importance_repeats, args.jobs) == (2, 1, 1, 1)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5"])
+@pytest.mark.parametrize("command", ["evaluate", "triage", "pipeline"])
+def test_threshold_outside_unit_interval_rejected_at_the_edge(tmp_path, capsys, command, value):
+    required = {
+        "evaluate": ["--features", tmp_path / "x.csv", "--model-dir", tmp_path / "models"],
+        "triage": ["--predictions", tmp_path / "p.csv", "--features", tmp_path / "x.csv"],
+        "pipeline": [],
+    }
+    with pytest.raises(SystemExit) as exc:
+        run([command, *required[command], "--out", tmp_path / "never", "--threshold", value])
+    assert exc.value.code == 2
+    assert "--threshold" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+    for edge in ("0", "1"):  # both ends of [0, 1] are probabilities
+        args = cli.build_parser().parse_args([command, *map(str, required[command]), "--out", "x", "--threshold", edge])
+        assert args.threshold == float(edge)
+
+
+@pytest.mark.parametrize(
+    "argv, parsed",
+    [
+        (["generate", "--out", "o", "--scenario", "overlap"], {"scenario": "overlap"}),
+        (["pipeline", "--out", "o", "--scenario", "default"], {"scenario": "default"}),
+        (["generate", "--out", "o", "--scenario", "bogus"], None),
+        (["predict", "--features", "f", "--model-dir", "m", "--out", "o", "--model", "gbm"], {"model_kind": "gbm"}),
+        (["triage", "--predictions", "p", "--features", "f", "--out", "o", "--deny", "a", "--deny", "b"], {"deny": [Path("a"), Path("b")]}),
+        (["featurize", "--flows", "f", "--internal-space", "s", "--ablate-distributional", "--out", "o"], {"ablate_distributional": True}),
+        (["pipeline", "--ablate-distributional", "--out", "o"], {"ablate_distributional": True}),
+        (["generate", "--out", "o", "--day-start-ms", "0"], None),
+    ],
+)
+def test_what_the_parser_adds_beyond_the_signature(capsys, argv, parsed):
+    """The override table and the derived flag kinds: --scenario's choices are
+    SCENARIOS' keys, --model is model_kind, list parameters append, bools are
+    bare switches, and generate's day_start_ms has no flag."""
+    parser = cli.build_parser()
+    if "--scenario" in argv:
+        subcommands = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+        scenario = next(action for action in subcommands.choices[argv[0]]._actions if action.dest == "scenario")
+        assert list(scenario.choices) == list(cli.SCENARIOS)
+    if parsed is None:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+    else:
+        args = vars(parser.parse_args(argv))
+        assert {dest: args[dest] for dest in parsed} == parsed
+
+
+def test_run_generate_refuses_an_unknown_scenario(tmp_path):
+    """Callers of run_generate bypass --scenario's choices; the function checks the name itself."""
+    with pytest.raises(cli.PipelineError, match=r"unknown scenario 'bogus' \(default, overlap\)"):
+        cli.run_generate(tmp_path / "data", scenario="bogus")
+    assert not list(tmp_path.iterdir())
 
 
 def test_shared_pool_matches_serial_with_n_rounds_pairs(tmp_path, features, monkeypatch, capsys):

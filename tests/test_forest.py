@@ -16,15 +16,16 @@ from c2sift.evaluate import cv_tune
 from c2sift.learners import fit_model, forest
 from c2sift.learners.artifact import score_cells, share_groups
 from c2sift.learners.grids import HyperGrid
-from c2sift.learners.tree import TreeParams, fit_tree, tree_predict
+from c2sift.learners.tree import TreeParams, tree_predict
 
 from conftest import make_dataset
+from tree_oracle import fit_gini_tree
 
 
 def test_single_tree_reduction():
     data = make_dataset(n=80, d=5, seed=1)
     forest = fit_random_forest(data, {"n_trees": 1, "bootstrap": False, "mtry": None}, seed=9)
-    lone = fit_tree(data.X, data.y, TreeParams())
+    lone = fit_gini_tree(data.X, data.y, TreeParams())
     assert np.array_equal(predict_proba(forest, data.X, data.feature_names), tree_predict(lone, data.X))
 
 
@@ -184,9 +185,9 @@ class TestForestGroupScorer:
 def test_tree_depth_reads_the_deepest_node():
     data = make_dataset(n=80, d=5, seed=2)
     for cap in (0, 1, 3):
-        tree = fit_tree(data.X, data.y, TreeParams(max_depth=cap))
+        tree = fit_gini_tree(data.X, data.y, TreeParams(max_depth=cap))
         assert tree.depth == cap
-    stump = fit_tree(data.X, np.zeros(80), TreeParams())
+    stump = fit_gini_tree(data.X, np.zeros(80), TreeParams())
     assert stump.n_nodes == 1 and stump.depth == 0
 
 

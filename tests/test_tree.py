@@ -20,7 +20,7 @@ from c2sift.learners.tree import (
 )
 
 from conftest import make_dataset
-from tree_oracle import oracle_fit_tree, oracle_fit_tree_second_order
+from tree_oracle import fit_gini_tree, oracle_fit_tree, oracle_fit_tree_second_order
 
 
 def exhaustive_stump(X, y, criterion="gini"):
@@ -58,7 +58,7 @@ def exhaustive_stump(X, y, criterion="gini"):
 def test_separable_1d():
     X = np.array([[1.0], [2.0], [9.0], [10.0]])
     y = np.array([0, 0, 1, 1])
-    tree = fit_tree(X, y, TreeParams())
+    tree = fit_gini_tree(X, y, TreeParams())
     assert tree.feature[0] == 0
     assert 2.0 < tree.threshold[0] < 9.0
     probs = tree_predict(tree, X)
@@ -67,7 +67,7 @@ def test_separable_1d():
 
 def test_pure_labels_single_leaf():
     X = np.arange(12, dtype=float).reshape(6, 2)
-    tree = fit_tree(X, np.ones(6), TreeParams())
+    tree = fit_gini_tree(X, np.ones(6), TreeParams())
     assert tree.n_nodes == 1
     assert tree.value[0] == 1.0
 
@@ -79,7 +79,7 @@ def test_stump_matches_exhaustive_oracle():
         y = (rng.random(100) < 0.4).astype(int)
         if y.min() == y.max():
             y[0] = 1 - y[0]
-        tree = fit_tree(X, y, TreeParams(max_depth=1))
+        tree = fit_gini_tree(X, y, TreeParams(max_depth=1))
         feat, threshold = exhaustive_stump(X, y)
         assert tree.feature[0] == feat
         assert tree.threshold[0] == pytest.approx(threshold)
@@ -89,7 +89,7 @@ def test_regression_stump_matches_oracle():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(80, 4))
     t = X[:, 2] * 2 + rng.normal(size=80)
-    tree = fit_tree(X, t, TreeParams(max_depth=1), criterion="mse")
+    tree = fit_tree(X, t, TreeParams(max_depth=1))
     feat, threshold = exhaustive_stump(X, t, criterion="mse")
     assert tree.feature[0] == feat
     assert tree.threshold[0] == pytest.approx(threshold)
@@ -97,7 +97,7 @@ def test_regression_stump_matches_oracle():
 
 def test_max_depth_zero_is_leaf():
     X = np.array([[0.0], [1.0]])
-    tree = fit_tree(X, np.array([0, 1]), TreeParams(max_depth=0))
+    tree = fit_gini_tree(X, np.array([0, 1]), TreeParams(max_depth=0))
     assert tree.n_nodes == 1
     assert tree.value[0] == 0.5
 
@@ -106,14 +106,14 @@ def test_min_leaf_respected():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(40, 3))
     y = (X[:, 0] > 0).astype(int)
-    tree = fit_tree(X, y, TreeParams(min_leaf=8))
+    tree = fit_gini_tree(X, y, TreeParams(min_leaf=8))
     leaves = tree.feature < 0
     assert np.all(tree.n_node[leaves] >= 8)
 
 
 def test_empty_input_raises():
     with pytest.raises(ValueError):
-        fit_tree(np.empty((0, 2)), np.empty(0), TreeParams())
+        fit_gini_tree(np.empty((0, 2)), np.empty(0), TreeParams())
 
 
 def test_mtry_requires_rng():
@@ -182,7 +182,7 @@ def test_predict_matches_recursive_walk():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(120, 5))
     y = (X[:, 1] + X[:, 3] > 0).astype(int)
-    tree = fit_tree(X, y, TreeParams(max_depth=6))
+    tree = fit_gini_tree(X, y, TreeParams(max_depth=6))
 
     def walk(i, row):
         while tree.feature[i] >= 0:
@@ -208,7 +208,7 @@ def test_route_trees_equals_tree_predict_per_tree(n_trees, rows, d, budget, seed
     for t in range(n_trees):
         X = rng.integers(0, 4, size=(20, d)).astype(float)
         y = rng.integers(0, 2, size=20) if t % 3 else np.zeros(20)  # every third tree is a single leaf
-        trees.append(fit_tree(X, y, TreeParams(max_depth=int(rng.integers(0, 5)))))
+        trees.append(fit_gini_tree(X, y, TreeParams(max_depth=int(rng.integers(0, 5)))))
     # probe values sit on the trees' thresholds as well as between them
     thresholds = np.concatenate([np.arange(4.0)] + [tree.threshold[tree.feature >= 0] for tree in trees])
     probe = rng.choice(thresholds, size=(rows, d))
@@ -222,7 +222,7 @@ def test_route_trees_equals_tree_predict_per_tree(n_trees, rows, d, budget, seed
 def test_route_trees_blocks_under_the_default_budget():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(80, 3))
-    trees = [fit_tree(X, (X[:, t % 3] > 0.1 * t).astype(int), TreeParams(max_depth=3)) for t in range(5)]
+    trees = [fit_gini_tree(X, (X[:, t % 3] > 0.1 * t).astype(int), TreeParams(max_depth=3)) for t in range(5)]
     probe = rng.normal(size=(tree_module._ROUTE_PAIRS // 2 + 1, 3))  # one tree per block
     routed = route_trees(trees, probe)
     assert all(np.array_equal(routed[t], tree_predict(tree, probe)) for t, tree in enumerate(trees))
@@ -232,7 +232,7 @@ def test_tree_json_round_trip():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(60, 3))
     y = (X[:, 0] > 0.2).astype(int)
-    tree = fit_tree(X, y, TreeParams())
+    tree = fit_gini_tree(X, y, TreeParams())
     again = Tree.from_jsonable(tree.to_jsonable())
     assert np.array_equal(tree_predict(tree, X), tree_predict(again, X))
 
@@ -267,7 +267,7 @@ def test_gini_tie_heavy_matches_oracle(seed, n, d, levels, params, subsample):
         [fast] = fit_gini_trees(X, y, [np.arange(n)], [np.random.default_rng(seed)], params, mtry)
         slow = oracle_fit_tree(X, y, params, np.random.default_rng(seed), mtry=mtry)
     else:
-        fast = fit_tree(X, y, params)
+        fast = fit_gini_tree(X, y, params)
         slow = oracle_fit_tree(X, y, params)
     assert tree_bytes(fast) == tree_bytes(slow)
 
@@ -348,7 +348,7 @@ def test_mse_and_second_order_tie_free_match_oracle(seed, n, d, params):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))  # tie-free, so sort order is unique
     t = rng.normal(size=n)
-    assert tree_bytes(fit_tree(X, t, params, criterion="mse")) == tree_bytes(
+    assert tree_bytes(fit_tree(X, t, params)) == tree_bytes(
         oracle_fit_tree(X, t, params, criterion="mse")
     )
     g, h = rng.normal(size=n), rng.random(n)
@@ -364,8 +364,8 @@ def test_constant_column_never_chosen_and_feature_is_original_index():
     X = np.column_stack([np.full(80, 2.0), varying[:, 0], np.zeros(80), varying[:, 1], varying[:, 2], np.ones(80)])
     y = (varying[:, 1] + 0.5 * varying[:, 2] > 0).astype(int)
     assert presort(X).columns.tolist() == [1, 3, 4]
-    full = fit_tree(X, y, TreeParams(max_depth=4))
-    alone = fit_tree(varying, y, TreeParams(max_depth=4))
+    full = fit_gini_tree(X, y, TreeParams(max_depth=4))
+    alone = fit_gini_tree(varying, y, TreeParams(max_depth=4))
     splits = full.feature[full.feature >= 0]
     assert splits.size > 0 and not np.isin(splits, [0, 2, 5]).any()
     assert np.array_equal(full.feature, np.where(alone.feature >= 0, np.array([1, 3, 4])[alone.feature], -1))
@@ -373,7 +373,7 @@ def test_constant_column_never_chosen_and_feature_is_original_index():
 
 
 def test_all_constant_columns_give_one_leaf():
-    tree = fit_tree(np.ones((10, 3)), np.arange(10) % 2, TreeParams())
+    tree = fit_gini_tree(np.ones((10, 3)), np.arange(10) % 2, TreeParams())
     assert tree.n_nodes == 1 and tree.value[0] == 0.5
 
 
@@ -431,7 +431,7 @@ def test_threshold_between_huge_values_is_finite(builder, sign):
         oracle = oracle_fit_tree(X, y, params)
         fitted = y
     elif builder == "mse":
-        tree = fit_tree(X, y, params, criterion="mse", fitted=fitted)
+        tree = fit_tree(X, y, params, fitted=fitted)
         oracle = oracle_fit_tree(X, y, params, criterion="mse")
     else:
         g, h = 0.5 - y, np.full(4, 0.25)
@@ -455,7 +455,7 @@ def test_fitted_equals_routing_the_training_rows(seed, n, d, levels, params):
     X = rng.integers(0, levels, size=(n, d)).astype(float)
     t, g, h = rng.normal(size=n), rng.normal(size=n), rng.random(n)
     fitted = np.full(n, np.nan)
-    assert_routes_own_rows(fit_tree(presort(X), t, params, criterion="mse", fitted=fitted), X, fitted)
+    assert_routes_own_rows(fit_tree(presort(X), t, params, fitted=fitted), X, fitted)
     fitted = np.full(n, np.nan)
     assert_routes_own_rows(fit_tree_second_order(X, g, h, params, lam=1.0, fitted=fitted), X, fitted)
 

@@ -6,14 +6,14 @@ rows, argsorts every candidate column, scans cumulative sums over every
 boundary and masks the invalid ones afterwards. With ``mtry`` below the
 column count it is also the recursive feature-subsampled fit that the
 batched ``fit_gini_trees`` replaced: each searched node draws its columns
-from ``rng`` in preorder. Tests compare the trees of ``fit_tree``,
+from ``rng`` in preorder. Tests compare the trees of ``fit_tree`` (mse),
 ``fit_tree_second_order`` and ``fit_gini_trees`` with these, node for node.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from c2sift.learners.tree import Tree, TreeParams, _Builder, _midpoint
+from c2sift.learners.tree import Tree, TreeParams, _Builder, _midpoint, fit_gini_trees
 
 _GAIN_EPS = 1e-12
 
@@ -162,6 +162,12 @@ def oracle_fit_tree(X, y, params: TreeParams, rng=None, criterion="gini", mtry=N
 def oracle_fit_tree_second_order(X, g, h, params: TreeParams, lam=1.0, gamma=0.0) -> Tree:
     target = np.column_stack([np.asarray(g, dtype=float), np.asarray(h, dtype=float)])
     return _fit(np.asarray(X, dtype=float), target, params, None, "second_order", lam=lam, gamma=gamma)
+
+
+def fit_gini_tree(X, y, params: TreeParams) -> Tree:
+    """A lone gini tree: ``fit_gini_trees``' one tree on every row, searching every column."""
+    X = np.asarray(X, dtype=float)
+    return fit_gini_trees(X, y, [np.arange(X.shape[0])], [None], params, X.shape[1])[0]
 
 
 def oracle_valid_positions(sorted_vals: np.ndarray, min_leaf: int) -> np.ndarray:
