@@ -32,7 +32,7 @@ from .aggregate import InternalSpace, group_daily  # noqa: E402
 from .ensemble import fit_stack, stack_tasks  # noqa: E402
 from .evaluate import (  # noqa: E402
     CvResult,
-    bootstrap_indices,
+    check_threshold,
     cv_tasks,
     cv_tune,
     evaluate_scores,
@@ -357,24 +357,16 @@ def run_evaluate(
         models = _load_model_dir(model_dir)
         if importance_kind and importance_kind not in models:
             raise PipelineError(f"importance model {importance_kind!r} not in {model_dir}")
-        reports = []
-        timings = extra["timings"]
-        boot_seed = child_seed(seed, NS_PIPELINE, 20)
+        scores = {kind: predict_proba(models[kind], data.X, data.feature_names) for kind in sorted(models)}
         clock = perf_counter()
-        resamples = bootstrap_indices(data.y, bootstrap, boot_seed)  # one draw, shared by every model
-        timings.update(bootstrap_s=perf_counter() - clock, importance_s=0.0)
-        for kind in sorted(models):
-            scores = predict_proba(models[kind], data.X, data.feature_names)
-            clock = perf_counter()
-            reports.append(evaluate_scores(kind, scores, data.y, bootstrap, boot_seed, threshold, resamples))
-            timings["bootstrap_s"] += perf_counter() - clock
-        del resamples  # free the resample matrix before importance allocates its own blocks
+        reports = evaluate_scores(scores, data.y, bootstrap, child_seed(seed, NS_PIPELINE, 20), threshold)
+        extra["timings"].update(bootstrap_s=perf_counter() - clock, importance_s=0.0)
         if importance_kind:
             clock = perf_counter()
             importance = permutation_importance(
                 models[importance_kind], data, repeats=importance_repeats, seed=child_seed(seed, NS_PIPELINE, 21)
             )
-            timings["importance_s"] = perf_counter() - clock
+            extra["timings"]["importance_s"] = perf_counter() - clock
             write_importance(tmp / f"importance_{importance_kind}.csv", importance)
         write_evaluation(tmp / "evaluation.json", reports)
         write_bootstrap_table(tmp / "bootstrap_metrics.csv", reports)
@@ -473,6 +465,7 @@ def run_pipeline(
     """
     params = _params(locals())
     started, clock = _now(), perf_counter()
+    check_threshold(threshold)  # before any stage runs: triage would refuse it only after train
     out = Path(out)
     if out.exists():
         raise PipelineError(f"output path already exists: {out}")
@@ -554,12 +547,9 @@ def _int_at_least(k: int):
 def _probability(text: str) -> float:
     """An argparse type for a finite float in [0, 1], the range of a score threshold; NaN and inf fail."""
     try:
-        value = float(text)
+        return check_threshold(float(text))
     except ValueError:
-        value = None
-    if value is None or not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a probability in [0, 1], got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"expected a probability in [0, 1], got {text!r}") from None
 
 
 _HELP = {

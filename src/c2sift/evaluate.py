@@ -7,7 +7,8 @@ which equals P(score+ > score-) + 0.5 * P(tie) and matches the pairwise
 count exactly: midranks are half-integers, so the rank sum is computed
 without rounding error at test-set sizes. ``auc_rows`` scores a block of
 rows at once with the bits of one row at a time; ``auc`` is its one-row
-case. An evaluation draws its B resamples once (``bootstrap_indices``).
+case. ``bootstrap_metrics`` draws each resample once, a block at a time,
+and scores every model on a block before it draws the next.
 """
 from __future__ import annotations
 
@@ -85,22 +86,22 @@ def stratified_folds(y: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     return folds
 
 
-def bootstrap_indices(labels: np.ndarray, B: int, seed: int) -> np.ndarray:
-    """(B, rows) indices of B class-stratified resamples: row b draws the
-    positives, then the negatives, with replacement from substream
+def check_threshold(threshold: float) -> float:
+    """``threshold`` itself if it is a probability in [0, 1]; not NaN, which no score reaches."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold = {threshold!r} is not a probability in [0, 1]")
+    return threshold
+
+
+def _resamples(pos_idx: np.ndarray, neg_idx: np.ndarray, seed: int, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, rows) indices of class-stratified resamples lo..hi-1: resample b
+    draws the positives, then the negatives, with replacement from substream
     (NS_BOOTSTRAP, b), so both classes are always present."""
-    labels = np.asarray(labels)
-    if B < 1:
-        raise ValueError("B must be >= 1")
-    pos_idx = np.flatnonzero(labels == 1)
-    neg_idx = np.flatnonzero(labels == 0)
-    if len(pos_idx) == 0 or len(neg_idx) == 0:
-        raise ValueError("bootstrap needs both classes present")
-    indices = np.empty((B, len(pos_idx) + len(neg_idx)), dtype=np.min_scalar_type(len(labels)))
-    for b in range(B):
+    rows = []
+    for b in range(lo, hi):
         rng = substream(seed, NS_BOOTSTRAP, b)
-        indices[b] = np.concatenate([idx[rng.integers(0, len(idx), size=len(idx))] for idx in (pos_idx, neg_idx)])
-    return indices
+        rows.append(np.concatenate([idx[rng.integers(0, len(idx), size=len(idx))] for idx in (pos_idx, neg_idx)]))
+    return np.stack(rows)
 
 
 def bootstrap_metrics(
@@ -109,27 +110,30 @@ def bootstrap_metrics(
     B: int,
     seed: int,
     threshold: float = 0.5,
-    indices: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-resample (AUC, sensitivity) over B class-stratified resamples, scored in blocks.
-
-    ``indices`` is the (B, rows) resample matrix, by default
-    ``bootstrap_indices(labels, B, seed)``: a caller that scores several
-    models on one label vector draws it once and passes it to each.
+    """Per-resample (AUC, sensitivity), of shape ``scores.shape[:-1] + (B,)``: the leading
+    axes of ``scores`` are the models. Every model is scored on a block of resamples
+    before the next block is drawn, so memory is bounded by the block, not by B x rows.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
-    indices = bootstrap_indices(labels, B, seed) if indices is None else np.asarray(indices)
-    if indices.ndim != 2 or len(indices) != B:
-        raise ValueError(f"indices must have B={B} rows")
-    aucs, sens = np.empty(B), np.empty(B)
-    step = max(1, _BLOCK_CELLS // max(indices.shape[1], 1))
+    if B < 1:
+        raise ValueError("B must be >= 1")
+    pos_idx, neg_idx = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
+    if len(pos_idx) == 0 or len(neg_idx) == 0:
+        raise ValueError("bootstrap needs both classes present")
+    models = scores.reshape(-1, scores.shape[-1])
+    aucs, sens = np.empty((len(models), B)), np.empty((len(models), B))
+    step = max(1, _BLOCK_CELLS // (len(pos_idx) + len(neg_idx)))
     for lo in range(0, B, step):
-        block_scores, block_labels = scores[indices[lo : lo + step]], labels[indices[lo : lo + step]]
-        aucs[lo : lo + step] = auc_rows(block_scores, block_labels)
+        block = _resamples(pos_idx, neg_idx, seed, lo, min(lo + step, B))
+        block_labels = labels[block]
         positives = block_labels == 1
-        sens[lo : lo + step] = np.sum(positives & (block_scores >= threshold), axis=1) / np.sum(positives, axis=1)
-    return aucs, sens
+        for m, model_scores in enumerate(models):
+            block_scores = model_scores[block]
+            aucs[m, lo : lo + step] = auc_rows(block_scores, block_labels)
+            sens[m, lo : lo + step] = np.sum(positives & (block_scores >= threshold), axis=1) / np.sum(positives, axis=1)
+    return aucs.reshape(scores.shape[:-1] + (B,)), sens.reshape(scores.shape[:-1] + (B,))
 
 
 @dataclass
@@ -157,25 +161,28 @@ class EvaluationReport:
 
 
 def evaluate_scores(
-    model_kind: str,
-    scores: np.ndarray,
+    scores: Mapping[str, np.ndarray],
     labels: np.ndarray,
     B: int,
     seed: int,
     threshold: float = 0.5,
-    indices: np.ndarray | None = None,
-) -> EvaluationReport:
-    aucs, sens = bootstrap_metrics(scores, labels, B, seed, threshold, indices)
-    return EvaluationReport(
-        model_kind=model_kind,
-        point_auc=auc(scores, labels),
-        point_sensitivity=sensitivity(scores, labels, threshold),
-        threshold=threshold,
-        bootstrap_auc=aucs,
-        bootstrap_sensitivity=sens,
-        resamples=B,
-        seed=seed,
-    )
+) -> list[EvaluationReport]:
+    """One report per model kind in ``scores``, every model scored on the same B resamples."""
+    check_threshold(threshold)
+    aucs, sens = bootstrap_metrics(np.stack(list(scores.values())), labels, B, seed, threshold)
+    return [
+        EvaluationReport(
+            model_kind=kind,
+            point_auc=auc(scores[kind], labels),
+            point_sensitivity=sensitivity(scores[kind], labels, threshold),
+            threshold=threshold,
+            bootstrap_auc=aucs[m],
+            bootstrap_sensitivity=sens[m],
+            resamples=B,
+            seed=seed,
+        )
+        for m, kind in enumerate(scores)
+    ]
 
 
 @dataclass
@@ -275,6 +282,8 @@ def permutation_importance(model, data, repeats: int = 5, seed: int = 0) -> Impo
     block. Percentile scale is 100 * rank / d with maximal ranks for ties,
     so the top feature always scores 100.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     y = data.require_training_labels()
     baseline = auc(predict_proba(model, data.X, data.feature_names), y)
     n, d = data.X.shape

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .configio import parse_kv_file, read_settings
+from .evaluate import check_threshold
 
 LIST_KINDS = ("deny", "allow", "cdn_cloud", "sinkhole")
 
@@ -109,8 +110,7 @@ class TriageConfig:
     min_periodicity: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:  # NaN too: no score passes a NaN threshold
-            raise ValueError(f"threshold = {self.threshold!r} is not a probability in [0, 1]")
+        check_threshold(self.threshold)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TriageConfig":

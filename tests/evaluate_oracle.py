@@ -3,7 +3,7 @@
 ``auc`` here sorts one score vector and ranks it with the 1-D
 ``midranks``; ``bootstrap_metrics`` draws and scores one resample per
 substream; ``permutation_importance`` predicts every column and every
-repeat separately. These are the loops that the block AUC, the shared
+repeat separately. These are the loops that the block AUC, the blocked
 resample draw and the read-column skip replaced, and tests require the
 same bits from both.
 """

@@ -552,6 +552,17 @@ def test_threshold_outside_unit_interval_rejected_at_the_edge(tmp_path, capsys, 
         assert args.threshold == float(edge)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1, 1.5])
+def test_pipeline_refuses_a_bad_threshold_before_any_stage(tmp_path, monkeypatch, value):
+    def never(*args, **kwargs):
+        raise AssertionError("a stage ran before the threshold was checked")
+
+    monkeypatch.setattr(cli, "run_generate", never)
+    with pytest.raises(ValueError, match=repr(value)):
+        cli.run_pipeline(tmp_path / "never", threshold=value)
+    assert not (tmp_path / "never").exists()
+
+
 @pytest.mark.parametrize(
     "argv, parsed",
     [

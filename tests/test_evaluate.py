@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ import evaluate_oracle as oracle
 from c2sift.evaluate import (
     auc,
     auc_rows,
-    bootstrap_indices,
     bootstrap_metrics,
     cv_tune,
     evaluate_scores,
@@ -131,27 +131,46 @@ class TestSensitivity:
 
 
 class TestBootstrap:
-    def test_identity_hook_equals_point(self, rng):
+    def test_identity_hook_equals_point(self, rng, monkeypatch):
         scores = rng.random(40)
         labels = rng.integers(0, 2, size=40)
         labels[:2] = [0, 1]
-        aucs, sens = bootstrap_metrics(scores, labels, B=1, seed=0, threshold=0.5, indices=np.arange(40)[None])
+        monkeypatch.setattr(evaluate, "_resamples", lambda pos_idx, neg_idx, seed, lo, hi: np.arange(40)[None])
+        aucs, sens = bootstrap_metrics(scores, labels, B=1, seed=0, threshold=0.5)
         assert aucs[0] == auc(scores, labels)
         assert sens[0] == sensitivity(scores, labels, 0.5)
 
     @pytest.mark.parametrize("cells", [None, 7 * 30 + 5])
     def test_blocks_equal_the_per_resample_loop_bitwise(self, rng, monkeypatch, cells):
-        # tie-heavy scores; 61 resamples are no whole number of 7-row blocks
-        scores = rng.choice([0.0, 0.25, 0.5, 0.5000000000000001, 1.0], size=30)
+        # tie-heavy scores of three models; 61 resamples are no whole number of 7-row blocks
+        scores = rng.choice([0.0, 0.25, 0.5, 0.5000000000000001, 1.0], size=(3, 30))
         labels = rng.integers(0, 2, size=30)
         labels[:2] = [0, 1]
         if cells is not None:
             monkeypatch.setattr(evaluate, "_BLOCK_CELLS", cells)
         aucs, sens = bootstrap_metrics(scores, labels, B=61, seed=4, threshold=0.5)
-        loop_aucs, loop_sens = oracle.bootstrap_metrics(scores, labels, B=61, seed=4, threshold=0.5)
-        assert aucs.tobytes() == loop_aucs.tobytes() and sens.tobytes() == loop_sens.tobytes()
-        indices = bootstrap_indices(labels, 61, 4)
-        assert all(auc_rows(scores[indices], labels[indices]) == aucs)
+        assert aucs.shape == sens.shape == (3, 61)
+        indices = evaluate._resamples(np.flatnonzero(labels == 1), np.flatnonzero(labels == 0), 4, 0, 61)
+        for row, row_aucs, row_sens in zip(scores, aucs, sens):
+            loop_aucs, loop_sens = oracle.bootstrap_metrics(row, labels, B=61, seed=4, threshold=0.5)
+            assert row_aucs.tobytes() == loop_aucs.tobytes() and row_sens.tobytes() == loop_sens.tobytes()
+            assert all(auc_rows(row[indices], labels[indices]) == row_aucs)
+            one_model = bootstrap_metrics(row, labels, B=61, seed=4, threshold=0.5)
+            assert one_model[0].tobytes() == row_aucs.tobytes() and one_model[1].tobytes() == row_sens.tobytes()
+
+    def test_memory_grows_with_the_block_not_with_B(self, rng):
+        # at 20,000 rows a block is one resample, while a (B, rows) index matrix would take 1 MB at B = 25 and 8 MB at 200
+        scores = rng.random(20_000)
+        labels = rng.integers(0, 2, size=20_000)
+        peaks = {}
+        for B in (25, 200):
+            tracemalloc.start()
+            try:
+                bootstrap_metrics(scores, labels, B=B, seed=5)
+                peaks[B] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[200] <= 1.5 * peaks[25], peaks
 
     def test_perfect_separation_invariant(self):
         scores = np.concatenate([np.full(10, 0.9), np.full(30, 0.1)])
@@ -385,10 +404,28 @@ class TestImportance:
 
 
 def test_evaluate_scores_report(rng):
-    scores = rng.random(50)
+    scores = {"rf": rng.random(50), "glm": rng.random(50)}
     labels = rng.integers(0, 2, size=50)
     labels[:2] = [0, 1]
-    report = evaluate_scores("rf", scores, labels, B=20, seed=0, threshold=0.4)
-    assert report.resamples == 20 and len(report.bootstrap_auc) == 20
-    assert report.threshold == 0.4
-    assert 0.0 <= report.point_auc <= 1.0
+    reports = evaluate_scores(scores, labels, B=20, seed=3, threshold=0.4)
+    assert [report.model_kind for report in reports] == ["rf", "glm"]
+    for report in reports:
+        assert report.resamples == 20 and len(report.bootstrap_auc) == 20
+        assert report.threshold == 0.4
+        assert report.point_auc == auc(scores[report.model_kind], labels)
+        alone = bootstrap_metrics(scores[report.model_kind], labels, B=20, seed=3, threshold=0.4)
+        assert report.bootstrap_auc.tobytes() == alone[0].tobytes()
+        assert report.bootstrap_sensitivity.tobytes() == alone[1].tobytes()
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.5, float("inf")])
+def test_threshold_outside_unit_interval_refused(rng, threshold):
+    labels = np.array([0, 1] * 5)
+    with pytest.raises(ValueError, match=repr(threshold)):
+        evaluate_scores({"rf": rng.random(10)}, labels, B=5, seed=1, threshold=threshold)
+
+
+def test_importance_needs_at_least_one_repeat():
+    data = make_dataset(n=40, d=3, seed=5)
+    with pytest.raises(ValueError, match="repeats must be at least 1"):
+        permutation_importance(fit_glm(data), data, repeats=0, seed=0)
