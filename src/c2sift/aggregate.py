@@ -88,7 +88,6 @@ class HostDays:
     host_ip: tuple[str, ...]
     window_date: tuple[dt.date, ...]
     device: np.ndarray
-    host_port: np.ndarray
     device_port: np.ndarray
     bytes: np.ndarray
     packets: np.ndarray
@@ -117,10 +116,9 @@ def group_daily(table: FlowTable, space: InternalSpace) -> tuple[HostDays, int]:
     boundary = np.flatnonzero(src_inside != inside[table.dst])
     by_host = ~src_inside[boundary]
     src, dst = table.src[boundary], table.dst[boundary]
-    src_port, dst_port = table.src_port[boundary], table.dst_port[boundary]
     host = np.where(by_host, src, dst)
     device = np.where(by_host, dst, src)
-    device_port = np.where(by_host, dst_port, src_port)
+    device_port = np.where(by_host, table.dst_port[boundary], table.src_port[boundary])
     start = table.start_time[boundary]
     day = start // DAY_MS
     ranks = string_ranks(table.ips)
@@ -134,7 +132,6 @@ def group_daily(table: FlowTable, space: InternalSpace) -> tuple[HostDays, int]:
         host_ip=tuple(table.ips[code] for code in host[firsts].tolist()),
         window_date=tuple(window_day(ms) for ms in start[firsts].tolist()),
         device=device[order],
-        host_port=np.where(by_host, src_port, dst_port)[order],
         device_port=device_port[order],
         bytes=table.bytes[rows],
         packets=table.packets[rows],

@@ -27,6 +27,8 @@ from time import perf_counter
 for _threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_threads, "1")
 
+import numpy as np  # noqa: E402
+
 from . import __version__  # noqa: E402
 from .aggregate import InternalSpace, group_daily  # noqa: E402
 from .ensemble import fit_stack, stack_tasks  # noqa: E402
@@ -42,7 +44,7 @@ from .evaluate import (  # noqa: E402
     write_evaluation,
     write_importance,
 )
-from .features import FeatureConfig, featurize_aggregates, write_feature_matrix  # noqa: E402
+from .features import FeatureConfig, block_ranges, featurize_aggregates  # noqa: E402
 from .flows import identity_schema, parse_flow_file, read_schema  # noqa: E402
 from .learners import (  # noqa: E402
     BASE_KINDS,
@@ -55,6 +57,7 @@ from .learners import (  # noqa: E402
     save_model,
 )
 from .learners.artifact import decode_model  # noqa: E402
+from .learners.data import write_feature_matrix  # noqa: E402
 from .learners.linear import lasso_cells  # noqa: E402
 from .rng import NS_PIPELINE, child_seed  # noqa: E402
 from .synthgen import (  # noqa: E402
@@ -226,14 +229,22 @@ def run_featurize(
         space = InternalSpace.from_file(internal_space)
         host_days, non_boundary = group_daily(table, space)
         grouped = perf_counter()
-        vectors = featurize_aggregates(host_days, cfg)
+        data = featurize_aggregates(host_days, cfg)
         extra["timings"].update(parse_s=parsed - clock, group_s=grouped - parsed, featurize_s=perf_counter() - grouped)
-        write_feature_matrix(
-            tmp / "features.csv",
-            vectors,
-            labels=label_map,
-            drop_block="distributional" if ablate_distributional else None,
-        )
+        if not data.n_rows:
+            raise PipelineError(
+                f"no host-days in {flows}: {stats.records_accepted} flows accepted, {non_boundary} of them not boundary flows"
+            )
+        if label_map is not None:
+            unlabeled = next((host for host, _ in data.row_keys if host not in label_map), None)
+            if unlabeled is not None:
+                raise ValueError(f"no label for host {unlabeled}")
+            data = dataclasses.replace(data, y=np.array([label_map[host] for host, _ in data.row_keys]))
+        if ablate_distributional:
+            dropped = block_ranges(cfg)["distributional"]
+            keep = [j for j in range(len(data.feature_names)) if j not in dropped]
+            data = dataclasses.replace(data, X=data.X[:, keep], feature_names=tuple(data.feature_names[j] for j in keep))
+        write_feature_matrix(tmp / "features.csv", data)
         _write_json(
             tmp / "ingest_stats.json",
             {
@@ -242,7 +253,7 @@ def run_featurize(
                 "records_rejected": stats.records_rejected,
                 "reject_reasons": stats.reject_reasons,
                 "non_boundary": non_boundary,
-                "host_days": len(vectors),
+                "host_days": data.n_rows,
             },
         )
 

@@ -278,9 +278,10 @@ def permutation_importance(model, data, repeats: int = 5, seed: int = 0) -> Impo
 
     A column the model never reads (``read_columns``) leaves predictions
     unchanged, so its raw importance is exactly 0, set without predicting;
-    a read column's ``repeats`` shuffles are predicted and scored as one
-    block. Percentile scale is 100 * rank / d with maximal ranks for ties,
-    so the top feature always scores 100.
+    a read column is shuffled in place and predicted one repeat at a time,
+    so memory holds one copy of the model's columns whatever ``repeats``.
+    Percentile scale is 100 * rank / d with maximal ranks for ties, so the
+    top feature always scores 100.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
@@ -289,13 +290,14 @@ def permutation_importance(model, data, repeats: int = 5, seed: int = 0) -> Impo
     n, d = data.X.shape
     raw = np.zeros(d)
     X_model = data.X[:, [data.feature_names.index(name) for name in model.feature_names]]
-    shuffled = np.repeat(X_model[None], repeats, axis=0)  # (repeats, n, model columns)
+    aucs = np.empty(repeats)
     for j in map(int, read_columns(model)):
+        column = X_model[:, j].copy()
         for r in range(repeats):
-            shuffled[r, :, j] = X_model[substream(seed, NS_IMPORTANCE, j, r).permutation(n), j]
-        scores = predict_proba(model, shuffled.reshape(repeats * n, -1)).reshape(repeats, n)
-        raw[data.feature_names.index(model.feature_names[j])] = float(np.mean(baseline - auc_rows(scores, y)))
-        shuffled[:, :, j] = X_model[:, j]
+            X_model[:, j] = column[substream(seed, NS_IMPORTANCE, j, r).permutation(n)]
+            aucs[r] = auc(predict_proba(model, X_model), y)
+        X_model[:, j] = column
+        raw[data.feature_names.index(model.feature_names[j])] = float(np.mean(baseline - aucs))
     ranks = np.array([np.sum(raw <= raw[j]) for j in range(d)], dtype=float)
     percentile = 100.0 * ranks / d
     return ImportanceReport(

@@ -1,6 +1,9 @@
 """Per-host feature engineering: flow-size, beaconing, and distributional blocks.
 
-Each host/day aggregate maps to one fixed-width vector of three blocks:
+``featurize_aggregates`` turns the grouped host-days into one feature
+matrix, a ``LabeledDataset`` with one row per host-day; the
+``features.csv`` codec lives beside that container in ``learners.data``.
+Each row is a fixed-width vector of three blocks:
 
 * flow_size: volume totals, rates, bytes-per-packet, initiation fraction,
   and per-port flow fractions for a tracked well-known port list.
@@ -18,16 +21,16 @@ With the default config (16 tracked ports, n=20 quantiles) the width is
 """
 from __future__ import annotations
 
-import datetime as dt
 import ipaddress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .aggregate import HostDays
 from .configio import parse_kv_file, read_settings
+from .learners.data import LabeledDataset
 
 # Guard for rates and coefficients of variation when a denominator is 0.
 EPS_SECONDS = 1e-3
@@ -66,17 +69,6 @@ class FeatureConfig:
         if "tracked_ports" in raw:
             raw["tracked_ports"] = [port for port in raw["tracked_ports"].split(",") if port.strip()]
         return read_settings(cls, raw, str(path))
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """One host/day's features, names aligned 1:1 with values."""
-
-    host_ip: str
-    window_date: dt.date
-    values: np.ndarray
-    names: tuple[str, ...]
-    blocks: Mapping[str, range]
 
 
 def _pct_label(level: float) -> str:
@@ -212,11 +204,12 @@ def _distributional_block(variables: Sequence[np.ndarray], levels: Sequence[floa
     return np.concatenate(parts)
 
 
-def featurize_aggregates(host_days: HostDays, cfg: FeatureConfig) -> list[FeatureVector]:
-    """Feature vectors for every host-day, ordered by (date, numeric host IP).
+def featurize_aggregates(host_days: HostDays, cfg: FeatureConfig) -> LabeledDataset:
+    """The unlabeled feature matrix of every host-day, rows ordered by (date, numeric host IP).
 
     Each host-day's blocks are computed from its slice of the shared
     columns; the per-flow float variables are built once for all of them.
+    Row keys are (host_ip, ISO date).
     """
     packets = host_days.packets.astype(float)
     nbytes = host_days.bytes.astype(float)
@@ -227,16 +220,15 @@ def featurize_aggregates(host_days: HostDays, cfg: FeatureConfig) -> list[Featur
     for slot, port in enumerate(cfg.tracked_ports):
         port_slots[host_days.device_port == port] = slot
     names = feature_names(cfg)
-    blocks = block_ranges(cfg)
     levels = cfg.quantile_levels
     order = sorted(
         range(len(host_days)),
         key=lambda i: (host_days.window_date[i].isoformat(), int(ipaddress.ip_address(host_days.host_ip[i]))),
     )
-    vectors = []
-    for i in order:
+    X = np.empty((len(order), len(names)))
+    for row, i in enumerate(order):
         rows = slice(host_days.bounds[i], host_days.bounds[i + 1])
-        values = np.concatenate(
+        X[row] = np.concatenate(
             [
                 _flow_size_block(
                     nbytes[rows],
@@ -251,50 +243,5 @@ def featurize_aggregates(host_days: HostDays, cfg: FeatureConfig) -> list[Featur
                 _distributional_block((packets[rows], nbytes[rows], bpp[rows]), levels),
             ]
         )
-        if not np.all(np.isfinite(values)):
-            bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise AssertionError(f"non-finite feature {names[bad]} for host {host_days.host_ip[i]}")
-        vectors.append(FeatureVector(host_days.host_ip[i], host_days.window_date[i], values, names, blocks))
-    return vectors
-
-
-def write_feature_matrix(
-    path: str | Path,
-    vectors: Sequence[FeatureVector],
-    labels: Mapping[str, int] | None = None,
-    drop_block: str | None = None,
-) -> None:
-    """Write one row per (host_ip, window_date) as delimited text.
-
-    ``labels`` maps host_ip to 1 (malicious) / 0 (unknown-benign); when
-    given it must cover every host. ``drop_block`` omits one named block,
-    used for the distributional-feature ablation.
-    """
-    path = Path(path)
-    if not vectors:
-        raise ValueError("no feature vectors to write")
-    names = vectors[0].names
-    keep = list(range(len(names)))
-    if drop_block is not None:
-        blocks = vectors[0].blocks
-        if drop_block not in blocks:
-            raise ValueError(f"unknown block {drop_block!r}")
-        dropped = set(blocks[drop_block])
-        keep = [i for i in keep if i not in dropped]
-    header = ["host_ip", "window_date"]
-    if labels is not None:
-        header.append("label")
-    header.extend(names[i] for i in keep)
-
-    lines = [",".join(header)]
-    for vec in vectors:
-        if vec.names != names:
-            raise ValueError("feature vectors disagree on names")
-        row = [vec.host_ip, vec.window_date.isoformat()]
-        if labels is not None:
-            if vec.host_ip not in labels:
-                raise ValueError(f"no label for host {vec.host_ip}")
-            row.append(str(int(labels[vec.host_ip])))
-        row.extend(repr(float(vec.values[i])) for i in keep)
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    keys = tuple((host_days.host_ip[i], host_days.window_date[i].isoformat()) for i in order)
+    return LabeledDataset(X=X, y=None, feature_names=names, row_keys=keys)

@@ -1,4 +1,10 @@
-"""Labeled feature-matrix container and delimited-text loader."""
+"""The feature matrix: the ``LabeledDataset`` container and its ``features.csv`` codec.
+
+``features.csv`` is comma-delimited text with a header row: host_ip,
+window_date, an optional label column, then one column per feature.
+Each row is one (host_ip, window_date) key; values are written with
+``repr``, so a matrix reads back with the same bits.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -58,10 +64,31 @@ class LabeledDataset:
         )
 
 
+def write_feature_matrix(path: str | Path, data: LabeledDataset) -> None:
+    """Write ``data`` as ``features.csv``, with a label column when ``data.y`` is set.
+
+    A feature named ``label``, or one that is empty or holds a comma or a
+    line break, would read back as another matrix, so it is refused.
+    """
+    for name in data.feature_names:
+        if name == "label" or "," in name or name.splitlines() != [name]:
+            raise ValueError(f"feature name {name!r} cannot be a features.csv column")
+    header = ["host_ip", "window_date", *data.feature_names]
+    keys = [list(key) for key in data.row_keys]
+    if data.y is not None:
+        header.insert(2, "label")
+        for cells, label in zip(keys, data.y.tolist()):
+            cells.append(str(int(label)))
+    lines = [",".join(header)] + [",".join([*cells, *map(repr, row)]) for cells, row in zip(keys, data.X.tolist())]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def load_feature_matrix(path: str | Path) -> LabeledDataset:
-    """Read a feature matrix written by the features module.
+    """Read a matrix that ``write_feature_matrix`` wrote.
 
     Expects columns host_ip, window_date, optional label, then features.
+    A repeated feature name or a repeated (host_ip, window_date) key is
+    refused, naming the column or the line.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -75,8 +102,11 @@ def load_feature_matrix(path: str | Path) -> LabeledDataset:
     names = tuple(header[first_feature:])
     if not names:
         raise ValueError(f"{path}: no feature columns")
+    for column, name in enumerate(names):
+        if name in names[:column]:
+            raise ValueError(f"{path}: feature column {name!r} appears twice")
 
-    keys: list[tuple[str, str]] = []
+    keys: dict[tuple[str, str], int] = {}
     labels: list[int] = []
     rows: list[list[float]] = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -85,13 +115,16 @@ def load_feature_matrix(path: str | Path) -> LabeledDataset:
         parts = line.split(",")
         if len(parts) != len(header):
             raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(parts)}")
+        key = (parts[0], parts[1])
+        if key in keys:
+            raise ValueError(f"{path}:{lineno}: host {key[0]} on {key[1]} repeats line {keys[key]}")
         try:
             if has_label:
                 labels.append(int(parts[2]))
             rows.append([float(v) for v in parts[first_feature:]])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-        keys.append((parts[0], parts[1]))
+        keys[key] = lineno
 
     X = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
     y = np.array(labels, dtype=int) if has_label else None

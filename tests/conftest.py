@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from c2sift.aggregate import HostDays, InternalSpace, group_daily
-from c2sift.features import FeatureConfig, FeatureVector, featurize_aggregates
+from c2sift.features import FeatureConfig, featurize_aggregates
 from c2sift.flows import INT_FIELDS, FlowTable
 from c2sift.learners import LabeledDataset
 
@@ -40,8 +40,8 @@ def table_rows(table: FlowTable) -> list[tuple]:
 
 def grouped_flows(days: HostDays) -> list[tuple]:
     """Each host-day as (host_ip, window_date, flows), a flow as (device_ip,
-    host_port, device_port, bytes, packets, start_time, end_time, initiated_by_host)."""
-    columns = [days.host_port, days.device_port, days.bytes, days.packets, days.start_time, days.end_time, days.initiated_by_host]
+    device_port, bytes, packets, start_time, end_time, initiated_by_host)."""
+    columns = [days.device_port, days.bytes, days.packets, days.start_time, days.end_time, days.initiated_by_host]
     flows = list(zip([days.ips[code] for code in days.device.tolist()], *(column.tolist() for column in columns)))
     bounds = days.bounds.tolist()
     return [(days.host_ip[i], days.window_date[i], flows[bounds[i] : bounds[i + 1]]) for i in range(len(days))]
@@ -90,15 +90,16 @@ def host_days(flows: Iterable[Flow]) -> HostDays:
     return days
 
 
-def feature_vector(flows: Iterable[Flow], cfg: FeatureConfig = FeatureConfig()) -> FeatureVector:
-    """The one vector of flows that share a host and a day."""
-    (vector,) = featurize_aggregates(host_days(flows), cfg)
-    return vector
+def feature_row(flows: Iterable[Flow], cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """The one feature row of flows that share a host and a day."""
+    (row,) = featurize_aggregates(host_days(flows), cfg).X
+    return row
 
 
 def features_of(flows: Iterable[Flow], cfg: FeatureConfig = FeatureConfig()) -> dict[str, float]:
-    vector = feature_vector(flows, cfg)
-    return dict(zip(vector.names, vector.values.tolist()))
+    data = featurize_aggregates(host_days(flows), cfg)
+    (row,) = data.X.tolist()
+    return dict(zip(data.feature_names, row))
 
 
 def random_flows(rng: np.random.Generator, n_flows: int | None = None) -> list[Flow]:

@@ -5,14 +5,18 @@
 substream; ``permutation_importance`` predicts every column and every
 repeat separately. These are the loops that the block AUC, the blocked
 resample draw and the read-column skip replaced, and tests require the
-same bits from both.
+same bits from both. ``permutation_importance_block`` predicts a read
+column's repeats as one (repeats * rows) block, as evaluate did before
+it predicted one repeat at a time; tree models give the same bits
+either way.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from c2sift.evaluate import sensitivity
+from c2sift.evaluate import auc_rows, sensitivity
 from c2sift.learners import predict_proba
+from c2sift.learners.artifact import read_columns
 from c2sift.rng import NS_BOOTSTRAP, NS_IMPORTANCE, substream
 
 
@@ -70,4 +74,21 @@ def permutation_importance(model, data, repeats: int, seed: int) -> np.ndarray:
             Xp[:, j] = Xp[rng.permutation(len(y)), j]
             drops.append(baseline - auc(predict_proba(model, Xp, model.feature_names), y))
         raw[data.feature_names.index(name)] = float(np.mean(drops))
+    return raw
+
+
+def permutation_importance_block(model, data, repeats: int, seed: int) -> np.ndarray:
+    """Raw importances, each read column's repeats shuffled into one (repeats, rows, columns) block."""
+    y = data.require_training_labels()
+    baseline = auc(predict_proba(model, data.X, data.feature_names), y)
+    n, d = data.X.shape
+    raw = np.zeros(d)
+    X_model = data.X[:, [data.feature_names.index(name) for name in model.feature_names]]
+    shuffled = np.repeat(X_model[None], repeats, axis=0)
+    for j in map(int, read_columns(model)):
+        for r in range(repeats):
+            shuffled[r, :, j] = X_model[substream(seed, NS_IMPORTANCE, j, r).permutation(n), j]
+        scores = predict_proba(model, shuffled.reshape(repeats * n, -1)).reshape(repeats, n)
+        raw[data.feature_names.index(model.feature_names[j])] = float(np.mean(baseline - auc_rows(scores, y)))
+        shuffled[:, :, j] = X_model[:, j]
     return raw

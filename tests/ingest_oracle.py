@@ -24,9 +24,6 @@ from c2sift.aggregate import InternalSpace, window_day
 from c2sift.features import (
     EPS_SECONDS,
     FeatureConfig,
-    FeatureVector,
-    block_ranges,
-    feature_names,
     quantile_transform,
 )
 from c2sift.flows import (
@@ -194,7 +191,6 @@ class DirectedFlow:
 
     host_ip: str
     device_ip: str
-    host_port: int
     device_port: int
     bytes: int
     packets: int
@@ -243,11 +239,11 @@ def split_direction(record: FlowRecord, space: InternalSpace) -> DirectedFlow | 
         return None
     if src_internal:
         return DirectedFlow(
-            record.dst_ip, record.src_ip, record.dst_port, record.src_port,
+            record.dst_ip, record.src_ip, record.src_port,
             record.bytes, record.packets, record.start_time, record.end_time, False,
         )
     return DirectedFlow(
-        record.src_ip, record.dst_ip, record.src_port, record.dst_port,
+        record.src_ip, record.dst_ip, record.dst_port,
         record.bytes, record.packets, record.start_time, record.end_time, True,
     )
 
@@ -335,25 +331,19 @@ def distributional_features(sample: FlowVariableSample, cfg: FeatureConfig) -> n
     return np.concatenate(parts)
 
 
-def build_feature_vector(agg: HostAggregate, cfg: FeatureConfig) -> FeatureVector:
-    values = np.concatenate(
+def feature_row(agg: HostAggregate, cfg: FeatureConfig) -> np.ndarray:
+    return np.concatenate(
         [
             flow_size_features(agg, cfg),
             beaconing_features(agg, cfg),
             distributional_features(FlowVariableSample.from_aggregate(agg), cfg),
         ]
     )
-    return FeatureVector(agg.host_ip, agg.window_date, values, feature_names(cfg), block_ranges(cfg))
 
 
-def featurize_aggregates(aggregates: Iterable[HostAggregate], cfg: FeatureConfig) -> list[FeatureVector]:
-    """Feature vectors ordered by (date, numeric host IP)."""
-    vecs = [build_feature_vector(agg, cfg) for agg in aggregates]
-    vecs.sort(key=lambda v: (v.window_date.isoformat(), int(ipaddress.ip_address(v.host_ip))))
-    return vecs
+def featurize_aggregates(aggregates: Iterable[HostAggregate], cfg: FeatureConfig) -> list[tuple[str, dt.date, np.ndarray]]:
+    """(host_ip, window_date, feature row) per aggregate, ordered by (date, numeric host IP)."""
+    rows = [(agg.host_ip, agg.window_date, feature_row(agg, cfg)) for agg in aggregates]
+    rows.sort(key=lambda row: (row[1].isoformat(), int(ipaddress.ip_address(row[0]))))
+    return rows
 
-
-def featurize_records(records: Iterable[FlowRecord], space: InternalSpace, cfg: FeatureConfig):
-    """Records -> (feature vectors, non-boundary count), the object way."""
-    aggregates, non_boundary = group_daily(records, space)
-    return featurize_aggregates(aggregates.values(), cfg), non_boundary

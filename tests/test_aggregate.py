@@ -26,14 +26,14 @@ def test_split_external_source():
     assert non_boundary == 0
     assert days.host_ip == ("203.0.113.7",) and days.ips[days.device[0]] == "10.0.0.5"
     assert days.initiated_by_host.tolist() == [True]
-    assert days.host_port.tolist() == [50000] and days.device_port.tolist() == [443]
+    assert days.device_port.tolist() == [443]
 
 
 def test_split_internal_source():
     days, _ = group([rec("10.0.0.5", "203.0.113.7")])
     assert days.host_ip == ("203.0.113.7",)
     assert days.initiated_by_host.tolist() == [False]
-    assert days.device_port.tolist() == [50000] and days.host_port.tolist() == [443]
+    assert days.device_port.tolist() == [50000]
 
 
 def test_split_non_boundary():

@@ -207,6 +207,16 @@ def test_failure_inside_staging_leaves_nothing(tmp_path, dataset, capsys):
     assert not list(tmp_path.glob("*.staging"))
 
 
+def test_featurize_refuses_a_day_without_host_days(tmp_path, capsys):
+    flows = tmp_path / "flows.csv"
+    flows.write_text(",".join(CANONICAL_FIELDS) + "\n10.0.0.5,10.0.0.6,50000,443,300,2,1000,2000,6,S\n", encoding="utf-8")
+    space = tmp_path / "internal_space.txt"
+    space.write_text("10.0.0.0/8\n", encoding="utf-8")
+    assert run(["featurize", "--flows", flows, "--internal-space", space, "--out", tmp_path / "feat"]) == 2
+    assert "no host-days in" in capsys.readouterr().err
+    assert not (tmp_path / "feat").exists()
+
+
 @pytest.mark.parametrize(
     "text, named",
     [("n_quantiles = x\n", "n_quantiles = 'x'"), ("n_quantile = 4\n", "unknown key 'n_quantile'")],
@@ -401,6 +411,25 @@ def test_bad_feature_matrix_cell_named(tmp_path, capsys, cells):
     )
     assert run(["train", "--features", path, "--out", tmp_path / "models"]) == 2
     assert f"{path}:3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "lines, named",
+    [
+        (["host_ip,window_date,label,a,b,a", "198.18.1.1,2022-01-10,0,0.5,0.25,1", "198.18.1.2,2022-01-10,1,1,2,3"], "feature column 'a' appears twice"),
+        (
+            ["host_ip,window_date,label,a,b", "198.18.1.1,2022-01-10,0,0.5,0.25", "198.18.1.2,2022-01-10,1,1,2", "198.18.1.1,2022-01-10,1,3,4"],
+            ":4: host 198.18.1.1 on 2022-01-10 repeats line 2",
+        ),
+    ],
+    ids=["column", "row"],
+)
+def test_repeated_feature_or_row_refused(tmp_path, capsys, lines, named):
+    path = tmp_path / "features.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["train", "--features", path, "--out", tmp_path / "models"]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "models").exists()
 
 
 def test_pipeline_determinism(tmp_path, tiny_grid):

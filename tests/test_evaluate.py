@@ -393,6 +393,30 @@ class TestImportance:
         assert report.raw_importance.tobytes() == oracle.permutation_importance(model, held_out, 3, 4).tobytes()
         assert np.all(np.delete(report.raw_importance, read) == 0.0)
 
+    @pytest.mark.parametrize("kind", ["rf", "gbm"])
+    def test_one_repeat_at_a_time_equals_the_block(self, kind):
+        data = make_dataset(n=200, d=9, seed=13)
+        held_out = make_dataset(n=1500, d=9, seed=14)
+        params = {"rf": {"n_trees": 12, "max_depth": 3}, "gbm": {"n_rounds": 8, "max_depth": 2}}
+        model = fit_model(kind, data, params[kind], 5)
+        report = permutation_importance(model, held_out, repeats=4, seed=6)
+        assert report.raw_importance.tobytes() == oracle.permutation_importance_block(model, held_out, 4, 6).tobytes()
+
+    @pytest.mark.parametrize("kind", ["rf", "glm"])
+    def test_memory_does_not_grow_with_repeats(self, kind):
+        # the (repeats, rows, columns) block took 6 copies of a 20,000-row matrix at repeats 5, against 2 at repeats 1
+        model = fit_model(kind, make_dataset(n=200, d=12, seed=15), {"rf": {"n_trees": 6, "max_depth": 2}, "glm": {}}[kind], 5)
+        held_out = make_dataset(n=20_000, d=12, seed=16)
+        peaks = {}
+        for repeats in (1, 5):
+            tracemalloc.start()
+            try:
+                permutation_importance(model, held_out, repeats=repeats, seed=7)
+                peaks[repeats] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[5] <= 1.5 * peaks[1], peaks
+
     def test_percentile_is_monotone_rank_transform(self, rng):
         data = make_dataset(n=100, d=5, seed=7)
         model = fit_random_forest(data, {"n_trees": 20}, seed=1)

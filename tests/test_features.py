@@ -5,16 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from c2sift.cli import run_featurize
 from c2sift.features import (
     EPS_SECONDS,
     FeatureConfig,
     beaconing_feature_names,
+    block_ranges,
+    distributional_feature_names,
+    feature_names,
+    featurize_aggregates,
     quantile_transform,
-    write_feature_matrix,
 )
-from c2sift.learners import load_feature_matrix
+from c2sift.learners import LabeledDataset, load_feature_matrix
+from c2sift.learners.data import write_feature_matrix
+from c2sift.synthgen import default_scenario, generate, read_labels
 
-from conftest import feature_vector, features_of, make_flow, random_flows
+from conftest import feature_row, features_of, host_days, make_flow, random_flows
 
 CFG = FeatureConfig()
 
@@ -140,8 +146,7 @@ class TestDistributional:
 
     def test_independent_recompute(self, rng):
         flows = random_flows(rng, n_flows=200)
-        vec = feature_vector(flows, CFG)
-        got = vec.values[vec.blocks["distributional"]]
+        got = feature_row(flows, CFG)[block_ranges(CFG)["distributional"]]
         expect = []
         for vals in ([float(f.packets) for f in flows], [float(f.bytes) for f in flows], [f.bytes / f.packets for f in flows]):
             m = sum(vals) / len(vals)
@@ -154,30 +159,33 @@ class TestDistributional:
 
 class TestFeatureVector:
     def test_default_width_and_blocks(self):
-        vec = feature_vector([make_flow(0), make_flow(5)], CFG)
-        assert len(vec.values) == 97 == len(vec.names)
-        assert vec.blocks["flow_size"] == range(0, 26)
-        assert vec.blocks["beaconing"] == range(26, 31)
-        assert vec.blocks["distributional"] == range(31, 97)
-        assert len(set(vec.names)) == 97
+        data = featurize_aggregates(host_days([make_flow(0), make_flow(5)]), CFG)
+        assert data.X.shape == (1, 97) and data.X.dtype == np.float64
+        assert data.feature_names == feature_names(CFG) and data.y is None
+        assert data.row_keys == (("198.18.1.1", "2022-01-10"),)
+        blocks = block_ranges(CFG)
+        assert blocks["flow_size"] == range(0, 26)
+        assert blocks["beaconing"] == range(26, 31)
+        assert blocks["distributional"] == range(31, 97)
+        assert len(set(data.feature_names)) == 97
 
     def test_small_quantile_config_width(self):
         cfg = FeatureConfig(n_quantiles=4)
-        vec = feature_vector([make_flow(0)], cfg)
-        assert len(vec.values) == 9 + 17 + 5 + 3 * 6 == 49
+        data = featurize_aggregates(host_days([make_flow(0)]), cfg)
+        assert data.X.shape[1] == len(data.feature_names) == 9 + 17 + 5 + 3 * 6 == 49
 
     def test_fuzz_finite_and_aligned(self, rng):
         for _ in range(1000):
-            vec = feature_vector(random_flows(rng), CFG)
-            assert np.all(np.isfinite(vec.values))
-            assert len(vec.values) == len(vec.names)
+            row = feature_row(random_flows(rng), CFG)
+            assert np.all(np.isfinite(row))
+            assert len(row) == len(feature_names(CFG))
 
     def test_flow_order_invariance(self, rng):
         flows = random_flows(rng, n_flows=30)
-        base = feature_vector(flows, CFG).values
+        base = feature_row(flows, CFG)
         for _ in range(5):
             rng.shuffle(flows)
-            again = feature_vector(flows, CFG).values
+            again = feature_row(flows, CFG)
             assert np.array_equal(again, base)
 
     def test_scale_equivariance(self, rng):
@@ -191,35 +199,81 @@ class TestFeatureVector:
         assert got["bytes_sd"] == pytest.approx(k * base["bytes_sd"], rel=1e-12)
 
     def test_single_flow_finite(self):
-        vec = feature_vector([make_flow(0)], CFG)
-        assert np.all(np.isfinite(vec.values))
+        assert np.all(np.isfinite(feature_row([make_flow(0)], CFG)))
+
+
+EXTREMES = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+@st.composite
+def matrices(draw) -> LabeledDataset:
+    """A finite matrix with distinct names and row keys, labeled or not."""
+    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(1, 5))
+    value = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREMES)
+    X = np.array(draw(st.lists(st.lists(value, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows)))
+    name = st.from_regex(r"[a-z_][a-z0-9_]{0,8}", fullmatch=True).filter(lambda text: text != "label")  # the writer refuses "label"
+    names = draw(st.lists(name, min_size=n_cols, max_size=n_cols, unique=True))
+    key = st.tuples(st.from_regex(r"[0-9a-f.:]{1,12}", fullmatch=True), st.dates().map(lambda day: day.isoformat()))
+    keys = draw(st.lists(key, min_size=n_rows, max_size=n_rows, unique=True))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n_rows, max_size=n_rows)), dtype=int) if draw(st.booleans()) else None
+    return LabeledDataset(X=X.reshape(n_rows, n_cols), y=y, feature_names=tuple(names), row_keys=tuple(keys))
+
+
+def featurize_day(tmp_path, out: str, labels=None, ablate_distributional: bool = False) -> LabeledDataset:
+    """``run_featurize`` on a 2 + 4-host default day; the matrix it wrote."""
+    day = tmp_path / "day"
+    if not day.exists():
+        day.mkdir()
+        generate(default_scenario(seed=5, n_c2=2, n_benign=4), day / "flows.csv", day / "labels.csv")
+        (day / "internal_space.txt").write_text("10.0.0.0/8\n", encoding="utf-8")
+    run_featurize(
+        day / "flows.csv", day / "internal_space.txt", tmp_path / out, labels=labels, ablate_distributional=ablate_distributional
+    )
+    return load_feature_matrix(tmp_path / out / "features.csv")
 
 
 class TestMatrixIO:
-    def test_write_read_round_trip(self, tmp_path, rng):
-        vecs = [feature_vector(random_flows(rng), CFG) for _ in range(5)]
-        labels = {v.host_ip: i % 2 for i, v in enumerate(vecs)}
-        path = tmp_path / "features.csv"
-        write_feature_matrix(path, vecs, labels=labels)
-        data = load_feature_matrix(path)
-        assert data.feature_names == vecs[0].names
-        assert data.n_rows == 5
-        for i, vec in enumerate(vecs):
-            assert np.array_equal(data.X[i], vec.values)  # repr round-trips floats exactly
-            assert data.y[i] == labels[vec.host_ip]
+    @settings(max_examples=150, deadline=None)
+    @given(data=matrices())
+    def test_write_read_round_trip(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("matrix") / "features.csv"
+        write_feature_matrix(path, data)
+        got = load_feature_matrix(path)
+        assert got.X.dtype == np.float64 and got.X.shape == data.X.shape
+        assert got.X.tobytes() == data.X.tobytes()  # repr round-trips every finite float, -0.0 and subnormals too
+        assert (got.y is None) == (data.y is None)
+        if data.y is not None:
+            assert got.y.tobytes() == data.y.tobytes()
+        assert got.feature_names == data.feature_names and got.row_keys == data.row_keys
 
-    def test_drop_block(self, tmp_path, rng):
-        vecs = [feature_vector(random_flows(rng), CFG) for _ in range(3)]
-        path = tmp_path / "ablated.csv"
-        write_feature_matrix(path, vecs, drop_block="distributional")
-        data = load_feature_matrix(path)
-        assert len(data.feature_names) == 31
-        assert not any(n.startswith(("bytes_", "packets_", "bpp_")) for n in data.feature_names)
+    @pytest.mark.parametrize("name", ["label", "a,b", "a\nb", "a\rb", ""])
+    def test_unrepresentable_feature_name_refused(self, tmp_path, name):
+        data = LabeledDataset(X=np.ones((1, 2)), y=None, feature_names=(name, "x"), row_keys=(("198.18.1.1", "2022-01-10"),))
+        with pytest.raises(ValueError, match="cannot be a features.csv column"):
+            write_feature_matrix(tmp_path / "features.csv", data)
+        assert not (tmp_path / "features.csv").exists()
 
-    def test_missing_label_errors(self, tmp_path, rng):
-        vecs = [feature_vector(random_flows(rng), CFG)]
-        with pytest.raises(ValueError, match="no label for host"):
-            write_feature_matrix(tmp_path / "x.csv", vecs, labels={})
+    def test_drop_block(self, tmp_path):
+        full = featurize_day(tmp_path, "full")
+        ablated = featurize_day(tmp_path, "ablated", ablate_distributional=True)
+        dropped = set(distributional_feature_names(CFG))
+        assert len(dropped) == 66
+        assert ablated.feature_names == tuple(name for name in full.feature_names if name not in dropped)
+        assert not any(n.startswith(("bytes_", "packets_", "bpp_")) for n in ablated.feature_names)
+        kept = [full.feature_names.index(name) for name in ablated.feature_names]
+        assert ablated.X.tobytes() == full.X[:, kept].tobytes() and ablated.row_keys == full.row_keys
+
+    def test_missing_label_errors(self, tmp_path):
+        labeled = featurize_day(tmp_path, "labeled", labels=tmp_path / "day" / "labels.csv")
+        truth = read_labels(tmp_path / "day" / "labels.csv")
+        assert labeled.y.tolist() == [truth[host] for host, _ in labeled.row_keys]
+        last = labeled.row_keys[-1][0]
+        lines = (tmp_path / "day" / "labels.csv").read_text(encoding="utf-8").splitlines()
+        partial = tmp_path / "partial.csv"
+        partial.write_text("".join(f"{line}\n" for line in lines if not line.startswith(f"{last},")), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"no label for host {last}"):
+            featurize_day(tmp_path, "unlabeled", labels=partial)
+        assert not (tmp_path / "unlabeled").exists()
 
 
 def test_config_from_file(tmp_path):

@@ -1,18 +1,19 @@
 """The columnar ingest path against the object path in tests/ingest_oracle.py.
 
-Both read the same flow file; host-day keys, row order, grouped flows and
-every feature value must agree bit for bit.
+Both read the same flow file; host-day keys, row order, grouped flows,
+feature names and every feature value must agree bit for bit.
 """
 import dataclasses
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ingest_oracle
 from c2sift.aggregate import InternalSpace, group_daily
-from c2sift.features import FeatureConfig, featurize_aggregates
+from c2sift.features import FeatureConfig, feature_names, featurize_aggregates
 from c2sift.flows import CANONICAL_FIELDS, parse_flow_file
 from c2sift.synthgen import default_scenario, generate
 from conftest import DAY0_MS, grouped_flows, table_rows
@@ -51,13 +52,14 @@ def assert_paths_agree(path: Path) -> int:
     assert non_boundary == oracle_non_boundary
     assert grouped_flows(days) == oracle_grouped(aggregates)
 
-    vectors = featurize_aggregates(days, CFG)
+    data = featurize_aggregates(days, CFG)
     expected = ingest_oracle.featurize_aggregates(aggregates.values(), CFG)
-    assert [(v.host_ip, v.window_date) for v in vectors] == [(v.host_ip, v.window_date) for v in expected]
-    for got, want in zip(vectors, expected):
-        assert got.names == want.names and got.blocks == want.blocks
-        assert got.values.tobytes() == want.values.tobytes(), (got.host_ip, got.window_date)
-    return len(vectors)
+    assert data.row_keys == tuple((host, day.isoformat()) for host, day, _ in expected)
+    assert data.feature_names == feature_names(CFG)
+    assert data.X.dtype == np.float64 and data.y is None
+    want = np.array([row for _, _, row in expected]).reshape(-1, len(data.feature_names))
+    assert data.X.shape == want.shape and data.X.tobytes() == want.tobytes()
+    return data.n_rows
 
 
 @st.composite

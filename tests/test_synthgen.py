@@ -36,8 +36,8 @@ def run_generate(tmp_path, cfg, tag=""):
 def featurize(flows_path):
     """host_ip -> {feature name: value} for a one-day flow file."""
     table, _ = parse_flow_file(flows_path)
-    vectors = featurize_aggregates(group_daily(table, SPACE)[0], CFG)
-    return {vec.host_ip: dict(zip(vec.names, vec.values.tolist())) for vec in vectors}
+    data = featurize_aggregates(group_daily(table, SPACE)[0], CFG)
+    return {host: dict(zip(data.feature_names, row)) for (host, _), row in zip(data.row_keys, data.X.tolist())}
 
 
 def test_zero_jitter_beacon_is_perfectly_periodic(tmp_path):
