@@ -48,6 +48,7 @@ from .features import FeatureConfig, block_ranges, featurize_aggregates  # noqa:
 from .flows import identity_schema, parse_flow_file, read_schema  # noqa: E402
 from .learners import (  # noqa: E402
     BASE_KINDS,
+    ModelArtifact,
     default_grid,
     fit_lasso,  # noqa: F401  tracer-only: perfbench/tracing.py wraps cli.fit_lasso by name
     fit_model,
@@ -56,7 +57,7 @@ from .learners import (  # noqa: E402
     predict_proba,
     save_model,
 )
-from .learners.artifact import decode_model  # noqa: E402
+from .learners.artifact import read_model_file  # noqa: E402
 from .learners.data import write_feature_matrix  # noqa: E402
 from .learners.linear import lasso_cells  # noqa: E402
 from .rng import NS_PIPELINE, child_seed  # noqa: E402
@@ -333,14 +334,12 @@ def _load_model_dir(model_dir: Path) -> dict:
     models, files = {}, {}
     for path in sorted(model_dir.glob("*.json")):
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            artifact = read_model_file(path)
         except json.JSONDecodeError as exc:
             raise PipelineError(f"{path}: not valid JSON: {exc}") from exc
-        if isinstance(payload, dict) and payload.get("format") == "c2sift-model":
-            try:
-                artifact = decode_model(payload)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        if isinstance(artifact, ModelArtifact):
             if artifact.kind in files:
                 raise PipelineError(f"two {artifact.kind} models in {model_dir}: {files[artifact.kind].name} and {path.name}")
             models[artifact.kind], files[artifact.kind] = artifact, path

@@ -18,7 +18,6 @@ import numpy as np
 from .evaluate import stratified_folds
 from .learners.artifact import (
     ModelArtifact,
-    decode_model,
     fit_model,
     predict_proba,
     read_columns,
@@ -153,18 +152,10 @@ def predict_stack(stack: ModelArtifact, X: np.ndarray) -> np.ndarray:
     return predict_proba(p["meta"], base)
 
 
-def _revive_stack(parameters: dict) -> dict:
-    return {
-        **parameters,
-        "base_models": [decode_model(model) for model in parameters["base_models"]],
-        "meta": decode_model(parameters["meta"]),
-    }
-
-
 def _stack_columns(stack: ModelArtifact) -> list[int]:
     """The columns that any base reads; the meta GLM reads only the bases' scores."""
     read = {base.feature_names[j] for base in stack.parameters["base_models"] for j in read_columns(base)}
     return [i for i, name in enumerate(stack.feature_names) if name in read]
 
 
-register_kind("stack", None, predict_stack, _revive_stack, reader=_stack_columns)
+register_kind("stack", None, predict_stack, {"base_models": ModelArtifact, "meta": ModelArtifact}, reader=_stack_columns)

@@ -2,7 +2,7 @@
 
 An artifact carries the fitted parameters, the seed it was trained with,
 the training-time feature names, and free-form training metadata. Kinds
-register fit/predict/revive callables so cross-validation, stacking, and
+register fit/predict callables so cross-validation, stacking, and
 the CLI can treat all models uniformly (tests may register extra kinds).
 A staged kind also registers a tuple of stage parameters and a group
 scorer: cells that differ only in those parameters form one group, and
@@ -15,19 +15,31 @@ may also register which of a saved model's columns its predictions read
 
 Serialization is JSON with a version tag; floats round-trip exactly via
 repr, so a reloaded model scores a probe matrix bit-for-bit identically.
-An artifact nested in another's parameters (the stack's bases and meta
-GLM) is encoded, checked and decoded the same way as a model file.
+A file holds the bytes of ``json.dumps(artifact, sort_keys=True,
+default=_json_value)``, but written a piece at a time: an artifact, dict,
+list or tuple member by member, and anything else (an array, a ``Tree``,
+a list of scalars) by one ``json.dumps``, so no Python copy of a whole
+model is built. The reader parses with an object hook that turns each
+tree payload into a ``Tree`` and each model payload into a
+``ModelArtifact`` as soon as the parser finishes it, so no list of every
+node value is built either. An artifact nested in another's parameters
+(the stack's bases and meta GLM) is written, checked and read the same
+way as a model file. A kind registers which of its parameters hold trees
+or artifacts (``parts``); loading refuses a file where one of them did
+not parse as such, naming the key.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .data import LabeledDataset
+from .tree import Tree
 
 ARTIFACT_VERSION = 1
 
@@ -44,13 +56,12 @@ class ModelArtifact:
 
 Fitter = Callable[[LabeledDataset, Mapping, int], ModelArtifact]
 Predictor = Callable[[ModelArtifact, np.ndarray], np.ndarray]
-Reviver = Callable[[dict], dict]
 GroupScorer = Callable[[LabeledDataset, Sequence[Mapping], Sequence[int], np.ndarray], list]
 Reader = Callable[[ModelArtifact], Sequence[int]]
 
 FITTERS: dict[str, Fitter] = {}
 PREDICTORS: dict[str, Predictor] = {}
-REVIVERS: dict[str, Reviver] = {}
+PARTS: dict[str, dict[str, type]] = {}  # kind -> {parameter: Tree or ModelArtifact, alone or in a list}
 STAGED: dict[str, tuple[tuple[str, ...], GroupScorer]] = {}  # kind -> (stage parameters, group scorer)
 READERS: dict[str, Reader] = {}
 
@@ -59,15 +70,15 @@ def register_kind(
     kind: str,
     fitter: Fitter | None,
     predictor: Predictor,
-    reviver: Reviver | None = None,
+    parts: Mapping[str, type] | None = None,
     staged: tuple[tuple[str, ...], GroupScorer] | None = None,
     reader: Reader | None = None,
 ) -> None:
     if fitter is not None:
         FITTERS[kind] = fitter
     PREDICTORS[kind] = predictor
-    if reviver is not None:
-        REVIVERS[kind] = reviver
+    if parts is not None:
+        PARTS[kind] = dict(parts)
     if staged is not None:
         STAGED[kind] = staged
     if reader is not None:
@@ -154,46 +165,90 @@ def _model_inputs(kind: str, names: tuple[str, ...], X: np.ndarray, feature_name
     return X
 
 
-def _to_jsonable(obj):
+_FORMAT = "c2sift-model"
+_TREE_KEYS = frozenset(f.name for f in fields(Tree))
+
+
+def _json_value(obj):
+    """What ``json`` writes for an object it cannot write itself (its ``default``):
+    an artifact's model payload, an array's list, a numpy scalar's Python number,
+    a tree's ``to_jsonable``."""
     if isinstance(obj, ModelArtifact):
-        return encode_model(obj)
+        return {
+            "format": _FORMAT,
+            "version": obj.version,
+            "kind": obj.kind,
+            "seed": obj.seed,
+            "feature_names": obj.feature_names,
+            "training_meta": obj.training_meta,
+            "parameters": obj.parameters,
+        }
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if hasattr(obj, "to_jsonable"):
-        return _to_jsonable(obj.to_jsonable())
+        return obj.to_jsonable()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, default=_json_value)  # json.dumps(obj, sort_keys=True, default=_json_value)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _write(write: Callable[[str], object], obj) -> None:
+    """Write ``_ENCODER.encode(obj)`` a piece at a time: an artifact, a dict,
+    or a list or tuple that holds more than plain scalars member by member,
+    anything else in one piece."""
+    if isinstance(obj, ModelArtifact):
+        obj = _json_value(obj)
     if isinstance(obj, dict):
-        return {k: _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
+        write("{")
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            # json's own rendering of the key, "<key>": (it also renders int, float, bool and None keys)
+            write((", " if i else "") + json.dumps({key: 0})[1:-2])
+            _write(write, value)
+        write("}")
+    elif isinstance(obj, (list, tuple)) and not all(type(value) in _SCALARS for value in obj):
+        write("[")
+        for i, value in enumerate(obj):
+            if i:
+                write(", ")
+            _write(write, value)
+        write("]")
+    else:
+        write(_ENCODER.encode(obj))
+
+
+def _revive(obj: dict):
+    """The parser's object hook: a model payload as a ``ModelArtifact``, a tree payload as a ``Tree``."""
+    if obj.get("format") == _FORMAT:
+        return _decode(obj)
+    if _TREE_KEYS <= obj.keys():
+        return Tree.from_jsonable(obj)
     return obj
 
 
-def encode_model(artifact: ModelArtifact) -> dict:
-    """The JSON payload of a model file; a model nested in another's parameters is written the same way."""
-    return {
-        "format": "c2sift-model",
-        "version": artifact.version,
-        "kind": artifact.kind,
-        "seed": artifact.seed,
-        "feature_names": list(artifact.feature_names),
-        "training_meta": _to_jsonable(artifact.training_meta),
-        "parameters": _to_jsonable(artifact.parameters),
-    }
-
-
-def decode_model(payload) -> ModelArtifact:
-    """Inverse of ``encode_model``: checks the format and version, then revives the parameters."""
-    if not isinstance(payload, dict) or payload.get("format") != "c2sift-model":
-        raise ValueError("not a model artifact")
+def _decode(payload: dict) -> ModelArtifact:
+    """A model payload whose nested payloads are already revived: checks the version, the keys and the parts."""
     version = payload.get("version")
     if not isinstance(version, int) or version > ARTIFACT_VERSION:
         raise ValueError(f"artifact version {version!r} is newer than supported version {ARTIFACT_VERSION}")
-    kind = payload["kind"]
-    parameters = payload["parameters"]
-    if kind in REVIVERS:
-        parameters = REVIVERS[kind](parameters)
+    for key in ("kind", "seed", "feature_names", "parameters"):
+        if key not in payload:
+            raise ValueError(f"model payload has no {key!r}")
+    kind, parameters = payload["kind"], payload["parameters"]
+    for key, part_type in PARTS.get(kind, {}).items():
+        if key not in parameters:
+            raise ValueError(f"{kind} parameters have no {key!r}")
+        value = parameters[key]
+        for i, part in enumerate(value if isinstance(value, list) else [value]):
+            where = f"{kind} {key}[{i}]" if isinstance(value, list) else f"{kind} {key}"
+            if part_type is Tree and isinstance(part, dict):
+                missing = ", ".join(repr(name) for name in sorted(_TREE_KEYS - part.keys()))
+                raise ValueError(f"{where}: tree payload has no {missing}")
+            if not isinstance(part, part_type):
+                raise ValueError(f"{where}: not a {'tree' if part_type is Tree else 'model artifact'}")
     return ModelArtifact(
         kind=kind,
         parameters=parameters,
@@ -205,14 +260,30 @@ def decode_model(payload) -> ModelArtifact:
 
 
 def save_model(artifact: ModelArtifact, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(encode_model(artifact), sort_keys=True), encoding="utf-8")
+    """Write ``artifact`` to ``path`` a piece at a time; a failed write leaves ``path`` as it was."""
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w", encoding="utf-8") as handle:
+            _write(handle.write, artifact)
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
+
+
+def read_model_file(path: str | Path):
+    """The JSON value in ``path``, each model payload in it a ``ModelArtifact`` and each tree payload a ``Tree``."""
+    return json.loads(Path(path).read_text(encoding="utf-8"), object_hook=_revive)
 
 
 def load_model(path: str | Path) -> ModelArtifact:
     try:
-        return decode_model(json.loads(Path(path).read_text(encoding="utf-8")))
+        artifact = read_model_file(path)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(artifact, ModelArtifact):
+        raise ValueError(f"{path}: not a model artifact")
+    return artifact
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

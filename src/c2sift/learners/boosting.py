@@ -49,7 +49,6 @@ from .tree import (
     fit_tree_second_order,
     prefix_sums,
     presort,
-    revive_trees,
     route_blocks,
     route_trees,
     split_columns,
@@ -168,5 +167,5 @@ def _score_boosted_group(kind: str, data: LabeledDataset, cells, seeds, X: np.nd
 
 
 _STAGES = ("n_rounds", "max_depth")
-register_kind("gbm", fit_gbm, _predict_boosted, revive_trees, (_STAGES, partial(_score_boosted_group, "gbm")), split_columns)
-register_kind("gbm2", fit_gbm2, _predict_boosted, revive_trees, (_STAGES, partial(_score_boosted_group, "gbm2")), split_columns)
+register_kind("gbm", fit_gbm, _predict_boosted, {"trees": Tree}, (_STAGES, partial(_score_boosted_group, "gbm")), split_columns)
+register_kind("gbm2", fit_gbm2, _predict_boosted, {"trees": Tree}, (_STAGES, partial(_score_boosted_group, "gbm2")), split_columns)

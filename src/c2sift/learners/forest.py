@@ -35,7 +35,7 @@ from ..configio import read_settings
 from ..rng import NS_FOREST, substream
 from .artifact import ModelArtifact, register_kind
 from .data import LabeledDataset
-from .tree import Tree, TreeParams, fit_gini_trees, prefix_sums, revive_trees, route_blocks, route_trees, split_columns
+from .tree import Tree, TreeParams, fit_gini_trees, prefix_sums, route_blocks, route_trees, split_columns
 from .tree import fit_tree, tree_predict  # noqa: F401  tracer-only: perfbench/tracing.py wraps both in forest by name
 
 VARIANCE_RETAINED = 0.95  # pca_rf's default share of standardized variance kept by its PCA
@@ -248,5 +248,5 @@ def _predict_pca_rf(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
 
 
 _STAGES = ("n_trees", "max_depth")
-register_kind("rf", fit_random_forest, _predict_rf, revive_trees, (_STAGES, partial(_score_forest_group, "rf")), split_columns)
-register_kind("pca_rf", fit_pca_rf, _predict_pca_rf, revive_trees, (_STAGES, partial(_score_forest_group, "pca_rf")))
+register_kind("rf", fit_random_forest, _predict_rf, {"trees": Tree}, (_STAGES, partial(_score_forest_group, "rf")), split_columns)
+register_kind("pca_rf", fit_pca_rf, _predict_pca_rf, {"trees": Tree}, (_STAGES, partial(_score_forest_group, "pca_rf")))

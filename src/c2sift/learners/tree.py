@@ -33,9 +33,11 @@ scores are summed in the same order whatever the column orders are.
 Stop. An mse node with constant targets is a leaf. So is a second-order
 node whose rows share one (g, h) pair when no split can pass the gain
 gate: every column's cumulative sums and scores are then bit for bit one
-constant row's, scored once over every boundary ``min_leaf`` allows. If
-no score is NaN and the minimum is refused, the search (over a subset of
-those boundaries; the gate is monotone under rounding) would refuse too.
+constant row's, scored once, from slices of one cumsum, over every
+boundary ``min_leaf`` allows. If no score is NaN and the minimum is
+refused, the search (over a subset of those boundaries; the gate is
+monotone under rounding) would refuse too. Each node sums its targets
+once, for both its gain gate and its leaf.
 
 Fitted. mse and second-order fits write each leaf's value at its rows
 into ``fitted`` when given. Rows up to a split boundary hold values <= lo
@@ -149,11 +151,6 @@ class Tree:
         )
 
 
-def revive_trees(parameters: dict) -> dict:
-    """A tree ensemble's saved parameters with each of its ``trees`` revived."""
-    return {**parameters, "trees": [Tree.from_jsonable(t) for t in parameters["trees"]]}
-
-
 class _Builder:
     def __init__(self):
         self.feature: list[int] = []
@@ -249,9 +246,14 @@ def _boundary_scores(
     left = cum.ravel()[positions]
     right = cum[:, -1][block_row] - left
     if criterion == "second_order":
-        return -(left.real**2 / (left.imag + lam) + right.real**2 / (right.imag + lam))
+        return _second_order_scores(left, right, lam)
     n_right = order.shape[1] - n_left
     return (left.imag - left.real**2 / n_left) + (right.imag - right.real**2 / n_right)
+
+
+def _second_order_scores(left: np.ndarray, right: np.ndarray, lam: float) -> np.ndarray:
+    """The negative gain, without the parent term and gamma, of splits into packed (G, H) sums ``left`` and ``right``."""
+    return -(left.real**2 / (left.imag + lam) + right.real**2 / (right.imag + lam))
 
 
 def _partition(block: tuple, keep: np.ndarray, count: int, min_leaf: int) -> tuple:
@@ -296,26 +298,28 @@ def _fit(
     # global row ids in that order, its ``_valid_positions``).
     root_block = (sorted_X.columns, sorted_X.sorted_vals, sorted_X.order, sorted_X.root_positions(min_leaf))
 
-    def leaf(idx: np.ndarray) -> int:
+    def node_sums(idx: np.ndarray) -> tuple:
+        """The node's target sums, (sum g, sum h) or (sum t,): one per node, for its gain gate and its leaf."""
+        return tuple(target[idx].sum() for target in targets)
+
+    def leaf(idx: np.ndarray, sums: tuple) -> int:
         if criterion == "second_order":
-            g, h = targets[0][idx].sum(), targets[1][idx].sum()
-            denom = h + lam
-            value = -g / denom if denom > _GAIN_EPS else 0.0
+            denom = sums[1] + lam
+            value = -sums[0] / denom if denom > _GAIN_EPS else 0.0
         else:
-            value = float(targets[0][idx].mean())
+            value = float(sums[0] / len(idx))  # bit for bit the mean: one sum, one division
         if fitted is not None:
             fitted[idx] = value
         return builder.add(value, len(idx))
 
-    def refused(score: float, idx: np.ndarray) -> bool:
+    def refused(score: float, idx: np.ndarray, sums: tuple) -> bool:
         """The gain gate: whether a split of score ``score`` is refused at the node of rows ``idx``."""
         if criterion == "mse":
             t = targets[0][idx]
-            return float(np.sum(t * t) - t.sum() ** 2 / len(t)) - score <= _GAIN_EPS
-        g, h = targets[0][idx].sum(), targets[1][idx].sum()
-        return 0.5 * (-score + -(g**2) / (h + lam)) - gamma <= 0.0
+            return float(np.sum(t * t) - sums[0] ** 2 / len(t)) - score <= _GAIN_EPS
+        return 0.5 * (-score + -(sums[0] ** 2) / (sums[1] + lam)) - gamma <= 0.0
 
-    def stops(idx: np.ndarray, depth: int) -> bool:
+    def stops(idx: np.ndarray, depth: int, sums: tuple) -> bool:
         count = len(idx)
         if count < 2 or count < 2 * min_leaf or (params.max_depth is not None and depth >= params.max_depth):
             return True
@@ -324,24 +328,25 @@ def _fit(
         if criterion == "mse":
             return True
         # one (g, h) pair (Stop): a constant row's scores at every min_leaf boundary, quiet as the search may score none
-        row, every = np.full(count, packed[idx[0]]), np.arange(count)[None, :]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            scores = _boundary_scores(criterion, row, every, _valid_positions(every, min_leaf), lam)
-            return not np.isnan(scores).any() and refused(float(scores.min()), idx)
+            cum = np.cumsum(np.full(count, packed[idx[0]]))
+            left = cum[min_leaf - 1 : count - min_leaf]
+            scores = _second_order_scores(left, cum[-1] - left, lam)
+            return not np.isnan(scores).any() and refused(float(scores.min()), idx, sums)
 
-    def grow(idx: np.ndarray, depth: int, block: tuple | None) -> int:
-        """Grow the subtree on rows ``idx`` (in row order); ``block`` is
-        None exactly when the node stops."""
+    def grow(idx: np.ndarray, depth: int, block: tuple | None, sums: tuple) -> int:
+        """Grow the subtree on rows ``idx`` (in row order), whose ``node_sums`` are
+        ``sums``; ``block`` is None exactly when the node stops."""
         if block is None:
-            return leaf(idx)
+            return leaf(idx, sums)
         columns, sorted_vals, order, valid = block
         if valid[0].size == 0:
-            return leaf(idx)
+            return leaf(idx, sums)
         scores = _boundary_scores(criterion, packed, order, valid, lam)
         best = int(np.argmin(scores))
         best_score = float(scores[best])
-        if not np.isfinite(best_score) or refused(best_score, idx):
-            return leaf(idx)
+        if not np.isfinite(best_score) or refused(best_score, idx, sums):
+            return leaf(idx, sums)
 
         row, boundary = int(valid[1][best]), int(valid[2][best]) - 1
         node = builder.add(0.0, len(idx))
@@ -352,21 +357,23 @@ def _fit(
         side[order[row, : boundary + 1]] = True
         go_left = side[idx]
         left_idx, right_idx = idx[go_left], idx[~go_left]
+        left_sums, right_sums = node_sums(left_idx), node_sums(right_idx)
         left_block = right_block = None
-        grow_left = not stops(left_idx, depth + 1)
-        grow_right = not stops(right_idx, depth + 1)
+        grow_left = not stops(left_idx, depth + 1, left_sums)
+        grow_right = not stops(right_idx, depth + 1, right_sums)
         if grow_left or grow_right:
             in_left = side[order]
             if grow_left:
                 left_block = _partition(block, in_left, len(left_idx), min_leaf)
             if grow_right:
                 right_block = _partition(block, ~in_left, len(right_idx), min_leaf)
-        builder.left[node] = grow(left_idx, depth + 1, left_block)
-        builder.right[node] = grow(right_idx, depth + 1, right_block)
+        builder.left[node] = grow(left_idx, depth + 1, left_block, left_sums)
+        builder.right[node] = grow(right_idx, depth + 1, right_block, right_sums)
         return node
 
     every_row = np.arange(n)
-    grow(every_row, 0, None if stops(every_row, 0) else root_block)
+    root_sums = node_sums(every_row)
+    grow(every_row, 0, None if stops(every_row, 0, root_sums) else root_block, root_sums)
     return builder.finish()
 
 

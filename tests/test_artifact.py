@@ -1,18 +1,27 @@
+import dataclasses
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from c2sift.cli import _load_model_dir
+from c2sift.ensemble import fit_stack
 from c2sift.learners import (
     ARTIFACT_VERSION,
+    BASE_KINDS,
+    LabeledDataset,
     ModelArtifact,
     fit_glm,
+    fit_model,
     load_model,
     predict_proba,
     save_model,
 )
 from c2sift.learners.tree import Tree
 
+from artifact_oracle import encode_model
 from conftest import make_dataset
 
 
@@ -133,3 +142,114 @@ def test_uncastable_param_refused_by_name():
 
     with pytest.raises(ValueError, match="gbm: n_rounds = 'many' is not a valid int"):
         fit_model("gbm", make_dataset(n=40, d=3), {"n_rounds": "many"}, 0)
+
+
+SMALL_PARAMS = {
+    "rf": {"n_trees": 4, "max_depth": 3},
+    "pca_rf": {"n_trees": 4, "max_depth": 3},
+    "gbm": {"n_rounds": 5, "max_depth": 2},
+    "gbm2": {"n_rounds": 5, "max_depth": 2},
+    "glm": {},
+    "lasso": {"lambda_path": [0.05, 0.01]},
+}
+
+
+def oracle_bytes(artifact: ModelArtifact) -> bytes:
+    return json.dumps(encode_model(artifact), sort_keys=True).encode("utf-8")
+
+
+def odd_models() -> list[ModelArtifact]:
+    """One model of every base kind and a stack of them, on non-ASCII feature
+    names, each with numpy scalars and tuples in its training_meta."""
+    data = make_dataset(n=120, d=4, seed=21)
+    data = LabeledDataset(data.X, data.y, ("größe", "流量", "f2", "f3"), data.row_keys)
+    odd = {"np_float": np.float64(0.1), "np_float32": np.float32(0.3), "np_int": np.int64(-7), "pair": (1, ("a", 2.5))}
+    bases = []
+    for i, kind in enumerate(BASE_KINDS):
+        model = fit_model(kind, data, SMALL_PARAMS[kind], seed=i)
+        model.training_meta.update(odd)
+        bases.append(model)
+    stack = fit_stack(data, [(kind, SMALL_PARAMS[kind]) for kind in BASE_KINDS], bases, k=3, seed=5)
+    stack.training_meta.update(odd)
+    return [*bases, stack]
+
+
+def test_save_writes_the_oracle_bytes_and_reloads_to_them(tmp_path):
+    models = odd_models()
+    assert [model.kind for model in models] == [*BASE_KINDS, "stack"]
+    assert all(np.isnan(tree.threshold).any() for tree in models[0].parameters["trees"])  # leaves: NaN thresholds
+    for model in models:
+        path, again = tmp_path / f"{model.kind}.json", tmp_path / f"{model.kind}_again.json"
+        save_model(model, path)
+        assert path.read_bytes() == oracle_bytes(model), model.kind
+        save_model(load_model(path), again)
+        assert again.read_bytes() == path.read_bytes(), model.kind
+    assert b"NaN" in (tmp_path / "rf.json").read_bytes() and b"\\u6d41\\u91cf" in (tmp_path / "stack.json").read_bytes()
+
+
+def test_failed_save_keeps_the_old_file(tmp_path):
+    model = fit_glm(make_dataset(n=60, d=2, seed=4))
+    path = tmp_path / "glm.json"
+    save_model(model, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        save_model(dataclasses.replace(model, training_meta={"z": object()}), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["glm.json"]
+
+
+def saved_rf_payload(tmp_path):
+    data = make_dataset(n=80, d=3, seed=6)
+    path = tmp_path / "rf.json"
+    save_model(fit_model("rf", data, {"n_trees": 3, "max_depth": 3}, seed=1), path)
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+MODEL_READERS = {"load_model": load_model, "model_dir": lambda path: _load_model_dir(path.parent)}
+
+
+@pytest.mark.parametrize("read", MODEL_READERS.values(), ids=MODEL_READERS.keys())
+def test_tree_payload_without_a_key_names_the_file_and_key(tmp_path, read):
+    path, payload = saved_rf_payload(tmp_path)
+    del payload["parameters"]["trees"][1]["n_node"]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: rf trees[1]: tree payload has no 'n_node'")):
+        read(path)
+
+
+@pytest.mark.parametrize("read", MODEL_READERS.values(), ids=MODEL_READERS.keys())
+def test_artifact_without_trees_names_the_file_and_key(tmp_path, read):
+    path, payload = saved_rf_payload(tmp_path)
+    del payload["parameters"]["trees"]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: rf parameters have no 'trees'")):
+        read(path)
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_memory_grows_with_a_tree_not_with_the_forest(tmp_path):
+    # the build-then-dump writer held every tree's node lists and the whole text: ~1.3 MB at 20 trees, ~6.5 MB at 200
+    forest = fit_model("rf", make_dataset(n=400, d=6, seed=3), {"n_trees": 20}, seed=1)
+    peaks = {}
+    for n_trees in (20, 200):
+        model = dataclasses.replace(forest, parameters={"trees": forest.parameters["trees"] * (n_trees // 20)})
+        peaks[n_trees] = traced_peak(lambda: save_model(model, tmp_path / f"rf{n_trees}.json"))
+    assert peaks[200] <= 1.5 * peaks[20], peaks
+
+
+def test_load_memory_is_a_fixed_multiple_of_the_file(tmp_path):
+    # the text, its bytes while it is decoded, and the trees' arrays; a parse into
+    # Python lists of every node value before reviving them took ~4x the file
+    forest = fit_model("rf", make_dataset(n=400, d=6, seed=3), {"n_trees": 20}, seed=1)
+    path = tmp_path / "rf.json"
+    save_model(dataclasses.replace(forest, parameters={"trees": forest.parameters["trees"] * 10}), path)
+    peak = traced_peak(lambda: load_model(path))
+    assert peak <= 3 * path.stat().st_size, (peak, path.stat().st_size)
