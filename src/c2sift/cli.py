@@ -48,7 +48,6 @@ from .features import FeatureConfig, block_ranges, featurize_aggregates  # noqa:
 from .flows import identity_schema, parse_flow_file, read_schema  # noqa: E402
 from .learners import (  # noqa: E402
     BASE_KINDS,
-    ModelArtifact,
     default_grid,
     fit_lasso,  # noqa: F401  tracer-only: perfbench/tracing.py wraps cli.fit_lasso by name
     fit_model,
@@ -57,7 +56,6 @@ from .learners import (  # noqa: E402
     predict_proba,
     save_model,
 )
-from .learners.artifact import read_model_file  # noqa: E402
 from .learners.data import write_feature_matrix  # noqa: E402
 from .learners.linear import lasso_cells  # noqa: E402
 from .rng import NS_PIPELINE, child_seed  # noqa: E402
@@ -96,7 +94,8 @@ def _now() -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """``payload`` as indented JSON; a path in it is written as its string."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=os.fspath) + "\n", encoding="utf-8")
 
 
 def write_manifest(out_dir: Path, command: str, inputs: dict, params: dict, started: str, **extra) -> None:
@@ -122,32 +121,52 @@ def write_manifest(out_dir: Path, command: str, inputs: dict, params: dict, star
     _write_json(Path(out_dir) / "run_manifest.json", manifest)
 
 
-@contextmanager
-def stage(out: Path, command: str, inputs: dict, params: dict):
-    """Run one command's body into ``out``, all or nothing.
+def _split_arguments(run, arguments: dict) -> tuple[dict, dict]:
+    """``run``'s inputs and params, from its ``locals()`` at entry: the inputs are
+    its parameters typed ``Path`` or ``list[Path]`` (or either ``| None``), the
+    params all the others; ``out`` is neither."""
+    hints = typing.get_type_hints(run)
+    inputs, params = {}, {}
+    for name in inspect.signature(run).parameters:
+        if name != "out":
+            (inputs if _bare(hints[name]) in (Path, list[Path]) else params)[name] = arguments[name]
+    return inputs, params
 
-    An existing ``out`` is refused before the body runs, so no input is
-    read. The body gets a staging directory and an ``extra`` dict of
-    manifest blocks to fill (``signals``, ``timings``); ``params`` may
-    also be filled in by the body. On success run_manifest.json is
-    written, with ``timings.total_s``, and staging is renamed to ``out``;
-    on any exception staging, and any parent directory it had to create,
-    is removed.
+
+@contextmanager
+def stage(run, arguments: dict):
+    """Run the body of the command ``run`` into its ``out``, all or nothing.
+
+    ``arguments`` is ``run``'s ``locals()`` as its first statement, so it
+    holds exactly its parameters. An existing ``out`` is refused first,
+    then any given input path that is not a file (``model_dir``: not a
+    directory), naming its flag, so no input is read before both checks
+    pass. The body gets a staging directory and the manifest's blocks to
+    fill: ``params`` (the body may add to them), ``timings`` and any other
+    block (``signals``). On success run_manifest.json is written, with
+    ``timings.total_s``, and staging is renamed to ``out``; on any
+    exception staging, and any parent directory it had to create, is
+    removed.
     """
-    out = Path(out)
+    out = Path(arguments["out"])
     if out.exists():
         raise PipelineError(f"output path already exists: {out}")
+    inputs, params = _split_arguments(run, arguments)
+    for name, value in inputs.items():
+        for path in value if isinstance(value, list) else [value]:
+            if path is not None and not (Path(path).is_dir() if name == "model_dir" else Path(path).is_file()):
+                raise PipelineError(f"{_flag(name)} not found: {path}")
     started, clock = _now(), perf_counter()
     staging = out.with_name(out.name + ".staging")
     if staging.exists():
         shutil.rmtree(staging)
     new_parents = [directory for directory in staging.parents if not directory.exists()]
     staging.mkdir(parents=True)
-    extra = {"timings": {}}
+    manifest = {"inputs": inputs, "params": params, "timings": {}}
     try:
-        yield staging, extra
-        extra["timings"]["total_s"] = perf_counter() - clock
-        write_manifest(staging, command, inputs, params, started, **extra)
+        yield staging, manifest
+        manifest["timings"]["total_s"] = perf_counter() - clock
+        write_manifest(staging, run.__name__.removeprefix("run_"), started=started, **manifest)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         for directory in new_parents:  # innermost first
@@ -155,18 +174,6 @@ def stage(out: Path, command: str, inputs: dict, params: dict):
                 directory.rmdir()
         raise
     os.replace(staging, out)
-
-
-def _params(arguments: dict, *inputs: str) -> dict:
-    """A run_* function's ``locals()`` at entry, less ``out`` and its ``inputs``: the manifest's params."""
-    return {name: value for name, value in arguments.items() if name not in ("out", *inputs)}
-
-
-def _require_file(path, what: str) -> Path:
-    path = Path(path)
-    if not path.is_file():
-        raise PipelineError(f"{what} not found: {path}")
-    return path
 
 
 def run_generate(
@@ -177,15 +184,14 @@ def run_generate(
     benign_hosts: int = 250,
     day_start_ms: int | None = None,
 ) -> None:
-    params = _params(locals())
-    with stage(out, "generate", {}, params) as (tmp, _):
+    with stage(run_generate, locals()) as (tmp, manifest):
         factory = SCENARIOS.get(scenario)
         if factory is None:
             raise PipelineError(f"unknown scenario {scenario!r} ({', '.join(SCENARIOS)})")
         cfg = factory(seed=seed, n_c2=c2_hosts, n_benign=benign_hosts)
         if day_start_ms is not None:
             cfg = dataclasses.replace(cfg, day_start_ms=day_start_ms)
-        params["day_start_ms"] = cfg.day_start_ms
+        manifest["params"]["day_start_ms"] = cfg.day_start_ms
         summary = generate(cfg, tmp / "flows.csv", tmp / "labels.csv")
         (tmp / "internal_space.txt").write_text(INTERNAL_SPACE_CIDR + "\n", encoding="utf-8")
         malicious = sorted(h for h, p in summary.hosts.items() if p.label == LABEL_MALICIOUS)
@@ -208,21 +214,11 @@ def run_featurize(
     schema: Path | None = None,
     ablate_distributional: bool = False,
 ) -> None:
-    inputs = {
-        "flows": str(flows),
-        "internal_space": str(internal_space),
-        "labels": str(labels) if labels else None,
-        "feature_config": str(feature_config) if feature_config else None,
-        "schema": str(schema) if schema else None,
-    }
-    params = {"ablate_distributional": ablate_distributional}
-    with stage(out, "featurize", inputs, params) as (tmp, extra):
-        flows = _require_file(flows, "flow file")
-        internal_space = _require_file(internal_space, "internal-space config")
-        schema_map = read_schema(_require_file(schema, "schema config")) if schema else identity_schema()
-        cfg = FeatureConfig.from_file(_require_file(feature_config, "feature config")) if feature_config else FeatureConfig()
-        params["config"] = dataclasses.asdict(cfg)
-        label_map = read_labels(_require_file(labels, "label file")) if labels else None
+    with stage(run_featurize, locals()) as (tmp, manifest):
+        schema_map = read_schema(schema) if schema else identity_schema()
+        cfg = FeatureConfig.from_file(feature_config) if feature_config else FeatureConfig()
+        manifest["params"]["config"] = dataclasses.asdict(cfg)
+        label_map = read_labels(labels) if labels else None
 
         clock = perf_counter()
         table, stats = parse_flow_file(flows, schema_map)
@@ -231,7 +227,7 @@ def run_featurize(
         host_days, non_boundary = group_daily(table, space)
         grouped = perf_counter()
         data = featurize_aggregates(host_days, cfg)
-        extra["timings"].update(parse_s=parsed - clock, group_s=grouped - parsed, featurize_s=perf_counter() - grouped)
+        manifest["timings"].update(parse_s=parsed - clock, group_s=grouped - parsed, featurize_s=perf_counter() - grouped)
         if not data.n_rows:
             raise PipelineError(
                 f"no host-days in {flows}: {stats.records_accepted} flows accepted, {non_boundary} of them not boundary flows"
@@ -275,11 +271,10 @@ def run_train(features: Path, out: Path, seed: int = 0, folds: int = 10, jobs: i
     as ``<kind>.json``. Every fit keeps its own seed and results reduce
     by key, so the outputs are identical for any ``jobs``.
     """
-    chosen: dict[str, dict] = {}
-    params = {"seed": seed, "folds": folds, "jobs": jobs, "chosen": chosen}
-    with stage(out, "train", {"features": str(features)}, params) as (tmp, extra):
+    with stage(run_train, locals()) as (tmp, manifest):
         clock = perf_counter()
-        data = load_feature_matrix(_require_file(features, "feature matrix"))
+        chosen = manifest["params"]["chosen"] = {}
+        data = load_feature_matrix(features)
         data.require_training_labels()
         grid = default_grid()
         grid = dataclasses.replace(grid, lasso=tuple(cell for spec in grid.lasso for cell in lasso_cells(data, spec)))
@@ -312,7 +307,7 @@ def run_train(features: Path, out: Path, seed: int = 0, folds: int = 10, jobs: i
             )
             stack_done_s = perf_counter() - clock
         lasso_meta = artifacts["lasso"].training_meta
-        extra["signals"] = {
+        manifest["signals"] = {
             "lasso": {
                 "converged": lasso_meta["converged"],
                 "path_computed": lasso_meta["path_computed"],
@@ -320,7 +315,7 @@ def run_train(features: Path, out: Path, seed: int = 0, folds: int = 10, jobs: i
             },
             "stack_meta_glm": {key: stack.parameters["meta"].training_meta[key] for key in ("converged", "separation")},
         }
-        extra["timings"].update(cv_done_s=cv_done_s, stack_done_s=stack_done_s)
+        manifest["timings"].update(cv_done_s=cv_done_s, stack_done_s=stack_done_s)
         for kind, artifact in artifacts.items():
             save_model(artifact, tmp / f"{kind}.json")
         save_model(stack, tmp / "stack.json")
@@ -328,21 +323,15 @@ def run_train(features: Path, out: Path, seed: int = 0, folds: int = 10, jobs: i
 
 
 def _load_model_dir(model_dir: Path) -> dict:
-    model_dir = Path(model_dir)
-    if not model_dir.is_dir():
-        raise PipelineError(f"model directory not found: {model_dir}")
+    """Every model in ``model_dir`` by kind: each ``*.json`` but run_manifest.json must be one model file."""
     models, files = {}, {}
-    for path in sorted(model_dir.glob("*.json")):
-        try:
-            artifact = read_model_file(path)
-        except json.JSONDecodeError as exc:
-            raise PipelineError(f"{path}: not valid JSON: {exc}") from exc
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-        if isinstance(artifact, ModelArtifact):
-            if artifact.kind in files:
-                raise PipelineError(f"two {artifact.kind} models in {model_dir}: {files[artifact.kind].name} and {path.name}")
-            models[artifact.kind], files[artifact.kind] = artifact, path
+    for path in sorted(Path(model_dir).glob("*.json")):
+        if path.name == "run_manifest.json":
+            continue
+        artifact = load_model(path)
+        if artifact.kind in files:
+            raise PipelineError(f"two {artifact.kind} models in {model_dir}: {files[artifact.kind].name} and {path.name}")
+        models[artifact.kind], files[artifact.kind] = artifact, path
     if not models:
         raise PipelineError(f"no model artifacts in {model_dir}")
     return models
@@ -358,10 +347,8 @@ def run_evaluate(
     importance_kind: str = "rf",
     importance_repeats: int = 5,
 ) -> None:
-    params = _params(locals(), "features", "model_dir")
-    inputs = {"features": str(features), "model_dir": str(model_dir)}
-    with stage(out, "evaluate", inputs, params) as (tmp, extra):
-        data = load_feature_matrix(_require_file(features, "feature matrix"))
+    with stage(run_evaluate, locals()) as (tmp, manifest):
+        data = load_feature_matrix(features)
         if data.y is None:
             raise PipelineError(f"feature matrix {features} has no label column; evaluation needs labels")
         models = _load_model_dir(model_dir)
@@ -370,24 +357,25 @@ def run_evaluate(
         scores = {kind: predict_proba(models[kind], data.X, data.feature_names) for kind in sorted(models)}
         clock = perf_counter()
         reports = evaluate_scores(scores, data.y, bootstrap, child_seed(seed, NS_PIPELINE, 20), threshold)
-        extra["timings"].update(bootstrap_s=perf_counter() - clock, importance_s=0.0)
+        manifest["timings"].update(bootstrap_s=perf_counter() - clock, importance_s=0.0)
         if importance_kind:
             clock = perf_counter()
             importance = permutation_importance(
                 models[importance_kind], data, repeats=importance_repeats, seed=child_seed(seed, NS_PIPELINE, 21)
             )
-            extra["timings"]["importance_s"] = perf_counter() - clock
+            manifest["timings"]["importance_s"] = perf_counter() - clock
             write_importance(tmp / f"importance_{importance_kind}.csv", importance)
         write_evaluation(tmp / "evaluation.json", reports)
         write_bootstrap_table(tmp / "bootstrap_metrics.csv", reports)
 
 
 def run_predict(features: Path, model_dir: Path, out: Path, model_kind: str = "stack") -> None:
-    model_path = Path(model_dir) / f"{model_kind}.json"
-    inputs = {"features": str(features), "model": str(model_path)}
-    with stage(out, "predict", inputs, {"model_kind": model_kind}) as (tmp, _):
-        data = load_feature_matrix(_require_file(features, "feature matrix"))
-        artifact = load_model(_require_file(model_path, f"model artifact {model_kind}"))
+    with stage(run_predict, locals()) as (tmp, _):
+        model = Path(model_dir) / f"{model_kind}.json"
+        if not model.is_file():
+            raise PipelineError(f"--model {model_kind} not found: {model}")
+        data = load_feature_matrix(features)
+        artifact = load_model(model)
         try:
             scores = predict_proba(artifact, data.X, data.feature_names)
         except ValueError as exc:
@@ -425,24 +413,18 @@ def run_triage(
     triage_config: Path | None = None,
     threshold: float | None = None,
 ) -> None:
-    list_paths = (("deny", deny or ()), ("allow", allow or ()), ("cdn_cloud", cdn or ()), ("sinkhole", sinkhole or ()))
-    inputs = {
-        "predictions": str(predictions),
-        "features": str(features),
-        "lists": [str(p) for _, group in list_paths for p in group],
-    }
-    params = {}
-    with stage(out, "triage", inputs, params) as (tmp, _):
-        flagged = read_predictions(_require_file(predictions, "predictions file"))
-        data = load_feature_matrix(_require_file(features, "feature matrix"))
+    with stage(run_triage, locals()) as (tmp, manifest):
+        flagged = read_predictions(predictions)
+        data = load_feature_matrix(features)
         feature_rows = {
             key: dict(zip(data.feature_names, map(float, row))) for key, row in zip(data.row_keys, data.X)
         }
         cfg = TriageConfig.from_file(triage_config) if triage_config else TriageConfig()
         if threshold is not None:
             cfg = dataclasses.replace(cfg, threshold=threshold)
-        params["config"] = dataclasses.asdict(cfg)
-        lists = [load_ip_list(_require_file(path, f"{kind} list"), kind) for kind, group in list_paths for path in group]
+        config = manifest["params"]["config"] = dataclasses.asdict(cfg)
+        list_paths = (("deny", deny), ("allow", allow), ("cdn_cloud", cdn), ("sinkhole", sinkhole))
+        lists = [load_ip_list(path, kind) for kind, group in list_paths for path in group or ()]
         decisions = triage(flagged, lists, build_rules(cfg), feature_rows)
         counts: dict[str, int] = {}
         for d in decisions:
@@ -450,7 +432,7 @@ def run_triage(
         write_decisions(tmp / "decisions.csv", decisions)
         _write_json(
             tmp / "triage_summary.json",
-            {"outcomes": counts, "config": params["config"], "lists": list_summary(lists, decisions)},
+            {"outcomes": counts, "config": config, "lists": list_summary(lists, decisions)},
         )
 
 
@@ -473,7 +455,7 @@ def run_pipeline(
     stages inputs under ``out``'s staging path, and their manifests would
     record those paths.
     """
-    params = _params(locals())
+    inputs, params = _split_arguments(run_pipeline, locals())
     started, clock = _now(), perf_counter()
     check_threshold(threshold)  # before any stage runs: triage would refuse it only after train
     out = Path(out)
@@ -532,7 +514,7 @@ def run_pipeline(
     write_manifest(
         out,
         "pipeline",
-        inputs={},
+        inputs=inputs,
         params=params,
         started=started,
         timings={"total_s": perf_counter() - clock},
@@ -583,11 +565,22 @@ _FLAG_OVERRIDES = {
 _FLAG_NAMES = {"model_kind": "--model", "day_start_ms": None}  # None: no flag; pipeline and API callers set it
 
 
+def _flag(name: str) -> str | None:
+    """The flag of a run_* parameter, None for one that has none."""
+    return _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+
+
+def _bare(hint):
+    """``hint`` less ``| None``: X | None -> X."""
+    if type(None) in typing.get_args(hint):
+        return next(arg for arg in typing.get_args(hint) if arg is not type(None))
+    return hint
+
+
 def _flag_settings(hint, default) -> dict:
     """add_argument's settings for a parameter of type ``hint``: a parameter with no default is a required flag."""
     settings = {"required": True} if default is inspect.Parameter.empty else {"default": default}
-    if type(None) in typing.get_args(hint):  # X | None -> X
-        hint = next(arg for arg in typing.get_args(hint) if arg is not type(None))
+    hint = _bare(hint)
     if hint is bool:
         settings["action"] = "store_true"
     elif typing.get_origin(hint) is list:
@@ -606,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=_HELP[command])
         hints = typing.get_type_hints(run)
         for name, parameter in inspect.signature(run).parameters.items():
-            flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+            flag = _flag(name)
             if flag is not None:
                 settings = _flag_settings(hints[name], parameter.default)
                 p.add_argument(flag, dest=name, **{**settings, **_FLAG_OVERRIDES.get(name, {})})

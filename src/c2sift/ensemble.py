@@ -41,14 +41,6 @@ def _meta_names(base_specs: Sequence[BaseSpec]) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _check_oof_feasible(y: np.ndarray, k: int) -> None:
-    if k < 2:
-        raise ValueError("stacking needs k >= 2 folds")
-    counts = np.bincount(y, minlength=2)
-    if counts.min() < 2:
-        raise ValueError("each class needs at least 2 rows for stratified folds")
-
-
 def _oof_column(data, kind: str, params, folds: np.ndarray, f: int, seed: int, m: int):
     """Base m fitted on every row outside fold f, scored on fold f's rows (one piece of OOF column m)."""
     val = folds == f
@@ -67,9 +59,7 @@ def _base_tasks(data, m: int, kind: str, params, folds: np.ndarray, k: int, seed
 
 
 def _stack_folds(data: LabeledDataset, k: int, seed: int) -> np.ndarray:
-    y = data.require_training_labels()
-    _check_oof_feasible(y, k)
-    return stratified_folds(y, k, substream(seed, NS_FOLDS, 1))
+    return stratified_folds(data.require_training_labels(), k, substream(seed, NS_FOLDS, 1))
 
 
 def stack_tasks(data: LabeledDataset, m: int, spec: BaseSpec, k: int, seed: int) -> list[Task]:
@@ -94,8 +84,6 @@ def oof_matrix(
     """
     if folds is None:
         folds = _stack_folds(data, k, seed)
-    else:
-        _check_oof_feasible(data.require_training_labels(), k)
     tasks = [
         task
         for m, (kind, params) in enumerate(base_specs)

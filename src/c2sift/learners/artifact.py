@@ -271,19 +271,22 @@ def save_model(artifact: ModelArtifact, path: str | Path) -> None:
         part.unlink(missing_ok=True)
 
 
-def read_model_file(path: str | Path):
-    """The JSON value in ``path``, each model payload in it a ``ModelArtifact`` and each tree payload a ``Tree``."""
-    return json.loads(Path(path).read_text(encoding="utf-8"), object_hook=_revive)
-
-
 def load_model(path: str | Path) -> ModelArtifact:
+    """The model in ``path``, each tree payload in it a ``Tree`` and each nested
+    model payload a ``ModelArtifact``; a file that is not a model is refused, naming it."""
     try:
-        artifact = read_model_file(path)
-    except ValueError as exc:
+        artifact = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=_revive)
+    except ValueError as exc:  # also a file that is not JSON, or not UTF-8
         raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(artifact, ModelArtifact):
         raise ValueError(f"{path}: not a model artifact")
     return artifact
+
+
+def base_log_odds(y: np.ndarray) -> float:
+    """log(pbar / (1 - pbar)) for the mean label pbar: where boosting and the linear fits start."""
+    pbar = float(np.mean(y))
+    return float(np.log(pbar / (1.0 - pbar)))
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

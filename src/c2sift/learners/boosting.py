@@ -39,7 +39,7 @@ from typing import Mapping
 import numpy as np
 
 from ..configio import read_settings
-from .artifact import ModelArtifact, log_loss, register_kind, sigmoid
+from .artifact import ModelArtifact, base_log_odds, log_loss, register_kind, sigmoid
 from .data import LabeledDataset
 from .tree import (
     Presort,
@@ -66,11 +66,6 @@ class GBMParams:
     gamma: float = 0.0
 
 
-def _base_log_odds(y: np.ndarray) -> float:
-    pbar = float(np.mean(y))
-    return float(np.log(pbar / (1.0 - pbar)))
-
-
 def _boost(
     sorted_X: Presort, y: np.ndarray, F: np.ndarray, trees: list[Tree], params: GBMParams, second_order: bool,
     loss_path: list[float] | None = None,
@@ -94,7 +89,7 @@ def _fit_boosted(data: LabeledDataset, params: Mapping, seed: int, second_order:
     kind = "gbm2" if second_order else "gbm"
     gp = read_settings(GBMParams, params, kind)
     y = data.require_training_labels().astype(float)
-    f0 = _base_log_odds(y)
+    f0 = base_log_odds(y)
     F = np.full(data.n_rows, f0)
     trees: list[Tree] = []
     loss_path = [log_loss(y, sigmoid(F))]
@@ -146,7 +141,7 @@ def _score_boosted_group(kind: str, data: LabeledDataset, cells, seeds, X: np.nd
     second_order = kind == "gbm2"
     y = data.require_training_labels().astype(float)
     sorted_X = presort(data.X)
-    f0 = _base_log_odds(y)
+    f0 = base_log_odds(y)
     gps = [read_settings(GBMParams, cell, kind) for cell in cells]
     trees: list[Tree] = []  # the rounds of the shallowest cap fitted so far
     steps: list[np.ndarray] = []  # learning_rate * trees[t]'s leaf values on X

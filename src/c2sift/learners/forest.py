@@ -35,6 +35,7 @@ from ..configio import read_settings
 from ..rng import NS_FOREST, substream
 from .artifact import ModelArtifact, register_kind
 from .data import LabeledDataset
+from .linear import _standardize
 from .tree import Tree, TreeParams, fit_gini_trees, prefix_sums, route_blocks, route_trees, split_columns
 from .tree import fit_tree, tree_predict  # noqa: F401  tracer-only: perfbench/tracing.py wraps both in forest by name
 
@@ -174,11 +175,7 @@ def fit_pca(X: np.ndarray, variance_retained: float = VARIANCE_RETAINED) -> PcaT
     X = np.asarray(X, dtype=float)
     if X.shape[0] < 2:
         raise ValueError("PCA needs at least two rows")
-    means = X.mean(axis=0)
-    scales = X.std(axis=0, ddof=1)
-    # constant columns: float noise can leave a ~1e-15 std, scale those by 1
-    scales = np.where(scales > 1e-12 * np.maximum(np.abs(means), 1.0), scales, 1.0)
-    Z = (X - means) / scales
+    Z, means, scales = _standardize(X, ddof=1)
     cov = (Z.T @ Z) / (X.shape[0] - 1)
     eigenvalues, vectors = np.linalg.eigh(cov)
     order = np.argsort(eigenvalues)[::-1]
@@ -219,16 +216,7 @@ def fit_pca_rf(data: LabeledDataset, params: Mapping, seed: int) -> ModelArtifac
     rf = RFParams.from_mapping(rest, inner.X.shape[1], "pca_rf")
     return ModelArtifact(
         kind="pca_rf",
-        parameters={
-            "pca": {
-                "means": pca.means,
-                "scales": pca.scales,
-                "rotation": pca.rotation,
-                "eigenvalues": pca.eigenvalues,
-                "k": pca.k,
-            },
-            "trees": _fit_forest(inner, rf, seed),
-        },
+        parameters={"pca": asdict(pca), "trees": _fit_forest(inner, rf, seed)},
         seed=seed,
         feature_names=data.feature_names,
         training_meta={**asdict(rf), "variance_retained": variance_retained, "k": pca.k},
@@ -236,14 +224,9 @@ def fit_pca_rf(data: LabeledDataset, params: Mapping, seed: int) -> ModelArtifac
 
 
 def _predict_pca_rf(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
-    p = artifact.parameters["pca"]
-    pca = PcaTransform(
-        means=np.asarray(p["means"], dtype=float),
-        scales=np.asarray(p["scales"], dtype=float),
-        rotation=np.asarray(p["rotation"], dtype=float),
-        eigenvalues=np.asarray(p["eigenvalues"], dtype=float),
-        k=int(p["k"]),
-    )
+    record = artifact.parameters["pca"]  # fit_pca_rf's asdict(pca); a reloaded model's arrays are lists
+    arrays = {name: np.asarray(value, dtype=float) for name, value in record.items() if name != "k"}
+    pca = PcaTransform(**arrays, k=int(record["k"]))
     return _forest_proba(artifact.parameters["trees"], pca.transform(X))
 
 

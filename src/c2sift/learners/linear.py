@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..configio import read_settings
-from .artifact import ModelArtifact, register_kind, sigmoid
+from .artifact import ModelArtifact, base_log_odds, register_kind, sigmoid
 from .data import LabeledDataset
 
 _RIDGE_ON_SEPARATION = 1e-6
@@ -49,9 +49,10 @@ class LassoParams:
     tol: float = 1e-5
 
 
-def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _standardize(X: np.ndarray, ddof: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Z, means, scales): X's columns centred and divided by their std with ``ddof``; the PCA's is 1."""
     means = X.mean(axis=0)
-    scales = X.std(axis=0)
+    scales = X.std(axis=0, ddof=ddof)
     # constant columns: float noise can leave a ~1e-15 std, scale those by 1
     scales = np.where(scales > 1e-12 * np.maximum(np.abs(means), 1.0), scales, 1.0)
     return (X - means) / scales, means, scales
@@ -66,8 +67,7 @@ def _newton_fit(
     """
     n, d = Z.shape
     beta = np.zeros(d)
-    pbar = float(np.mean(y))
-    intercept = float(np.log(pbar / (1.0 - pbar)))
+    intercept = base_log_odds(y)
     converged = False
     hit_cap = False
 
@@ -252,7 +252,7 @@ def _lasso_path(
     n, d = Z.shape
     pbar = float(np.mean(y))
     beta = np.zeros(d)
-    intercept = float(np.log(pbar / (1.0 - pbar)))
+    intercept = base_log_odds(y)
     outer_tol = max(params.tol * 100.0, 1e-6)
     null_dev = -2.0 * n * (pbar * np.log(pbar) + (1.0 - pbar) * np.log(1.0 - pbar))
     betas = np.empty((len(lambdas), d))
@@ -304,9 +304,7 @@ def lambda_max(X: np.ndarray, y: np.ndarray) -> float:
     """
     Z, _, _ = _standardize(X)
     y = np.asarray(y, dtype=float)
-    pbar = float(np.mean(y))
-    intercept = float(np.log(pbar / (1.0 - pbar)))
-    p = sigmoid(np.full(len(y), intercept))
+    p = sigmoid(np.full(len(y), base_log_odds(y)))
     w = np.clip(p * (1.0 - p), _MIN_WEIGHT, None)
     wresid = y - p
     delta_b = float(wresid.sum() / float(w.sum()))

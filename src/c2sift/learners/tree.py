@@ -42,7 +42,7 @@ once, for both its gain gate and its leaf.
 Fitted. mse and second-order fits write each leaf's value at its rows
 into ``fitted`` when given. Rows up to a split boundary hold values <= lo
 <= threshold, and the others values >= hi > threshold (``_midpoint``), so
-``fitted`` is bit for bit ``tree_predict`` on the training rows.
+``fitted`` is bit for bit ``route_trees`` on the training rows.
 
 Scoring. A fit packs each row's two summed quantities, (g, h) or
 (t, t * t), into one complex number (``_pack``). At a node they are
@@ -540,22 +540,6 @@ def fit_tree_second_order(
     return _fit(X, targets, params, "second_order", lam=lam, gamma=gamma, fitted=fitted)
 
 
-def tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """Route all rows simultaneously; returns leaf values."""
-    n = X.shape[0]
-    pos = np.zeros(n, dtype=np.int64)
-    while True:
-        feats = tree.feature[pos]
-        active = feats >= 0
-        if not active.any():
-            break
-        rows = np.flatnonzero(active)
-        at = pos[rows]
-        go_left = X[rows, feats[rows]] <= tree.threshold[at]
-        pos[rows] = np.where(go_left, tree.left[at], tree.right[at])
-    return tree.value[pos]
-
-
 _ROUTE_PAIRS = 1 << 13  # (tree, row) pairs per routing pass: bounds its memory, not its result
 
 
@@ -582,8 +566,13 @@ def route_blocks(trees: Sequence[Tree], X: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def route_trees(trees: Sequence[Tree], X: np.ndarray) -> np.ndarray:
-    """(trees, rows) leaf values; row t is bit for bit ``tree_predict(trees[t], X)``."""
+    """(trees, rows) leaf values: row t holds the value of the leaf that each row of X reaches in ``trees[t]``."""
     return np.concatenate([np.empty((0, X.shape[0])), *route_blocks(trees, X)])
+
+
+def tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """One tree's leaf value at each row of X."""
+    return route_trees([tree], X)[0]
 
 
 def split_columns(model) -> np.ndarray:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import functools
 import inspect
 import json
 import os
@@ -188,6 +189,23 @@ def test_missing_input_fails_without_partial_output(tmp_path, capsys):
     assert not list(tmp_path.iterdir())  # nor the staging dir, nor the parent made for it
 
 
+@pytest.mark.parametrize("flag", ["--triage-config", "--deny", "--cdn", "--features"])
+def test_missing_triage_input_names_its_flag(tmp_path, features, capsys, flag):
+    """Each given input path, listed ones too, is checked before any is read;
+    a directory where a file belongs is refused the same way."""
+    predictions = tmp_path / "predictions.csv"
+    predictions.write_text("host_ip,window_date,score\n", encoding="utf-8")
+    missing = tmp_path / "absent.txt"
+    if flag == "--features":  # the last --features given wins
+        missing.mkdir()
+    out = tmp_path / "triage"
+    args = ["triage", "--predictions", predictions, "--features", features, flag, missing, "--out", out]
+    assert run(args) == 2
+    assert f"{flag} not found: {missing}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.staging"))
+
+
 def test_failure_inside_staging_leaves_nothing(tmp_path, dataset, capsys):
     out = tmp_path / "feat"
     bad_labels = tmp_path / "labels.csv"
@@ -371,6 +389,35 @@ def small_model_dir(tmp_path, features):
     return models
 
 
+@pytest.mark.parametrize("importance_kind", ["rf", "glm"])
+@pytest.mark.parametrize("bad", ["format-less rf.json", "stray JSON"])
+def test_evaluate_refuses_a_json_file_that_is_not_a_model(tmp_path, features, capsys, bad, importance_kind):
+    """Every *.json in --model-dir but run_manifest.json must be a model file:
+    one that is not is refused and named, not skipped."""
+    models = small_model_dir(tmp_path, features)
+    if bad == "stray JSON":
+        named = models / "notes.json"
+        named.write_text("{}\n", encoding="utf-8")
+    else:
+        named = models / "rf.json"
+        payload = json.loads(named.read_text())
+        del payload["format"]
+        named.write_text(json.dumps(payload), encoding="utf-8")
+    (models / "run_manifest.json").write_text("{}\n", encoding="utf-8")  # the one JSON file that is not read
+    args = ["evaluate", "--features", features, "--model-dir", models, "--out", tmp_path / "eval", "--bootstrap", "5"]
+    assert run(args + ["--importance-kind", importance_kind, "--importance-repeats", "1"]) == 2
+    assert f"{named}: not a model artifact" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_predict_without_the_model_file_names_it(tmp_path, features, capsys):
+    models = small_model_dir(tmp_path, features)
+    out = tmp_path / "preds"
+    assert run(["predict", "--features", features, "--model-dir", models, "--model", "lasso", "--out", out]) == 2
+    assert f"--model lasso not found: {models / 'lasso.json'}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_importance_kind_fails_before_any_prediction(tmp_path, features, monkeypatch, capsys):
     models = small_model_dir(tmp_path, features)
 
@@ -493,6 +540,41 @@ def test_pipeline_dirs_have_one_manifest_each(tmp_path, tiny_grid):
     # every pipeline setting is recorded
     assert set(top["params"]) == set(inspect.signature(cli.run_pipeline).parameters) - {"out"}
     assert top["params"]["importance_repeats"] == 1
+
+
+def test_each_manifest_splits_its_run_function_parameters(tmp_path, tiny_grid):
+    """A stage's manifest records each path parameter (a flag of type Path)
+    under ``inputs``, as given, and every other parameter under ``params``;
+    ``out`` is in neither. The body adds only the settings it resolved."""
+    out = tmp_path / "pipe"
+    argv = ["pipeline", "--out", out, "--seed", "1", "--c2-hosts", "6", "--benign-hosts", "24", "--folds", "3"]
+    assert run(argv + ["--bootstrap", "5", "--importance-repeats", "1"]) == 0
+    parser = cli.build_parser()
+    subcommands = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    resolved = {"featurize": {"config"}, "train": {"chosen"}, "triage": {"config"}}
+    dirs = {
+        "generate": "test_data",
+        "featurize": "features_test",
+        "train": "models",
+        "evaluate": "evaluation",
+        "predict": "predictions",
+        "triage": "triage",
+        "pipeline": "",
+    }
+    for command, sub in subcommands.choices.items():
+        manifest = read_manifest(out / dirs[command])
+        assert manifest["command"] == command
+        paths = {action.dest for action in sub._actions if action.type is Path} - {"out"}
+        parameters = set(inspect.signature(cli.COMMANDS[command]).parameters) - {"out"}
+        assert set(manifest["inputs"]) == paths, command
+        assert set(manifest["params"]) == parameters - paths | resolved.get(command, set()), command
+    predict = read_manifest(out / "predictions")
+    assert predict["inputs"] == {"features": str(out / "features_test" / "features.csv"), "model_dir": str(out / "models")}
+    assert predict["params"] == {"model_kind": "stack"}
+    triage = read_manifest(out / "triage")
+    assert triage["inputs"]["deny"] == [str(out / "test_data" / "deny_sample.txt")]
+    assert triage["inputs"]["cdn"] is None and triage["inputs"]["triage_config"] is None
+    assert triage["params"]["threshold"] == 0.5
 
 
 def test_jobs_flag_matches_serial(tmp_path, features, tiny_grid):
@@ -629,6 +711,25 @@ def test_run_generate_refuses_an_unknown_scenario(tmp_path):
     with pytest.raises(cli.PipelineError, match=r"unknown scenario 'bogus' \(default, overlap\)"):
         cli.run_generate(tmp_path / "data", scenario="bogus")
     assert not list(tmp_path.iterdir())
+
+
+def test_stage_derives_through_a_functools_wraps_wrapper(tmp_path, dataset, monkeypatch):
+    """A run_* replaced by a ``functools.wraps`` wrapper (as a tracer wraps
+    them) still names its command, splits its parameters and checks its inputs."""
+    original = cli.run_featurize
+
+    @functools.wraps(original)
+    def wrapped(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_featurize", wrapped)
+    with pytest.raises(cli.PipelineError, match="--labels not found"):
+        cli.run_featurize(dataset / "flows.csv", dataset / "internal_space.txt", tmp_path / "f", labels=tmp_path / "x")
+    cli.run_featurize(dataset / "flows.csv", dataset / "internal_space.txt", tmp_path / "f")
+    manifest = read_manifest(tmp_path / "f")
+    assert manifest["command"] == "featurize"
+    assert manifest["inputs"]["flows"] == str(dataset / "flows.csv") and manifest["inputs"]["labels"] is None
+    assert set(manifest["params"]) == {"ablate_distributional", "config"}
 
 
 def test_shared_pool_matches_serial_with_n_rounds_pairs(tmp_path, features, monkeypatch, capsys):

@@ -16,17 +16,17 @@ from c2sift.evaluate import cv_tune
 from c2sift.learners import fit_model, forest
 from c2sift.learners.artifact import score_cells, share_groups
 from c2sift.learners.grids import HyperGrid
-from c2sift.learners.tree import TreeParams, tree_predict
+from c2sift.learners.tree import TreeParams
 
 from conftest import make_dataset
-from tree_oracle import fit_gini_tree
+from tree_oracle import fit_gini_tree, oracle_tree_predict
 
 
 def test_single_tree_reduction():
     data = make_dataset(n=80, d=5, seed=1)
     forest = fit_random_forest(data, {"n_trees": 1, "bootstrap": False, "mtry": None}, seed=9)
     lone = fit_gini_tree(data.X, data.y, TreeParams())
-    assert np.array_equal(predict_proba(forest, data.X, data.feature_names), tree_predict(lone, data.X))
+    assert np.array_equal(predict_proba(forest, data.X, data.feature_names), oracle_tree_predict(lone, data.X))
 
 
 def test_seed_determinism():
@@ -57,7 +57,7 @@ def test_forest_probability_in_tree_hull():
     data = make_dataset(n=100, d=4, seed=3)
     model = fit_random_forest(data, {"n_trees": 20, "max_depth": 3}, seed=1)
     probe = np.random.default_rng(1).normal(size=(30, 4))
-    per_tree = np.array([tree_predict(t, probe) for t in model.parameters["trees"]])
+    per_tree = np.array([oracle_tree_predict(t, probe) for t in model.parameters["trees"]])
     mean = predict_proba(model, probe)
     assert np.all(mean >= per_tree.min(axis=0) - 1e-12)
     assert np.all(mean <= per_tree.max(axis=0) + 1e-12)

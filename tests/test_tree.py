@@ -20,7 +20,7 @@ from c2sift.learners.tree import (
 )
 
 from conftest import make_dataset
-from tree_oracle import fit_gini_tree, oracle_fit_tree, oracle_fit_tree_second_order
+from tree_oracle import fit_gini_tree, oracle_fit_tree, oracle_fit_tree_second_order, oracle_tree_predict
 
 
 def exhaustive_stump(X, y, criterion="gini"):
@@ -216,7 +216,7 @@ def test_route_trees_equals_tree_predict_per_tree(n_trees, rows, d, budget, seed
         routed = route_trees(trees, probe)
     assert routed.shape == (n_trees, rows)
     for t, tree in enumerate(trees):
-        assert routed[t].tobytes() == tree_predict(tree, probe).tobytes()
+        assert routed[t].tobytes() == oracle_tree_predict(tree, probe).tobytes()
 
 
 def test_route_trees_blocks_under_the_default_budget():
@@ -225,7 +225,7 @@ def test_route_trees_blocks_under_the_default_budget():
     trees = [fit_gini_tree(X, (X[:, t % 3] > 0.1 * t).astype(int), TreeParams(max_depth=3)) for t in range(5)]
     probe = rng.normal(size=(tree_module._ROUTE_PAIRS // 2 + 1, 3))  # one tree per block
     routed = route_trees(trees, probe)
-    assert all(np.array_equal(routed[t], tree_predict(tree, probe)) for t, tree in enumerate(trees))
+    assert all(np.array_equal(routed[t], oracle_tree_predict(tree, probe)) for t, tree in enumerate(trees))
 
 
 def test_tree_json_round_trip():
@@ -399,7 +399,7 @@ def test_boosting_shared_presort_equals_fresh_presort(monkeypatch, fitter, tree_
 
 
 def leaf_of(tree, X):
-    """The leaf that ``tree_predict`` routes each row of X to."""
+    """The leaf that each row of X reaches."""
     pos = np.zeros(X.shape[0], dtype=np.int64)
     while (tree.feature[pos] >= 0).any():
         at = np.flatnonzero(tree.feature[pos] >= 0)
@@ -414,7 +414,7 @@ def assert_routes_own_rows(tree, X, fitted=None):
     leaves = leaf_of(tree, X)
     assert np.array_equal(np.bincount(leaves, minlength=tree.n_nodes), np.where(tree.feature < 0, tree.n_node, 0))
     if fitted is not None:
-        assert fitted.tobytes() == tree.value[leaves].tobytes() == tree_predict(tree, X).tobytes()
+        assert fitted.tobytes() == tree.value[leaves].tobytes() == oracle_tree_predict(tree, X).tobytes()
 
 
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
@@ -449,7 +449,7 @@ def test_threshold_between_huge_values_is_finite(builder, sign):
     seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), d=st.integers(1, 6), levels=st.integers(1, 4), params=tree_params
 )
 def test_fitted_equals_routing_the_training_rows(seed, n, d, levels, params):
-    """``fitted`` is byte for byte ``tree_predict`` on the training rows,
+    """``fitted`` is byte for byte the oracle router on the training rows,
     on tie-heavy integer columns, for mse and second-order fits."""
     rng = np.random.default_rng(seed)
     X = rng.integers(0, levels, size=(n, d)).astype(float)

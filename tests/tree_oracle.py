@@ -8,6 +8,10 @@ column count it is also the recursive feature-subsampled fit that the
 batched ``fit_gini_trees`` replaced: each searched node draws its columns
 from ``rng`` in preorder. Tests compare the trees of ``fit_tree`` (mse),
 ``fit_tree_second_order`` and ``fit_gini_trees`` with these, node for node.
+
+``oracle_tree_predict`` routes one tree's rows a level at a time: the
+router that ``route_trees``, which routes a block of trees at once,
+replaced.
 """
 from __future__ import annotations
 
@@ -260,3 +264,19 @@ def oracle_gini_search(Xt: np.ndarray, y_pad: np.ndarray, nodes: list, min_leaf:
         right = (sorted_rows[i, j, b + 1 : counts[i]].copy(), ones[i] - left_ones)
         splits.append((int(columns[i, j]), threshold, left, right))
     return splits
+
+
+def oracle_tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """Route all rows of X down one tree simultaneously; returns leaf values."""
+    n = X.shape[0]
+    pos = np.zeros(n, dtype=np.int64)
+    while True:
+        feats = tree.feature[pos]
+        active = feats >= 0
+        if not active.any():
+            break
+        rows = np.flatnonzero(active)
+        at = pos[rows]
+        go_left = X[rows, feats[rows]] <= tree.threshold[at]
+        pos[rows] = np.where(go_left, tree.left[at], tree.right[at])
+    return tree.value[pos]
